@@ -28,7 +28,6 @@ from .evolution import (
     fit_loglog_slope,
     kinetic_step,
     potential_step,
-    steps_for,
     trotter_convergence_scan,
     trotter_evolve,
     trotter_states,
@@ -97,7 +96,6 @@ from .susy import (
     check_degeneracy,
     dense_hamiltonian,
     eta_potential,
-    hamiltonian_matrix,
     partner_potential,
     zero_mode,
 )

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 all gates passed, 1 at least one gate failed (or a warning was
-raised under --strict), 2 configuration problem, 3 numerical failure.
+raised under --strict), 2 configuration problem (in the config file, an
+override, or found by a runner), 3 any other simulation error: a numerical
+failure or a broken contract.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import warnings
 
 from ._version import __version__
 from .config import SCENARIOS, parse_config, validate
-from .errors import ConfigurationError, NumericalError
-from .experiments import SCENARIO_RUNNERS, emit_csv
+from .errors import ConfigurationError, NumericalError, SimulationError
+from .experiments import SCENARIO_RUNNERS, emit_csv, run_all
 
 _SCENARIO_HELP = {
     "all": "run every scenario below in a fixed order",
@@ -72,23 +74,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(parse_config(args.config), args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if cfg.scenario == "all":
+                results = run_all(cfg)
+            else:
+                results = (SCENARIO_RUNNERS[cfg.scenario](cfg),)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    if cfg.scenario == "all":
-        runners = [r for _, r in sorted(SCENARIO_RUNNERS.items())]
-    else:
-        runners = [SCENARIO_RUNNERS[cfg.scenario]]
-
-    results = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for runner in runners:
-                results.append(runner(cfg))
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except SimulationError as exc:
+        kind = ("numerical failure" if isinstance(exc, NumericalError)
+                else type(exc).__name__)
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 3
 
     written = []

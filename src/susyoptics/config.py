@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
+from .optics import PARITY_MODES
 
 SCENARIOS = ("all", "spectrum", "susy-check", "eta-sweep", "bdag-check",
              "trotter-convergence")
 FIDELITY_CONVENTIONS = ("modulus", "modulus_squared")
-PARITY_MODES = ("ideal", "fresnel")
 
 
 @dataclass(frozen=True)

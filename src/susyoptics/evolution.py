@@ -20,7 +20,6 @@ comparison isolates the Trotter error with no spatial-discretization floor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +34,11 @@ ORDERS = ("first", "second")
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """Step length, count, and product order for a split-step evolution.
-
-    merge_half_steps fuses adjacent interior half-kinetic factors of the
-    second-order product, an exact algebraic rewrite that halves the
-    transform count; disable it only to test that identity.
-    """
+    """Step length, count, and product order for a split-step evolution."""
 
     dt: float
     n_steps: int
     order: str = "second"
-    merge_half_steps: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -60,21 +53,6 @@ class TrotterPlan:
     @property
     def total_time(self) -> float:
         return self.dt * self.n_steps
-
-
-def steps_for(t: float, dt: float) -> int:
-    """Step count reaching time t on the dt lattice.
-
-    Times off the lattice are rejected: the evolution exists only at step
-    boundaries, like the phase-plate train that realizes it.
-    """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    n = round(t / dt)
-    if n < 0 or abs(n * dt - t) > 1e-9 * max(abs(t), dt):
-        raise ConfigurationError(
-            f"time {t} is not a non-negative integer multiple of dt = {dt}")
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -112,10 +90,18 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                    stride: int = 1):
     """Yield (step_index, state) at step 0 and every `stride` steps (plus the last).
 
-    The yielded states are identical (to rounding) whether or not interior
-    half-kinetic factors are merged: a sample inside a merged pair is
-    realized by splitting that one pair for the sample alone, so merged
-    execution keeps one transform pair per step.
+    One loop serves both orders, because the second-order product is the
+    first-order one conjugated by a half kinetic step:
+
+        [K(dt/2) P K(dt/2)]^j = K(-dt/2) [K(dt) P]^j K(dt/2).
+
+    The loop carries w, the state just before the next potential kick:
+    psi itself for first order, K(dt/2) psi for second order.  Each step
+    forms s = F(P w); the sample is F^-1(s K_out), with K_out = K(dt) for
+    first order and K(dt/2) for second, and the next w is F^-1(s K(dt)),
+    which in first order is the sample itself.  Every step costs one
+    transform pair; second order adds one pair up front and one inverse
+    transform per sample before the last.
     """
     if psi.representation != POSITION:
         raise ContractError("trotter evolution expects a position-space state")
@@ -131,42 +117,17 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     p2 = 0.5 * g.p**2
     dt = plan.dt
     vphase = np.exp(-1j * V.values * dt)
-
-    if plan.order == "first":
-        kin = np.exp(-1j * p2 * dt)
-        vals = psi.values
-        for j in range(1, n + 1):
-            vals = np.fft.ifft(kin * np.fft.fft(vals * vphase))
-            if j % stride == 0 or j == n:
-                yield j, WaveFunction(g, vals, POSITION)
-        return
-
-    kin_half = np.exp(-1j * p2 * (0.5 * dt))
-    if not plan.merge_half_steps:
-        vals = psi.values
-        for j in range(1, n + 1):
-            vals = np.fft.ifft(kin_half * np.fft.fft(vals))
-            vals = vals * vphase
-            vals = np.fft.ifft(kin_half * np.fft.fft(vals))
-            if j % stride == 0 or j == n:
-                yield j, WaveFunction(g, vals, POSITION)
-        return
-
-    kin_full = np.exp(-1j * p2 * dt)
-    # spec_vals tracks the transform of the state advanced by the leading
-    # half-kinetic factor; each loop turn costs one transform pair
-    spec_vals = np.fft.fft(psi.values) * kin_half
+    kin = np.exp(-1j * p2 * dt)
+    first = plan.order == "first"
+    kin_out = kin if first else np.exp(-1j * p2 * (0.5 * dt))
+    w = psi.values if first else np.fft.ifft(np.fft.fft(psi.values) * kin_out)
     for j in range(1, n + 1):
-        vals = np.fft.ifft(spec_vals) * vphase
-        if j == n:
-            final = np.fft.ifft(np.fft.fft(vals) * kin_half)
-            yield j, WaveFunction(g, final, POSITION)
-            return
-        spec_vals = np.fft.fft(vals)
-        if j % stride == 0:
-            sample = np.fft.ifft(spec_vals * kin_half)
+        s = np.fft.fft(w * vphase)
+        if first or j < n:
+            w = np.fft.ifft(s * kin)
+        if j % stride == 0 or j == n:
+            sample = w if first else np.fft.ifft(s * kin_out)
             yield j, WaveFunction(g, sample, POSITION)
-        spec_vals = spec_vals * kin_full
 
 
 def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,

@@ -146,6 +146,16 @@ def _bench_setup(cfg: ExperimentConfig):
     return grid, W, psi0, units, aperture_m
 
 
+def _two_path_setup(cfg: ExperimentConfig):
+    """Natural-units setup plus V1, the step plan and the raised state B+ psi0."""
+    grid, W, psi0 = _natural_setup(cfg)
+    period = 2.0 * math.pi / cfg.omega
+    plan = TrotterPlan(period / cfg.steps_per_period,
+                       cfg.steps_per_period * cfg.evolution_periods)
+    v1 = partner_potential(W, 1, grid)
+    return grid, W, psi0, v1, plan, apply_B_dag(psi0, W)
+
+
 def make_random_states(grid, count, seed, center=0.0, width=1.0, modes=4,
                        decay=0.8):
     """Smooth random test states: Gaussian-enveloped Hermite superpositions.
@@ -220,7 +230,7 @@ def run_spectrum(cfg: ExperimentConfig) -> ScenarioResult:
         tuple((int(n), float(s1.energies[n]), float(s2.energies[n]),
                float(report.gaps[n])) for n in range(report.pair_count)),
         notes=(f"unpaired ground energy of V2: {report.unpaired_ground!r}",
-               f"eigensolver: {s1.method}"))
+               "eigensolver: spectral"))
     return _result(cfg, "spectrum", scalars, (potentials, levels))
 
 
@@ -234,14 +244,8 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
     normalized per sample before densities and deviations are formed, since
     B+ output is not normalized.
     """
-    grid, W, psi0 = _natural_setup(cfg)
-    v1 = partner_potential(W, 1, grid)
+    grid, W, psi0, v1, plan, psi_raised = _two_path_setup(cfg)
     v2 = partner_potential(W, 2, grid)
-    period = 2.0 * math.pi / cfg.omega
-    dt = period / cfg.steps_per_period
-    n_steps = cfg.steps_per_period * cfg.evolution_periods
-    plan = TrotterPlan(dt, n_steps)
-    psi_raised = apply_B_dag(psi0, W)
 
     times = []
     dens1, dens2, devs = [], [], []
@@ -254,7 +258,7 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
         assert j1 == j2
         a = normalized(apply_B_dag(s1, W))
         b = normalized(s2)
-        times.append(j1 * dt)
+        times.append(j1 * plan.dt)
         dens1.append(np.abs(a.values) ** 2)
         dens2.append(np.abs(b.values) ** 2)
         dev = np.abs(a.values - b.values) ** 2
@@ -262,7 +266,7 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
         peak_dev = max(peak_dev, float(dev.max()))
         if j1 == 0:
             fid_t0 = fidelity(a, b)
-        if j1 == n_steps:
+        if j1 == plan.n_steps:
             fid_final = fidelity(a, b)
 
     times = np.asarray(times)
@@ -300,18 +304,12 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     fidelity(eta, t) surface plus the final-time slice and gates the argmax
     on each half-axis.
     """
-    grid, W, psi0 = _natural_setup(cfg)
-    v1 = partner_potential(W, 1, grid)
-    period = 2.0 * math.pi / cfg.omega
-    dt = period / cfg.steps_per_period
-    n_steps = cfg.steps_per_period * cfg.evolution_periods
-    plan = TrotterPlan(dt, n_steps)
-    psi_raised = apply_B_dag(psi0, W)
+    grid, W, psi0, v1, plan, psi_raised = _two_path_setup(cfg)
 
     reference = []  # normalized evolve-then-raise states, every step
     for _, state in trotter_states(psi0, v1, plan, stride=1):
         reference.append(normalized(apply_B_dag(state, W)))
-    times = dt * np.arange(len(reference))
+    times = plan.dt * np.arange(len(reference))
 
     etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_points)
     surface = np.empty((etas.size, times.size))

@@ -13,13 +13,12 @@ family below guarantees that).  B+ maps the n-th state of H1 onto the
 (n+1)-th state of H2 and intertwines the two propagators, which is what the
 dynamics experiments verify.
 
-Two eigensolvers are provided.  `hamiltonian_matrix` is the classic
-central-difference tridiagonal discretization; its eigenvalues carry O(dx^2)
-dispersion error (~1e-4 on the default grid).  `bound_spectrum` defaults to
-a dense Hamiltonian whose kinetic block is spectral (exact on the grid's
-band limit), because partner-degeneracy holds at the 1e-6 level only for a
-discretization that the split-step propagator and the ladder operators
-actually share.
+Spectra come from one eigensolver, `bound_spectrum`, which diagonalizes
+`dense_hamiltonian`: a dense Hamiltonian whose kinetic block is spectral
+(exact on the grid's band limit).  This is the discretization the
+split-step propagator and the ladder operators share, which is why partner
+degeneracy holds at the 1e-6 level; a central-difference stencil would add
+O(dx^2) dispersion error (~1e-4 on the default grid).
 """
 
 from __future__ import annotations
@@ -224,21 +223,6 @@ def apply_B_dag(psi: WaveFunction, W) -> WaveFunction:
     return _apply_ladder(psi, W, -1.0)
 
 
-def hamiltonian_matrix(V: PotentialField) -> np.ndarray:
-    """Dense symmetric tridiagonal H = -(1/2) d2/dx2 + V, central differences.
-
-    Dirichlet boundaries: the field is pinned to zero outside the domain,
-    which is appropriate for bound states that decay well inside it.
-    """
-    n, dx = V.grid.n, V.grid.dx
-    h = np.zeros((n, n))
-    idx = np.arange(n)
-    h[idx, idx] = 1.0 / dx**2 + V.values
-    h[idx[:-1], idx[:-1] + 1] = -0.5 / dx**2
-    h[idx[:-1] + 1, idx[:-1]] = -0.5 / dx**2
-    return h
-
-
 def dense_hamiltonian(V: PotentialField) -> np.ndarray:
     """Dense H whose kinetic block is the spectral operator p^2/2.
 
@@ -264,16 +248,14 @@ class SpectrumResult:
     energies: np.ndarray
     states: tuple
     residuals: np.ndarray
-    method: str
     label: str = ""
 
 
-def bound_spectrum(V: PotentialField, k: int, method: str = "spectral",
+def bound_spectrum(V: PotentialField, k: int,
                    residual_tol: float = 1e-8) -> SpectrumResult:
-    """k lowest bound states of -(1/2) d2/dx2 + V.
+    """k lowest bound states of p^2/2 + V, from `dense_hamiltonian`.
 
-    method "spectral" (default) diagonalizes `dense_hamiltonian`;
-    method "fd" solves the tridiagonal stencil of `hamiltonian_matrix`.
+    Only the lowest k eigenpairs of the dense matrix are computed.
     Eigenstates come back quadrature-normalized with a deterministic sign.
     Residuals ||H v - E v|| are checked against `residual_tol`.
     """
@@ -284,38 +266,23 @@ def bound_spectrum(V: PotentialField, k: int, method: str = "spectral",
     grid = V.grid
     if k >= grid.n:
         raise ConfigurationError(f"k = {k} requires a grid larger than {grid.n} points")
+    h = dense_hamiltonian(V)
     try:
-        if method == "spectral":
-            h = dense_hamiltonian(V)
-            energies, vecs = sla.eigh(h, subset_by_index=(0, k - 1))
-            resid = np.linalg.norm(h @ vecs - vecs * energies, axis=0)
-        elif method == "fd":
-            n, dx = grid.n, grid.dx
-            diag = 1.0 / dx**2 + V.values
-            off = np.full(n - 1, -0.5 / dx**2)
-            energies, vecs = sla.eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, k - 1))
-            hv = diag[:, None] * vecs
-            hv[:-1] += off[:, None] * vecs[1:]
-            hv[1:] += off[:, None] * vecs[:-1]
-            resid = np.linalg.norm(hv - vecs * energies, axis=0)
-        else:
-            raise ConfigurationError(
-                f"unknown eigensolver method {method!r}; use 'spectral' or 'fd'")
+        energies, vecs = sla.eigh(h, subset_by_index=(0, k - 1))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver ({method}) failed on {V.label!r}: {exc}") from exc
+        raise NumericalError(f"eigensolver failed on {V.label!r}: {exc}") from exc
+    resid = np.linalg.norm(h @ vecs - vecs * energies, axis=0)
     worst = float(resid.max())
     if worst > residual_tol:
         raise NumericalError(
-            f"eigensolver ({method}) residual {worst:.3e} exceeds "
+            f"eigensolver residual {worst:.3e} exceeds "
             f"{residual_tol:.1e} on {V.label!r}")
     # deterministic sign: largest-magnitude component made positive
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])
     states = tuple(
         WaveFunction(grid, vecs[:, j] / math.sqrt(grid.dx)) for j in range(k))
-    return SpectrumResult(grid, energies, states, resid, method, V.label)
+    return SpectrumResult(grid, energies, states, resid, V.label)
 
 
 @dataclass(frozen=True)

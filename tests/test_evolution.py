@@ -28,13 +28,6 @@ class TestTrotterPlan:
             so.TrotterPlan(**kwargs)
 
 
-def test_steps_for():
-    assert so.steps_for(6.0, 0.1) == 60
-    assert so.steps_for(0.0, 0.1) == 0
-    with pytest.raises(ConfigurationError):
-        so.steps_for(6.05, 0.1)
-
-
 def test_kinetic_step_spreads_gaussian(grid):
     # free evolution of a unit gaussian has the textbook width law
     tau = 0.7
@@ -86,12 +79,26 @@ class TestTrotterStates:
         for j, state in sparse.items():
             np.testing.assert_allclose(state.values, dense[j].values, atol=1e-13)
 
-    def test_merged_and_split_half_steps_agree(self, v2, psi0):
-        plan_merged = so.TrotterPlan(0.05, 40, merge_half_steps=True)
-        plan_split = so.TrotterPlan(0.05, 40, merge_half_steps=False)
-        a = so.trotter_evolve(psi0, v2, plan_merged, trace_stride=40).final_state
-        b = so.trotter_evolve(psi0, v2, plan_split, trace_stride=40).final_state
-        np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_matches_step_composition(self, v2, psi0, order):
+        # the stepping loop against the product written out factor by factor
+        dt, n = 0.05, 40
+        expected = [psi0]
+        for _ in range(n):
+            state = expected[-1]
+            if order == "first":
+                state = so.kinetic_step(so.potential_step(state, v2, dt), dt)
+            else:
+                state = so.kinetic_step(state, 0.5 * dt)
+                state = so.kinetic_step(so.potential_step(state, v2, dt), 0.5 * dt)
+            expected.append(state)
+        plan = so.TrotterPlan(dt, n, order=order)
+        for stride in (1, 7, n):
+            samples = dict(so.trotter_states(psi0, v2, plan, stride=stride))
+            assert sorted(samples) == sorted({*range(0, n + 1, stride), n})
+            for j, state in samples.items():
+                np.testing.assert_allclose(state.values, expected[j].values,
+                                           atol=1e-12)
 
     @pytest.mark.parametrize("order", ["first", "second"])
     def test_unitarity(self, v2, psi0, order):

@@ -1,6 +1,10 @@
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +186,44 @@ class TestCli:
         code = cli.main(["spectrum", "--grid-points", "1",
                          "--out", str(tmp_path / "r")])
         assert code == 2
+
+    def test_exit_two_when_a_runner_rejects_the_config(self, tmp_path):
+        # 8 points pass config validation but are too few for the levels
+        src = Path(so.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "susyoptics", "spectrum", "--grid-points", "8",
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("error", [so.ContractError, so.DegenerateStateError,
+                                       so.SamplingError])
+    def test_exit_three_on_other_simulation_errors(self, tmp_path, capsys,
+                                                   monkeypatch, error):
+        def failing_runner(cfg):
+            raise error("probe")
+
+        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", failing_runner)
+        code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert capsys.readouterr().err == f"{error.__name__}: probe\n"
+
+    def test_all_prints_scenarios_in_run_all_order(self, small_cfg, tmp_path,
+                                                   capsys):
+        cfg_file = tmp_path / "small.cfg"
+        cfg_file.write_text(so.serialize_config(small_cfg))
+        code = cli.main(["all", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "r")])
+        assert code in (0, 1)
+        printed = [line.split("] ", 1)[1].split("/", 1)[0]
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[")]
+        expected = [r.scenario for r in so.run_all(small_cfg)]
+        assert list(dict.fromkeys(printed)) == expected
 
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys):
         cfg = tmp_path / "sat.cfg"

@@ -163,8 +163,6 @@ class TestBoundSpectrum:
             so.bound_spectrum(v1, 0)
         with pytest.raises(ConfigurationError):
             so.bound_spectrum(v1, 17)
-        with pytest.raises(ConfigurationError):
-            so.bound_spectrum(v1, 4, method="shooting")
 
     def test_states_orthonormal(self, v1):
         s = so.bound_spectrum(v1, 6)
@@ -180,40 +178,14 @@ class TestBoundSpectrum:
         for sa, sb in zip(a.states, b.states):
             np.testing.assert_array_equal(sa.values, sb.values)
 
-    def test_fd_method_agrees_to_its_accuracy(self, v1):
-        dense = so.bound_spectrum(v1, 4)
-        fd = so.bound_spectrum(v1, 4, method="fd")
-        assert fd.method == "fd"
-        np.testing.assert_allclose(fd.energies, dense.energies, atol=5e-3)
-
-    def test_fd_box_energy(self, grid):
-        # flat potential: lowest level of the hard box, pi^2 / (2 L^2)
-        flat = so.PotentialField(grid, np.zeros(grid.n), label="flat")
-        coarse_grid = so.make_grid(512, -15.0, 15.0)
-        coarse = so.PotentialField(coarse_grid, np.zeros(coarse_grid.n), label="flat")
-        L = 30.0
-        analytic = math.pi**2 / (2.0 * L**2)
-        e_fine = so.bound_spectrum(flat, 1, method="fd").energies[0]
-        e_coarse = so.bound_spectrum(coarse, 1, method="fd").energies[0]
-        assert e_fine == pytest.approx(analytic, rel=2e-3)
-        assert abs(e_fine - analytic) < abs(e_coarse - analytic)
-
     def test_residual_gate_raises(self, v1):
         with pytest.raises(NumericalError):
             so.bound_spectrum(v1, 4, residual_tol=1e-16)
 
 
 def test_hamiltonian_matrices_are_symmetric(v1):
-    tri = so.hamiltonian_matrix(v1)
     dense = so.dense_hamiltonian(v1)
-    np.testing.assert_array_equal(tri, tri.T)
     np.testing.assert_array_equal(dense, dense.T)
-    # both discretize the same operator: quadratic forms agree on smooth states
-    psi = so.gaussian_packet(v1.grid, center=-5.0)
-    vals = psi.values.real
-    e_tri = vals @ tri @ vals * v1.grid.dx
-    e_dense = vals @ dense @ vals * v1.grid.dx
-    assert e_tri == pytest.approx(e_dense, rel=1e-4)
 
 
 def test_check_degeneracy_pairs_partner_levels(v1, v2):
