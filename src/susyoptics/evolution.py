@@ -12,10 +12,13 @@ twice as fast as the state error, because a coherent error vector enters the
 overlap only quadratically; convergence scans therefore report both columns,
 and slope fits should use the state-error one.
 
-The reference propagator (`exact_evolve`) expands states in the
-eigendecomposition of the dense Hamiltonian with the spectral kinetic block,
-the same discrete operator the split-step factors approximate, so the
-comparison isolates the Trotter error with no spatial-discretization floor.
+The reference propagator (`exact_evolve`) expands states in eigenpairs of
+the Hamiltonian with the spectral kinetic block, the discrete operator the
+split-step factors approximate.  The pairs are diagonalized on the Fourier
+band the states occupy (`susy.bound_spectrum`'s solver) and kept only if
+their residual on the full grid is within tolerance; a state is evolved only
+if those pairs capture it to 1e-8 in relative norm, so the comparison
+isolates the Trotter error with no spatial-discretization floor.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import ConfigurationError, ContractError, NumericalError
 from .grids import POSITION, Grid1D, WaveFunction, fidelity, norm
-from .susy import PotentialField, dense_hamiltonian
+from .susy import CAPTURE_TOL, PotentialField, _band_eigenpairs, _uncaptured
 
 ORDERS = ("first", "second")
 
@@ -145,20 +147,33 @@ def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Full eigendecomposition of the dense spectral-kinetic Hamiltonian."""
+    """Verified eigenpairs of the Hamiltonian with the spectral kinetic block.
+
+    Only pairs whose full-grid residual passed are kept.  band_points is the
+    size of the grid they were diagonalized on, and capture_error the
+    largest relative norm of a build state left outside their span.
+    """
 
     grid: Grid1D
     energies: np.ndarray
-    vectors: np.ndarray  # column j: unit "2-norm" eigenvector
+    vectors: np.ndarray  # n x r; column j: unit 2-norm eigenvector
+    band_points: int
+    capture_error: float
 
 
-def eigenbasis(V: PotentialField) -> EigenBasis:
-    """Diagonalize once (O(n^3)); reuse across times and initial states."""
-    try:
-        energies, vectors = sla.eigh(dense_hamiltonian(V))
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
-        raise NumericalError(f"eigendecomposition failed on {V.label!r}: {exc}") from exc
-    return EigenBasis(V.grid, energies, vectors)
+def eigenbasis(V: PotentialField, states) -> EigenBasis:
+    """Diagonalize once for the given states; reuse across times.
+
+    The basis holds the verified eigenpairs (full-grid residual within
+    RESIDUAL_TOL) and captures every state in `states` to CAPTURE_TOL.
+    """
+    states = tuple(states)
+    if not states:
+        raise ContractError("eigenbasis needs the states it has to evolve")
+    if any(psi.grid != V.grid for psi in states):
+        raise ContractError("state and potential live on different grids")
+    energies, vectors, _, band, capture = _band_eigenpairs(V, states=states)
+    return EigenBasis(V.grid, energies, vectors, band, capture)
 
 
 def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
@@ -166,19 +181,27 @@ def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
     """Oracle propagation: expand, advance phases exp(-i E t), resum.
 
     Step-size free; accuracy is limited only by the spatial discretization.
-    Negative t runs the evolution backwards (used by reversal checks).
+    Negative t runs the evolution backwards (used by reversal checks).  A
+    state the basis does not capture to CAPTURE_TOL raises NumericalError.
     """
     if psi.representation != POSITION:
         raise ContractError("exact_evolve expects a position-space state")
     if psi.grid != V.grid:
         raise ContractError("state and potential live on different grids")
     if basis is None:
-        basis = eigenbasis(V)
+        basis = eigenbasis(V, [psi])
     elif basis.grid != V.grid:
         raise ContractError("eigenbasis was computed on a different grid")
-    coeff = basis.vectors.conj().T @ psi.values
-    vals = basis.vectors @ (np.exp(-1j * basis.energies * t) * coeff)
-    return psi.with_values(vals)
+    q = basis.vectors
+    lost = _uncaptured(q, [psi])
+    if not lost <= CAPTURE_TOL:
+        raise NumericalError(
+            f"eigenbasis leaves {lost:.3e} of the state uncaptured "
+            f"(limit {CAPTURE_TOL:.1e}); build it for this state")
+    # q is real: real products spare the complex copy a mixed product makes
+    coeff = q.T @ psi.values.real + 1j * (q.T @ psi.values.imag)
+    phased = np.exp(-1j * basis.energies * t) * coeff
+    return psi.with_values(q @ phased.real + 1j * (q @ phased.imag))
 
 
 @dataclass(frozen=True)
@@ -208,7 +231,7 @@ def trotter_convergence_scan(psi: WaveFunction, V: PotentialField, t: float,
     if t <= 0:
         raise ConfigurationError(f"total time must be positive, got {t}")
     if basis is None:
-        basis = eigenbasis(V)
+        basis = eigenbasis(V, [psi])
     reference = exact_evolve(psi, V, t, basis=basis)
     ref_norm = norm(reference)
     errors = np.empty(steps.size)

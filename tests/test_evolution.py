@@ -146,6 +146,20 @@ class TestExactEvolve:
         with pytest.raises(ContractError):
             so.exact_evolve(other, v2, 1.0)
 
+    def test_uncaptured_state_raises(self, v2, psi0):
+        # a fast packet lies outside the band of a basis built for psi0
+        basis = so.eigenbasis(v2, [psi0])
+        assert basis.band_points < v2.grid.n
+        kicked = so.gaussian_packet(v2.grid, -5.0, momentum=40.0)
+        with pytest.raises(NumericalError, match="uncaptured"):
+            so.exact_evolve(kicked, v2, 1.0, basis=basis)
+
+    def test_eigenbasis_contract(self, v2, small_grid):
+        with pytest.raises(ContractError):
+            so.eigenbasis(v2, [])
+        with pytest.raises(ContractError):
+            so.eigenbasis(v2, [so.gaussian_packet(small_grid)])
+
 
 def test_trotter_approaches_oracle(v2, psi0, W, basis_v2):
     # 30 steps to half a period lands in the reference fidelity window

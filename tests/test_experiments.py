@@ -92,6 +92,15 @@ class TestRunnerStructure:
         assert len(cases) == 2 + small_cfg.battery_size
         assert r.passed
 
+    def test_bdag_ratio_fails_with_its_reference(self, small_cfg):
+        # 64 points undersample the bench; a ratio against the broken
+        # reference error must not pass on its own
+        r = so.run_bdag_validation(dataclasses.replace(small_cfg, grid_points=64))
+        scalar = {s.name: s for s in r.scalars}
+        assert not scalar["rel_l2_reference"].passed
+        assert scalar["battery_error_ratio"].value <= 10.0
+        assert not scalar["battery_error_ratio"].passed
+
     def test_trotter_convergence(self, small_cfg):
         r = so.run_trotter_convergence(small_cfg)
         assert [t.name for t in r.tables] == ["convergence_second",
@@ -103,6 +112,7 @@ class TestRunnerStructure:
         scalar = {s.name: s for s in r.scalars}
         assert scalar["z_reference_m"].passed
         assert scalar["unit_roundtrip_error"].passed
+        assert scalar["oracle_capture_error"].value <= 1e-8
 
     def test_run_all_order(self, small_cfg):
         results = so.run_all(small_cfg)
@@ -134,6 +144,8 @@ class TestEmitCsv:
         assert head[1] == f"# config_hash: {so.config_hash(small_cfg)}"
         assert head[2] == f"# tool_version: {so.__version__}"
         assert head[3].startswith("# defaulted_keys: ")
+        assert head[5] == ("# eigensolver: spectral, V1 on 256 and V2 on 256 "
+                           "of 512 points")
 
     def test_byte_identical_reruns(self, small_cfg, tmp_path):
         for sub in ("a", "b"):
@@ -142,6 +154,13 @@ class TestEmitCsv:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("scenario", ["spectrum", "trotter-convergence"])
+    def test_byte_identical_oracle_reruns(self, small_cfg, tmp_path, scenario):
+        runs = [so.emit_csv(SCENARIO_RUNNERS[scenario](small_cfg), tmp_path / sub)
+                for sub in ("a", "b")]
+        for a, b in zip(*runs):
+            assert a.read_bytes() == b.read_bytes()
 
     def test_numeric_roundtrip(self, small_cfg, tmp_path):
         so.emit_csv(so.run_spectrum(small_cfg), tmp_path)

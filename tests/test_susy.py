@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 import susyoptics as so
-from susyoptics import ConfigurationError, ContractError, NumericalError
+from susyoptics import ConfigurationError, ContractError, NumericalError, susy
 
 from conftest import AMPLITUDE
 
@@ -181,6 +182,83 @@ class TestBoundSpectrum:
     def test_residual_gate_raises(self, v1):
         with pytest.raises(NumericalError):
             so.bound_spectrum(v1, 4, residual_tol=1e-16)
+
+
+class TestBandLimitedSolver:
+    """Pairs come from a coarse band of the grid and are checked on all of it."""
+
+    @pytest.fixture(scope="class")
+    def full_grid_pairs(self, v2):
+        # the s = 1 solve: the full-grid matrix itself
+        return sla.eigh(so.dense_hamiltonian(v2), subset_by_index=(0, 39))
+
+    @pytest.fixture(scope="class")
+    def band_basis(self, v2, W, psi0):
+        # the states the trotter-convergence oracle serves: psi0 and B+ psi0
+        return so.eigenbasis(v2, [psi0, so.apply_B_dag(psi0, W)])
+
+    def test_bound_spectrum_agrees_with_full_grid_solve(self, v2, full_grid_pairs):
+        energies, vecs = full_grid_pairs
+        s = so.bound_spectrum(v2, 9)
+        assert s.band_points < v2.grid.n
+        np.testing.assert_allclose(s.energies, energies[:9], rtol=0, atol=1e-10)
+        for j, state in enumerate(s.states):
+            fid = abs(np.vdot(vecs[:, j], state.values)) ** 2 * v2.grid.dx
+            assert fid > 1.0 - 1e-12
+
+    def test_eigenbasis_agrees_with_full_grid_solve(self, v2, band_basis,
+                                                    full_grid_pairs):
+        energies, vecs = full_grid_pairs
+        assert band_basis.band_points < v2.grid.n
+        np.testing.assert_allclose(band_basis.energies[:40], energies,
+                                   rtol=0, atol=1e-10)
+        overlaps = np.abs(np.sum(band_basis.vectors[:, :40] * vecs, axis=0)) ** 2
+        assert np.all(overlaps > 1.0 - 1e-12)
+
+    def test_verified_vectors_orthonormal(self, band_basis):
+        q = band_basis.vectors
+        assert q.shape[0] == band_basis.grid.n and q.shape[1] < q.shape[0]
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
+        assert band_basis.capture_error <= susy.CAPTURE_TOL
+
+    def test_stiff_trap_widens_the_band(self, grid, v1):
+        # oscillator length 1/sqrt(40) is not resolved by the default band
+        omega = 40.0
+        stiff = so.PotentialField(grid, 0.5 * omega**2 * grid.x**2, label="stiff")
+        s = so.bound_spectrum(stiff, 8)
+        assert s.band_points > so.bound_spectrum(v1, 8).band_points
+        np.testing.assert_allclose(s.energies, omega * (np.arange(8) + 0.5),
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1536, 513])
+    def test_grid_sizes_that_are_not_powers_of_two(self, W, n):
+        # 1536 halves down to a 3-point grid; an odd n leaves only s = 1
+        grid = so.make_grid(n, -15.0, 15.0)
+        v1 = so.partner_potential(W, 1, grid)
+        s = so.bound_spectrum(v1, 8)
+        assert n % s.band_points == 0
+        assert (s.band_points == n) == (n % 2 == 1)
+        reference = sla.eigh(so.dense_hamiltonian(v1), subset_by_index=(0, 7))[0]
+        np.testing.assert_allclose(s.energies, reference, rtol=0, atol=1e-10)
+        basis = so.eigenbasis(v1, [so.gaussian_packet(grid, -5.0)])
+        assert basis.capture_error <= susy.CAPTURE_TOL
+
+    def test_large_grid_builds_no_large_matrix(self, W, monkeypatch):
+        # a full-grid solve at n = 8192 would need a 0.5 GB matrix
+        sizes = []
+        build = susy.dense_hamiltonian
+
+        def counting_build(V):
+            sizes.append(V.grid.n)
+            return build(V)
+
+        monkeypatch.setattr(susy, "dense_hamiltonian", counting_build)
+        grid = so.make_grid(8192, -15.0, 15.0)
+        s = so.bound_spectrum(so.partner_potential(W, 1, grid), 8)
+        assert sizes and max(sizes) <= 1024
+        assert np.all(s.residuals <= 1e-8)
+        np.testing.assert_allclose(s.energies[:2], [3.0275104807, 3.0298247861],
+                                   rtol=0, atol=1e-9)
 
 
 def test_hamiltonian_matrices_are_symmetric(v1):
