@@ -263,7 +263,7 @@ def _interpolate(vecs: np.ndarray, n: int) -> np.ndarray:
     spec = np.fft.rfft(vecs, axis=0)
     if m % 2 == 0:
         spec[-1] *= 0.5
-    return np.fft.irfft(spec, n=n, axis=0)
+    return np.fft.irfft(spec, n=n, axis=0) * (n / m)
 
 
 def _apply_hamiltonian(V: PotentialField, vecs: np.ndarray) -> np.ndarray:

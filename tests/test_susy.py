@@ -221,6 +221,20 @@ class TestBandLimitedSolver:
         np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
         assert band_basis.capture_error <= susy.CAPTURE_TOL
 
+    @pytest.mark.parametrize("m, n", [(64, 256), (63, 189)])
+    def test_interpolation_is_trigonometric(self, m, n):
+        # a band-limited bump plus, on an even grid, the coarse Nyquist mode,
+        # whose interpolant is cos(p_N (x - x_min)) only when the mode is split
+        fine = so.make_grid(n, -8.0, 8.0)
+        coarse = so.make_grid(m, -8.0, 8.0)
+        nyquist = 0.0 if m % 2 else 1.0
+
+        def f(x):
+            return np.exp(-x**2) + nyquist * np.cos(np.pi / coarse.dx * (x + 8.0))
+
+        out = susy._interpolate(f(coarse.x)[:, None], n)[:, 0]
+        np.testing.assert_allclose(out, f(fine.x), rtol=0, atol=1e-12)
+
     def test_stiff_trap_widens_the_band(self, grid, v1):
         # oscillator length 1/sqrt(40) is not resolved by the default band
         omega = 40.0
