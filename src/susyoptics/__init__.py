@@ -37,7 +37,6 @@ from .experiments import (
     ScenarioResult,
     Table,
     emit_csv,
-    make_random_states,
     run_all,
     run_bdag_validation,
     run_eta_sweep,
@@ -54,6 +53,7 @@ from .grids import (
     gaussian_packet,
     inner,
     make_grid,
+    make_random_states,
     norm,
     normalized,
     sample,
@@ -71,16 +71,12 @@ from .optics import (
     PhysicalUnits,
     ThinLens,
     alpha_passivity_bound,
-    apply_element,
-    apply_lens,
     calibrate_interferometer,
     compile_trotter_train,
     interferometer_arm_trains,
     interferometric_B_dag,
     map_distance_to_time,
     map_time_to_distance,
-    parity_flip,
-    propagate_fresnel,
     simulate_train,
     spot_size,
 )

@@ -14,7 +14,7 @@ import sys
 import warnings
 
 from ._version import __version__
-from .config import SCENARIOS, parse_config, validate
+from .config import SCENARIOS, parse_config
 from .errors import ConfigurationError, NumericalError, SimulationError
 from .experiments import SCENARIO_RUNNERS, emit_csv, run_all
 
@@ -61,13 +61,9 @@ def _apply_overrides(cfg, args):
         overrides["out_dir"] = args.out
     if args.grid_points is not None:
         overrides["grid_points"] = args.grid_points
-    cfg = dataclasses.replace(
+    return dataclasses.replace(
         cfg, defaulted_keys=tuple(k for k in cfg.defaulted_keys
                                   if k not in overrides), **overrides)
-    problems = validate(cfg)
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-    return cfg
 
 
 def main(argv=None) -> int:

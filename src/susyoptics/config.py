@@ -4,7 +4,9 @@ Every physical quantity carries its unit in the key name (wavelength_nm,
 focal_length_m, aperture_x0, ...).  Unknown keys are errors so typos cannot
 silently fall back to defaults; missing keys do fall back, and the set of
 defaulted keys is kept for result provenance.  Parsing collects every
-problem before failing, each tagged with its source line.
+problem before failing, each tagged with its source line.  `setup` builds
+the domain objects of a run once; each object checks its own parameters,
+and `validate` reports their problems by config key.
 
 The default configuration is the reference scenario used by the acceptance
 gates: trap frequency 1, barrier amplitude sqrt(26) at width x0/2, a unit
@@ -16,14 +18,22 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
-from .optics import PARITY_MODES
+from .grids import (
+    FIDELITY_CONVENTIONS,
+    Grid1D,
+    WaveFunction,
+    gaussian_packet,
+    make_grid,
+    make_random_states,
+)
+from .optics import InterferometerSpec, PhysicalUnits
+from .susy import MAX_BOUND_LEVELS, Superpotential
 
 SCENARIOS = ("all", "spectrum", "susy-check", "eta-sweep", "bdag-check",
              "trotter-convergence")
-FIDELITY_CONVENTIONS = ("modulus", "modulus_squared")
 
 
 @dataclass(frozen=True)
@@ -69,30 +79,16 @@ class ExperimentConfig:
     defaulted_keys: tuple = field(default=(), compare=False, repr=False)
 
 
-_INT_KEYS = frozenset((
-    "grid_points", "steps_per_period", "evolution_periods", "trace_stride",
-    "spectrum_levels", "eta_points", "battery_seed", "battery_size"))
-_FLOAT_KEYS = frozenset((
-    "omega", "barrier_amplitude", "sigma_over_x0", "x_center_x0",
-    "state_width_x0", "x_min_x0", "x_max_x0", "eta_min", "eta_max",
-    "wavelength_nm", "x0_mm", "focal_length_m", "reduced_focal_length_m",
-    "aperture_x0"))
-_STR_KEYS = frozenset(("scenario", "out_dir", "parity_mode", "fidelity_convention"))
-_TUPLE_KEYS = frozenset(("convergence_steps",))
 CONFIG_KEYS = tuple(
     f.name for f in fields(ExperimentConfig) if f.name != "defaulted_keys")
+_DEFAULTS = ExperimentConfig()
+_KINDS = {key: type(getattr(_DEFAULTS, key)) for key in CONFIG_KEYS}
 
 
 def _convert(key: str, text: str):
-    if key in _STR_KEYS:
-        return text
-    if key in _TUPLE_KEYS:
+    if _KINDS[key] is tuple:
         return tuple(int(tok.strip()) for tok in text.split(","))
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    raise AssertionError(f"unmapped key {key}")
+    return _KINDS[key](text)
 
 
 def _eta_grid_holds(cfg: ExperimentConfig, target: float) -> bool:
@@ -103,65 +99,123 @@ def _eta_grid_holds(cfg: ExperimentConfig, target: float) -> bool:
     return abs(j - round(j)) <= 1e-9 * max(1.0, abs(j))
 
 
-def validate(cfg: ExperimentConfig) -> list:
-    """All invariant violations, as human-readable strings (empty when valid)."""
+def _rule_problems(cfg: ExperimentConfig) -> list:
+    """The rules no domain object owns, each message led by its keys."""
     p = []
     if cfg.scenario not in SCENARIOS:
-        p.append(f"scenario must be one of {SCENARIOS}, got {cfg.scenario!r}")
-    if not (math.isfinite(cfg.omega) and cfg.omega > 0):
-        p.append(f"omega must be positive, got {cfg.omega}")
-    if not math.isfinite(cfg.barrier_amplitude):
-        p.append(f"barrier_amplitude must be finite, got {cfg.barrier_amplitude}")
-    if not (math.isfinite(cfg.sigma_over_x0) and cfg.sigma_over_x0 > 0):
-        p.append(f"sigma_over_x0 must be positive, got {cfg.sigma_over_x0}")
-    if not (math.isfinite(cfg.state_width_x0) and cfg.state_width_x0 > 0):
-        p.append(f"state_width_x0 must be positive, got {cfg.state_width_x0}")
-    if cfg.grid_points < 2:
-        p.append(f"grid_points must be at least 2, got {cfg.grid_points}")
-    if not (math.isfinite(cfg.x_min_x0) and math.isfinite(cfg.x_max_x0)
-            and cfg.x_max_x0 > cfg.x_min_x0):
-        p.append(f"domain [{cfg.x_min_x0}, {cfg.x_max_x0}] x0 has no extent")
-    elif not cfg.x_min_x0 < cfg.x_center_x0 < cfg.x_max_x0:
-        p.append(f"x_center_x0 = {cfg.x_center_x0} lies outside the domain")
-    if cfg.steps_per_period < 1:
-        p.append(f"steps_per_period must be >= 1, got {cfg.steps_per_period}")
-    if cfg.evolution_periods < 1:
-        p.append(f"evolution_periods must be >= 1, got {cfg.evolution_periods}")
-    if cfg.trace_stride < 1:
-        p.append(f"trace_stride must be >= 1, got {cfg.trace_stride}")
+        p.append(f"scenario: must be one of {SCENARIOS}, got {cfg.scenario!r}")
+    if not cfg.x_min_x0 < cfg.x_center_x0 < cfg.x_max_x0:
+        p.append(f"x_center_x0: {cfg.x_center_x0} lies outside the domain "
+                 f"x_min_x0, x_max_x0 = [{cfg.x_min_x0}, {cfg.x_max_x0}]")
+    for key in ("steps_per_period", "evolution_periods", "trace_stride"):
+        if getattr(cfg, key) < 1:
+            p.append(f"{key}: must be >= 1, got {getattr(cfg, key)}")
     steps = cfg.convergence_steps
     if (not steps or any(int(n) != n or n < 1 for n in steps)
             or any(b <= a for a, b in zip(steps, steps[1:]))):
-        p.append(f"convergence_steps must be ascending positive integers, got {steps}")
-    if not 1 <= cfg.spectrum_levels <= 15:
-        p.append(f"spectrum_levels must be in [1, 15], got {cfg.spectrum_levels}")
+        p.append(f"convergence_steps: must be ascending positive integers, got {steps}")
+    # V2 is solved for one level more than V1
+    if not 1 <= cfg.spectrum_levels <= MAX_BOUND_LEVELS - 1:
+        p.append(f"spectrum_levels: must be in [1, {MAX_BOUND_LEVELS - 1}], "
+                 f"got {cfg.spectrum_levels}")
     if cfg.eta_points < 3:
-        p.append(f"eta_points must be >= 3, got {cfg.eta_points}")
-    elif not (cfg.eta_max > cfg.eta_min):
-        p.append(f"eta range [{cfg.eta_min}, {cfg.eta_max}] has no extent")
+        p.append(f"eta_points: must be >= 3, got {cfg.eta_points}")
+    elif not (math.isfinite(cfg.eta_min) and math.isfinite(cfg.eta_max)
+              and cfg.eta_max > cfg.eta_min):
+        p.append(f"eta_min, eta_max: eta range [{cfg.eta_min}, {cfg.eta_max}] "
+                 "must be finite with eta_max > eta_min")
     elif not all(_eta_grid_holds(cfg, t) for t in (-1.0, 0.0, 1.0)):
         p.append(
-            f"eta grid [{cfg.eta_min}, {cfg.eta_max}] with {cfg.eta_points} points "
-            "must contain -1, 0 and +1 exactly")
-    for key in ("wavelength_nm", "x0_mm", "focal_length_m",
-                "reduced_focal_length_m", "aperture_x0"):
-        val = getattr(cfg, key)
-        if not (math.isfinite(val) and val > 0):
-            p.append(f"{key} must be positive, got {val}")
-    if (math.isfinite(cfg.aperture_x0)
-            and cfg.aperture_x0 > min(-cfg.x_min_x0, cfg.x_max_x0)):
+            f"eta_min, eta_max, eta_points: eta grid [{cfg.eta_min}, {cfg.eta_max}] "
+            f"with {cfg.eta_points} points must contain -1, 0 and +1 exactly")
+    if cfg.aperture_x0 > min(-cfg.x_min_x0, cfg.x_max_x0):
         p.append(
-            f"aperture_x0 = {cfg.aperture_x0} exceeds the simulated window "
-            f"[{cfg.x_min_x0}, {cfg.x_max_x0}] x0")
-    if cfg.parity_mode not in PARITY_MODES:
-        p.append(f"parity_mode must be one of {PARITY_MODES}, got {cfg.parity_mode!r}")
-    if cfg.battery_size < 1:
-        p.append(f"battery_size must be >= 1, got {cfg.battery_size}")
+            f"aperture_x0: {cfg.aperture_x0} exceeds the simulated window "
+            f"x_min_x0, x_max_x0 = [{cfg.x_min_x0}, {cfg.x_max_x0}]")
     if cfg.fidelity_convention not in FIDELITY_CONVENTIONS:
-        p.append(
-            f"fidelity_convention must be one of {FIDELITY_CONVENTIONS}, "
-            f"got {cfg.fidelity_convention!r}")
+        p.append(f"fidelity_convention: must be one of {FIDELITY_CONVENTIONS}, "
+                 f"got {cfg.fidelity_convention!r}")
     return p
+
+
+@dataclass(frozen=True)
+class RunSetup:
+    """The domain objects of one run, in the natural frame of its omega.
+
+    The bench frame is the natural frame at omega = 1.  The specs are
+    uncalibrated.
+    """
+
+    grid: Grid1D
+    W: Superpotential
+    psi0: WaveFunction
+    battery: tuple
+    units: PhysicalUnits
+    spec: InterferometerSpec
+    reduced_spec: InterferometerSpec
+
+
+def _build(cfg: ExperimentConfig):
+    """(RunSetup, problems): every domain object built once from cfg.
+
+    Each object owns its rules; a ConfigurationError it raises is recorded
+    with the keys it was built from.  Those keys then fall back to their
+    defaults, with which every object builds, so everything built on it is
+    still checked and all problems are reported at once.
+    """
+    problems = _rule_problems(cfg)
+
+    def build(keys, make):
+        nonlocal cfg
+        try:
+            return make(cfg)
+        except ConfigurationError as exc:
+            problems.append(f"{', '.join(keys)}: {exc}")
+        cfg = replace(cfg, **{k: getattr(_DEFAULTS, k) for k in keys})
+        return make(cfg)
+
+    # the trap alone fixes x0, the unit of every length below
+    W = build(("omega", "barrier_amplitude", "sigma_over_x0"), lambda c: Superpotential(
+        c.omega, c.barrier_amplitude, c.sigma_over_x0 * Superpotential(c.omega).x0))
+    x0 = W.x0
+
+    def packet_on_grid(c):  # the packet width is checked against the grid
+        grid = make_grid(c.grid_points, c.x_min_x0 * x0, c.x_max_x0 * x0)
+        return grid, gaussian_packet(grid, c.x_center_x0 * x0, c.state_width_x0 * x0)
+
+    grid, psi0 = build(("grid_points", "x_min_x0", "x_max_x0", "state_width_x0"),
+                       packet_on_grid)
+    # the battery sits at the aperture center: the bench is specified for
+    # fields inside the aperture, and a displaced Hermite stack would spill
+    # past the stops and measure its own clipping instead of the optics
+    battery = build(("battery_size", "battery_seed"), lambda c: tuple(make_random_states(
+        grid, c.battery_size, c.battery_seed, center=0.0,
+        width=c.state_width_x0 * x0)))
+    units = build(("wavelength_nm", "x0_mm"), lambda c: PhysicalUnits(
+        c.wavelength_nm * 1e-9, c.x0_mm * 1e-3))
+    spec = build(("focal_length_m", "aperture_x0", "parity_mode"),
+                 lambda c: InterferometerSpec(W, c.focal_length_m,
+                                              c.aperture_x0 * units.x0_m,
+                                              parity_mode=c.parity_mode))
+    reduced = build(("reduced_focal_length_m",), lambda c: replace(
+        spec, focal_length_m=c.reduced_focal_length_m))
+    return RunSetup(grid, W, psi0, battery, units, spec, reduced), problems
+
+
+def validate(cfg: ExperimentConfig) -> list:
+    """All problems with cfg, each led by the keys it came from (empty when valid).
+
+    The objects are built by `setup`'s code, so each checks its own rules.
+    """
+    return _build(cfg)[1]
+
+
+def setup(cfg: ExperimentConfig) -> RunSetup:
+    """Build the domain objects of a run; ConfigurationError lists every problem."""
+    run, problems = _build(cfg)
+    if problems:
+        raise ConfigurationError("\n".join(problems))
+    return run
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -205,11 +259,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 def parse_config(path=None) -> ExperimentConfig:
     """Load a config file, or the full default scenario when path is None."""
     if path is None:
-        cfg = ExperimentConfig(defaulted_keys=CONFIG_KEYS)
-        violations = validate(cfg)
-        if violations:  # pragma: no cover - defaults are valid by construction
-            raise ConfigurationError("\n".join(violations))
-        return cfg
+        return parse_config_text("", source="<defaults>")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -219,9 +269,9 @@ def parse_config(path=None) -> ExperimentConfig:
 
 
 def _format_value(key: str, value) -> str:
-    if key in _TUPLE_KEYS:
+    if _KINDS[key] is tuple:
         return ", ".join(str(int(v)) for v in value)
-    if key in _FLOAT_KEYS:
+    if _KINDS[key] is float:
         return repr(float(value))
     return str(value)
 

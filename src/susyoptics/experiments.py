@@ -7,21 +7,22 @@ here draws; the CSV schemas are the figures.
 Unit conventions: the algebra/dynamics scenarios (spectrum, susy-check,
 eta-sweep) run in natural units (hbar = m = 1, lengths in x0 = 1/sqrt(omega),
 energies in omega).  The bench scenarios (bdag-check, trotter-convergence)
-run in the dimensionless oscillator frame, which is the frame a bench
-encodes transversely; the trap frequency only rescales the time-to-distance
-map and the reference distances are stated for the design step T/60.
+run in the dimensionless oscillator frame, the natural frame at omega = 1,
+which is the frame a bench encodes transversely; the trap frequency only
+rescales the time-to-distance map and the reference distances are stated
+for the design step T/60.  Results carry the hash of the caller's config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, config_hash, setup
 from .errors import ConfigurationError
 from .evolution import (
     TrotterPlan,
@@ -31,16 +32,8 @@ from .evolution import (
     trotter_evolve,
     trotter_states,
 )
-from .grids import (
-    WaveFunction,
-    fidelity,
-    gaussian_packet,
-    make_grid,
-    norm,
-    normalized,
-)
+from .grids import fidelity, norm, normalized
 from .optics import (
-    InterferometerSpec,
     PhysicalUnits,
     calibrate_interferometer,
     compile_trotter_train,
@@ -51,7 +44,6 @@ from .optics import (
     simulate_train,
 )
 from .susy import (
-    Superpotential,
     apply_B_dag,
     bound_spectrum,
     check_degeneracy,
@@ -127,61 +119,15 @@ def _gate_fidelity(name, fid_modulus, lo, hi, convention) -> GatedScalar:
 
 # --- scenario building blocks -------------------------------------------------
 
-def _natural_setup(cfg: ExperimentConfig):
-    """Grid, superpotential and initial state in natural units."""
-    x0 = 1.0 / math.sqrt(cfg.omega)
-    grid = make_grid(cfg.grid_points, cfg.x_min_x0 * x0, cfg.x_max_x0 * x0)
-    W = Superpotential(cfg.omega, cfg.barrier_amplitude, cfg.sigma_over_x0 * x0)
-    psi0 = gaussian_packet(grid, cfg.x_center_x0 * x0, cfg.state_width_x0 * x0)
-    return grid, W, psi0
-
-
-def _bench_setup(cfg: ExperimentConfig):
-    """Dimensionless oscillator frame plus the physical units that realize it."""
-    grid = make_grid(cfg.grid_points, cfg.x_min_x0, cfg.x_max_x0)
-    W = Superpotential(1.0, cfg.barrier_amplitude, cfg.sigma_over_x0)
-    psi0 = gaussian_packet(grid, cfg.x_center_x0, cfg.state_width_x0)
-    units = PhysicalUnits(cfg.wavelength_nm * 1e-9, cfg.x0_mm * 1e-3)
-    aperture_m = cfg.aperture_x0 * units.x0_m
-    return grid, W, psi0, units, aperture_m
-
-
 def _two_path_setup(cfg: ExperimentConfig):
     """Natural-units setup plus V1, the step plan and the raised state B+ psi0."""
-    grid, W, psi0 = _natural_setup(cfg)
+    run = setup(cfg)
+    grid, W, psi0 = run.grid, run.W, run.psi0
     period = 2.0 * math.pi / cfg.omega
     plan = TrotterPlan(period / cfg.steps_per_period,
                        cfg.steps_per_period * cfg.evolution_periods)
     v1 = partner_potential(W, 1, grid)
     return grid, W, psi0, v1, plan, apply_B_dag(psi0, W)
-
-
-def make_random_states(grid, count, seed, center=0.0, width=1.0, modes=4,
-                       decay=0.8):
-    """Smooth random test states: Gaussian-enveloped Hermite superpositions.
-
-    Band-limited by construction (polynomial times Gaussian), so ladder
-    operators act on them without amplifying grid noise; raw white-noise
-    states would probe the discretization, not the physics.  Coefficients
-    are complex normal with geometric damping `decay` per mode.
-    """
-    if count < 1:
-        raise ConfigurationError(f"battery needs at least one state, got {count}")
-    rng = np.random.default_rng(seed)
-    u = (grid.x - center) / width
-    modes_ = [np.exp(-0.5 * u * u)]
-    for m in range(1, modes + 1):
-        nxt = math.sqrt(2.0 / m) * u * modes_[-1]
-        if m >= 2:
-            nxt -= math.sqrt((m - 1) / m) * modes_[-2]
-        modes_.append(nxt)
-    states = []
-    for _ in range(count):
-        coeff = (rng.standard_normal(modes + 1)
-                 + 1j * rng.standard_normal(modes + 1)) * decay ** np.arange(modes + 1)
-        vals = sum(c * h for c, h in zip(coeff, modes_))
-        states.append(normalized(WaveFunction(grid, vals)))
-    return states
 
 
 def _long_table(name, columns, row_coord, col_coord, surface, notes=()) -> Table:
@@ -209,7 +155,8 @@ def run_spectrum(cfg: ExperimentConfig) -> ScenarioResult:
     The pairing gate is E1_n against E2_(n+1) within 1e-6 omega; the leftover
     ground state of V2 must sit at zero energy on the same tolerance.
     """
-    grid, W, _ = _natural_setup(cfg)
+    run = setup(cfg)
+    grid, W = run.grid, run.W
     v1 = partner_potential(W, 1, grid)
     v2 = partner_potential(W, 2, grid)
     k = cfg.spectrum_levels
@@ -367,15 +314,13 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
     All error measures fix the modulus overlap convention; they are error
     metrics, not reported fidelities.
     """
-    grid, W, psi0, units, aperture_m = _bench_setup(cfg)
-    cases = []
-    profile_table = None
+    run = setup(replace(cfg, omega=1.0))
+    grid, W, psi0, units = run.grid, run.W, run.psi0, run.units
+    aperture_m = run.spec.aperture_m
 
-    spec_ref = calibrate_interferometer(
-        InterferometerSpec(W, cfg.focal_length_m, aperture_m,
-                           parity_mode=cfg.parity_mode), grid, units)
+    spec_ref = calibrate_interferometer(run.spec, grid, units)
     approx, target, rel_ref, max_ref, infid_ref = _bdag_errors(psi0, spec_ref, units, W)
-    cases.append(("reference", cfg.focal_length_m, rel_ref, max_ref, infid_ref))
+    cases = [("reference", cfg.focal_length_m, rel_ref, max_ref, infid_ref)]
     profile_table = Table(
         "profiles",
         ("x", "amp_interferometric", "phase_interferometric",
@@ -385,19 +330,12 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
                          np.abs(target.values), np.angle(target.values)]),
         notes=(f"focal_length_m: {cfg.focal_length_m!r}",))
 
-    spec_red = calibrate_interferometer(
-        InterferometerSpec(W, cfg.reduced_focal_length_m, aperture_m,
-                           parity_mode=cfg.parity_mode), grid, units)
+    spec_red = calibrate_interferometer(run.reduced_spec, grid, units)
     _, _, rel_red, max_red, infid_red = _bdag_errors(psi0, spec_red, units, W)
     cases.append(("reduced", cfg.reduced_focal_length_m, rel_red, max_red, infid_red))
 
-    # Battery states sit at the aperture center: the bench is specified for
-    # fields inside the aperture, and a displaced Hermite stack would spill
-    # past the stops and measure its own clipping instead of the optics.
-    battery = make_random_states(grid, cfg.battery_size, cfg.battery_seed,
-                                 center=0.0, width=cfg.state_width_x0)
     worst_batt = 0.0
-    for i, state in enumerate(battery):
+    for i, state in enumerate(run.battery):
         _, _, rel, mx, infd = _bdag_errors(state, spec_ref, units, W)
         worst_batt = max(worst_batt, rel)
         cases.append((f"battery_{i}", cfg.focal_length_m, rel, mx, infd))
@@ -442,7 +380,8 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     step distance, the exactness of the time<->distance round trip, and that
     the compiled plate train reproduces the abstract propagator.
     """
-    grid, W, psi0, units, _ = _bench_setup(cfg)
+    run = setup(replace(cfg, omega=1.0))
+    grid, W, psi0, units = run.grid, run.W, run.psi0, run.units
     v2 = partner_potential(W, 2, grid)
     psi_raised = apply_B_dag(psi0, W)
     t_half = math.pi  # half a period, dimensionless

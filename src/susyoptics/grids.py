@@ -28,6 +28,7 @@ from .errors import (
 
 POSITION = "position"
 MOMENTUM = "momentum"
+FIDELITY_CONVENTIONS = ("modulus", "modulus_squared")
 
 _SQRT_2PI = sqrt(two_pi)
 
@@ -175,10 +176,10 @@ def fidelity(a: WaveFunction, b: WaveFunction, convention: str = "modulus") -> f
     ``convention`` selects "modulus" (default) or "modulus_squared".  Both
     are insensitive to global phase and to the input norms.
     """
-    if convention not in ("modulus", "modulus_squared"):
+    if convention not in FIDELITY_CONVENTIONS:
         raise ConfigurationError(
             f"unknown fidelity convention {convention!r}; "
-            "use 'modulus' or 'modulus_squared'")
+            f"use one of {FIDELITY_CONVENTIONS}")
     na, nb = norm(a), norm(b)
     if na == 0.0 or nb == 0.0:
         raise DegenerateStateError("fidelity of a zero-norm field is undefined")
@@ -226,10 +227,46 @@ def spectral_derivative(psi: WaveFunction) -> WaveFunction:
 
 def gaussian_packet(grid: Grid1D, center: float = 0.0, width: float = 1.0,
                     momentum: float = 0.0) -> WaveFunction:
-    """Normalized Gaussian (pi w^2)^-1/4 exp(-(x-c)^2 / 2w^2) exp(i q x)."""
-    if width <= 0 or not np.isfinite(width):
-        raise ConfigurationError(f"width must be positive, got {width}")
+    """Normalized Gaussian (pi w^2)^-1/4 exp(-(x-c)^2 / 2w^2) exp(i q x).
+
+    The grid must resolve the width and hold it: dx <= w <= x_max - x_min.
+    """
+    length = grid.x_max - grid.x_min
+    if not grid.dx <= width <= length:
+        raise ConfigurationError(
+            f"width must lie between the grid spacing {grid.dx!r} and the "
+            f"window length {length!r}, got {width!r}")
     x = grid.x
-    vals = (np.pi * width**2) ** -0.25 * np.exp(
-        -((x - center) ** 2) / (2 * width**2) + 1j * momentum * x)
+    u = (x - center) / width
+    vals = np.pi ** -0.25 / sqrt(width) * np.exp(-0.5 * u * u + 1j * momentum * x)
     return WaveFunction(grid, vals, POSITION)
+
+
+def make_random_states(grid, count, seed, center=0.0, width=1.0, modes=4,
+                       decay=0.8):
+    """Smooth random test states: Gaussian-enveloped Hermite superpositions.
+
+    Band-limited by construction (polynomial times Gaussian), so ladder
+    operators act on them without amplifying grid noise; raw white-noise
+    states would probe the discretization, not the physics.  Coefficients
+    are complex normal with geometric damping `decay` per mode.
+    """
+    if count < 1:
+        raise ConfigurationError(f"battery needs at least one state, got {count}")
+    if seed < 0:
+        raise ConfigurationError(f"battery seed must be non-negative, got {seed}")
+    rng = np.random.default_rng(seed)
+    u = (grid.x - center) / width
+    modes_ = [np.exp(-0.5 * u * u)]
+    for m in range(1, modes + 1):
+        nxt = sqrt(2.0 / m) * u * modes_[-1]
+        if m >= 2:
+            nxt -= sqrt((m - 1) / m) * modes_[-2]
+        modes_.append(nxt)
+    states = []
+    for _ in range(count):
+        coeff = (rng.standard_normal(modes + 1)
+                 + 1j * rng.standard_normal(modes + 1)) * decay ** np.arange(modes + 1)
+        vals = sum(c * h for c, h in zip(coeff, modes_))
+        states.append(normalized(WaveFunction(grid, vals)))
+    return states

@@ -37,6 +37,7 @@ from .errors import (
     NumericalError,
     ParaxialWarning,
 )
+from .evolution import kinetic_step
 from .grids import POSITION, Grid1D, WaveFunction, gaussian_packet
 from .susy import apply_B_dag
 
@@ -90,74 +91,58 @@ def spot_size(psi: WaveFunction, fraction: float = 0.9999) -> float:
     return float(np.abs(psi.grid.x[order[idx]]))
 
 
-def propagate_fresnel(field_: WaveFunction, z_m: float, units: PhysicalUnits) -> WaveFunction:
-    """Paraxial free-space propagation by z meters.
+# --- optical elements -------------------------------------------------------
+
+@dataclass(frozen=True)
+class FreeSpace:
+    """Paraxial free-space gap of z meters.
 
     Acts as the free-particle kernel for the mapped time z/(k x0^2), times
     the plane-wave phase e^{ikz}.  Warns (ParaxialWarning) when the
     parabolic-wavefront condition looks strained for the current spot size:
     (rho/z)^2 > 1e-2.  z = 0 is the identity.
     """
-    if field_.representation != POSITION:
-        raise ContractError("propagate_fresnel expects a position-space field")
-    if z_m < 0:
-        raise ContractError(f"propagation distance must be non-negative, got {z_m}")
-    if z_m == 0.0:
-        return field_
-    rho_m = spot_size(field_) * units.x0_m
-    ratio = (rho_m / z_m) ** 2
-    if ratio > PARAXIAL_LIMIT:
-        warnings.warn(
-            f"paraxial ratio rho^2/z^2 = {ratio:.3e} exceeds {PARAXIAL_LIMIT:.0e} "
-            f"(spot {rho_m:.3e} m over z = {z_m:.3e} m); treat results with care",
-            ParaxialWarning, stacklevel=2)
-    g = field_.grid
-    tau = map_distance_to_time(z_m, units)
-    phase = np.exp(-0.5j * g.p**2 * tau)
-    vals = np.fft.ifft(phase * np.fft.fft(field_.values))
-    return field_.with_values(vals * np.exp(1j * units.k * z_m))
 
-
-def apply_lens(field_: WaveFunction, f_m: float, aperture_m: float,
-               units: PhysicalUnits) -> WaveFunction:
-    """Thin lens: quadratic phase exp(-i k X^2 / 2f) inside a hard aperture.
-
-    The aperture is a symmetric half-width in meters; the field is zeroed
-    outside it.  Pass aperture_m = inf for a clear lens.
-    """
-    if f_m <= 0:
-        raise ConfigurationError(f"focal length must be positive, got {f_m}")
-    if not aperture_m > 0:
-        raise ConfigurationError(f"aperture must be positive, got {aperture_m}")
-    g = field_.grid
-    x_m = g.x * units.x0_m
-    vals = np.where(
-        np.abs(x_m) <= aperture_m,
-        field_.values * np.exp(-0.5j * units.k * x_m**2 / f_m),
-        0.0)
-    return field_.with_values(vals)
-
-
-def parity_flip(field_: WaveFunction) -> WaveFunction:
-    """x -> -x on the periodic grid: exact involution (index 0 is self-paired)."""
-    return field_.with_values(np.roll(field_.values[::-1], 1))
-
-
-# --- optical elements -------------------------------------------------------
-
-@dataclass(frozen=True)
-class FreeSpace:
     z_m: float
+    name = "free_space"
 
     def __post_init__(self):
         if not (np.isfinite(self.z_m) and self.z_m >= 0):
             raise ConfigurationError(f"free-space length must be >= 0, got {self.z_m}")
 
+    @property
+    def length_m(self) -> float:
+        return self.z_m
+
+    def describe(self) -> str:
+        return f"z_m={self.z_m!r}"
+
+    def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
+        if self.z_m == 0.0:
+            return field_
+        out = kinetic_step(field_, map_distance_to_time(self.z_m, units))
+        rho_m = spot_size(field_) * units.x0_m
+        ratio = (rho_m / self.z_m) ** 2
+        if ratio > PARAXIAL_LIMIT:
+            warnings.warn(
+                f"paraxial ratio rho^2/z^2 = {ratio:.3e} exceeds {PARAXIAL_LIMIT:.0e} "
+                f"(spot {rho_m:.3e} m over z = {self.z_m:.3e} m); treat results with care",
+                ParaxialWarning, stacklevel=2)
+        return out.with_values(out.values * np.exp(1j * units.k * self.z_m))
+
 
 @dataclass(frozen=True)
 class ThinLens:
+    """Thin lens: quadratic phase exp(-i k X^2 / 2f) inside a hard aperture.
+
+    The aperture is a symmetric half-width in meters; the field is zeroed
+    outside it.  The default aperture_m = inf is a clear lens.
+    """
+
     f_m: float
     aperture_m: float = math.inf
+    name = "thin_lens"
+    length_m = 0.0
 
     def __post_init__(self):
         if not self.f_m > 0:
@@ -165,20 +150,45 @@ class ThinLens:
         if not self.aperture_m > 0:
             raise ConfigurationError(f"aperture must be positive, got {self.aperture_m}")
 
+    def describe(self) -> str:
+        return f"f_m={self.f_m!r} aperture_m={self.aperture_m!r}"
+
+    def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
+        x_m = field_.grid.x * units.x0_m
+        return field_.with_values(np.where(
+            np.abs(x_m) <= self.aperture_m,
+            field_.values * np.exp(-0.5j * units.k * x_m**2 / self.f_m),
+            0.0))
+
+
+def _profile(values, what: str) -> np.ndarray:
+    """A read-only copy of a finite 1-d profile tabulated on the grid."""
+    vals = np.array(values, dtype=float)
+    if vals.ndim != 1 or not np.all(np.isfinite(vals)):
+        raise ConfigurationError(f"{what} must be a finite 1-d array")
+    vals.setflags(write=False)
+    return vals
+
 
 @dataclass(frozen=True)
 class PhasePlate:
     """Thin plate applying exp(-i phase(x)) pointwise; phase in radians per grid point."""
 
     phase: np.ndarray = field(compare=False)
+    name = "phase_plate"
+    length_m = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.phase, dtype=float)
-        if vals.ndim != 1 or not np.all(np.isfinite(vals)):
-            raise ConfigurationError("phase profile must be a finite 1-d array")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "phase", vals)
+        object.__setattr__(self, "phase", _profile(self.phase, "phase profile"))
+
+    def describe(self) -> str:
+        return (f"n_points={self.phase.size} "
+                f"max_abs_phase_rad={float(np.max(np.abs(self.phase)))!r}")
+
+    def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
+        if self.phase.shape != (field_.grid.n,):
+            raise ContractError("phase plate was tabulated for a different grid")
+        return field_.with_values(field_.values * np.exp(-1j * self.phase))
 
 
 @dataclass(frozen=True)
@@ -190,66 +200,65 @@ class AmplitudeModulator:
     """
 
     profile: np.ndarray = field(compare=False)
+    name = "amplitude_modulator"
+    length_m = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.profile, dtype=float)
-        if vals.ndim != 1 or not np.all(np.isfinite(vals)):
-            raise ConfigurationError("modulator profile must be a finite 1-d array")
+        vals = _profile(self.profile, "modulator profile")
         if np.any(np.abs(vals) > 1.0 + 1e-12):
             raise ConfigurationError(
                 f"modulator profile reaches {np.max(np.abs(vals)):.6f}; "
                 "a passive element cannot exceed unit magnitude")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "profile", vals)
+
+    def describe(self) -> str:
+        return (f"n_points={self.profile.size} "
+                f"max_abs={float(np.max(np.abs(self.profile)))!r}")
+
+    def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
+        if self.profile.shape != (field_.grid.n,):
+            raise ContractError("modulator was tabulated for a different grid")
+        return field_.with_values(field_.values * self.profile)
 
 
 @dataclass(frozen=True)
 class ParityFlip:
-    """Idealized lens-pair image inversion, abstracted to exact parity."""
+    """Idealized lens-pair image inversion, abstracted to exact parity.
 
+    x -> -x on the periodic grid: an exact involution (index 0 is self-paired).
+    """
 
-_ELEMENT_NAMES = {
-    FreeSpace: "free_space",
-    ThinLens: "thin_lens",
-    PhasePlate: "phase_plate",
-    AmplitudeModulator: "amplitude_modulator",
-    ParityFlip: "parity_flip",
-}
+    name = "parity_flip"
+    length_m = 0.0
 
+    def describe(self) -> str:
+        return "-"
 
-def apply_element(field_: WaveFunction, element, units: PhysicalUnits) -> WaveFunction:
-    """Propagate the field through one element."""
-    if isinstance(element, FreeSpace):
-        return propagate_fresnel(field_, element.z_m, units)
-    if isinstance(element, ThinLens):
-        return apply_lens(field_, element.f_m, element.aperture_m, units)
-    if isinstance(element, PhasePlate):
-        if element.phase.shape != (field_.grid.n,):
-            raise ContractError("phase plate was tabulated for a different grid")
-        return field_.with_values(field_.values * np.exp(-1j * element.phase))
-    if isinstance(element, AmplitudeModulator):
-        if element.profile.shape != (field_.grid.n,):
-            raise ContractError("modulator was tabulated for a different grid")
-        return field_.with_values(field_.values * element.profile)
-    if isinstance(element, ParityFlip):
-        return parity_flip(field_)
-    raise ContractError(f"unknown optical element {element!r}")
+    def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
+        return field_.with_values(np.roll(field_.values[::-1], 1))
 
 
 @dataclass(frozen=True)
 class OpticalTrain:
-    """Ordered thin elements separated by free space; the compiled bench layout."""
+    """Ordered thin elements separated by free space; the compiled bench layout.
+
+    An element is any object with a layout `name`, a `length_m` along the
+    axis, a `describe()` of its SI parameters and an `apply(field_, units)`.
+    """
 
     elements: tuple
     units: PhysicalUnits
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+        elements = tuple(self.elements)
+        for e in elements:
+            if not all(hasattr(e, a) for a in ("name", "length_m", "describe", "apply")):
+                raise ContractError(f"unknown optical element {e!r}")
+        object.__setattr__(self, "elements", elements)
 
     @property
     def total_length_m(self) -> float:
-        return float(sum(e.z_m for e in self.elements if isinstance(e, FreeSpace)))
+        return float(sum(e.length_m for e in self.elements))
 
     def to_layout_text(self) -> str:
         """Hardware sheet: one line per element with SI parameters and its position."""
@@ -263,22 +272,8 @@ class OpticalTrain:
         ]
         z = 0.0
         for e in self.elements:
-            name = _ELEMENT_NAMES.get(type(e), type(e).__name__)
-            if isinstance(e, FreeSpace):
-                params = f"z_m={e.z_m!r}"
-            elif isinstance(e, ThinLens):
-                params = f"f_m={e.f_m!r} aperture_m={e.aperture_m!r}"
-            elif isinstance(e, PhasePlate):
-                params = (f"n_points={e.phase.size} "
-                          f"max_abs_phase_rad={float(np.max(np.abs(e.phase)))!r}")
-            elif isinstance(e, AmplitudeModulator):
-                params = (f"n_points={e.profile.size} "
-                          f"max_abs={float(np.max(np.abs(e.profile)))!r}")
-            else:
-                params = "-"
-            lines.append(f"{z!r}\t{name}\t{params}")
-            if isinstance(e, FreeSpace):
-                z += e.z_m
+            lines.append(f"{z!r}\t{e.name}\t{e.describe()}")
+            z += e.length_m
         return "\n".join(lines) + "\n"
 
 
@@ -286,7 +281,7 @@ def simulate_train(field_: WaveFunction, train: OpticalTrain) -> WaveFunction:
     """Fold the field through every element in order."""
     out = field_
     for element in train.elements:
-        out = apply_element(out, element, train.units)
+        out = element.apply(out, train.units)
     return out
 
 
@@ -336,12 +331,9 @@ class InterferometerSpec:
     parity_mode: str = "ideal"
 
     def __post_init__(self):
-        if not self.focal_length_m > 0:
-            raise ConfigurationError(
-                f"focal length must be positive, got {self.focal_length_m}")
-        if not self.aperture_m > 0:
-            raise ConfigurationError(
-                f"aperture must be positive, got {self.aperture_m}")
+        # the lens and the focal gap of its Fourier stages own f and the aperture
+        ThinLens(self.focal_length_m, self.aperture_m)
+        FreeSpace(self.focal_length_m)
         if self.alpha is not None and not self.alpha > 0:
             raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
         if self.parity_mode not in PARITY_MODES:

@@ -1,10 +1,16 @@
 import dataclasses
+import math
+import re
 
+import numpy as np
 import pytest
 
 import susyoptics as so
 from susyoptics import ConfigurationError
-from susyoptics.config import CONFIG_KEYS, validate
+from susyoptics.config import CONFIG_KEYS, setup, validate
+
+FLOAT_KEYS = tuple(k for k in CONFIG_KEYS
+                   if isinstance(getattr(so.ExperimentConfig(), k), float))
 
 
 def test_defaults(tmp_path):
@@ -127,3 +133,38 @@ def test_float_formats_preserved(tmp_path):
     cfg = so.parse_config(path)
     assert cfg.omega == 0.1 + 0.2
     assert "0.30000000000000004" in so.serialize_config(cfg)
+
+
+def _names(problems, key):
+    return any(re.search(rf"\b{key}\b", p) for p in problems)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                   1e-300, 1e300])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_bad_float_is_named_or_builds(key, value):
+    # objects only: no scenario runs, so this stays cheap
+    cfg = dataclasses.replace(so.parse_config(None), **{key: value})
+    if not _names(validate(cfg), key):
+        setup(cfg)
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0, 0.37])
+def test_bench_frame_is_natural_frame_at_unit_omega(omega):
+    cfg = dataclasses.replace(so.parse_config(None), omega=omega)
+    run = setup(dataclasses.replace(cfg, omega=1.0))
+    grid = so.make_grid(cfg.grid_points, cfg.x_min_x0, cfg.x_max_x0)
+    assert run.grid == grid
+    assert run.W == so.Superpotential(1.0, cfg.barrier_amplitude, cfg.sigma_over_x0)
+    packet = so.gaussian_packet(grid, cfg.x_center_x0, cfg.state_width_x0)
+    np.testing.assert_array_equal(run.psi0.values, packet.values)
+    assert run.spec.aperture_m == cfg.aperture_x0 * run.units.x0_m
+    assert run.reduced_spec.focal_length_m == cfg.reduced_focal_length_m
+
+
+def test_setup_raises_every_problem():
+    cfg = dataclasses.replace(so.parse_config(None), omega=-1.0, battery_size=0)
+    with pytest.raises(ConfigurationError) as err:
+        setup(cfg)
+    assert str(err.value).splitlines() == validate(cfg)
+    assert len(validate(cfg)) == 2

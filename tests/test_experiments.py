@@ -48,6 +48,8 @@ class TestRandomStates:
     def test_count_validated(self, small_grid):
         with pytest.raises(ConfigurationError):
             so.make_random_states(small_grid, 0, seed=1)
+        with pytest.raises(ConfigurationError):
+            so.make_random_states(small_grid, 3, seed=-1)
 
 
 class TestRunnerStructure:
@@ -91,6 +93,11 @@ class TestRunnerStructure:
         assert cases[:2] == ["reference", "reduced"]
         assert len(cases) == 2 + small_cfg.battery_size
         assert r.passed
+
+    def test_bench_run_keeps_the_callers_hash(self, small_cfg):
+        # the bench frame is built at omega = 1, but provenance is the caller's
+        cfg = dataclasses.replace(small_cfg, omega=2.0)
+        assert so.run_bdag_validation(cfg).config_hash == so.config_hash(cfg)
 
     def test_bdag_ratio_fails_with_its_reference(self, small_cfg):
         # 64 points undersample the bench; a ratio against the broken
@@ -207,7 +214,8 @@ class TestCli:
         assert code == 2
 
     def test_exit_two_when_a_runner_rejects_the_config(self, tmp_path):
-        # 8 points pass config validation but are too few for the levels
+        # 8 points space the grid wider than the packet, which setup rejects
+        # before any runner starts
         src = Path(so.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
@@ -218,6 +226,38 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("configuration error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_exit_two_on_configuration_error_from_a_runner(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def rejecting_runner(cfg):
+            raise ConfigurationError("probe")
+
+        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", rejecting_runner)
+        code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error: probe\n"
+
+    @pytest.mark.parametrize("text,keys", [
+        ("eta_min = -inf\n", ["eta_min"]),
+        ("eta_max = inf\n", ["eta_max"]),
+        ("state_width_x0 = 1e300\n", ["state_width_x0"]),
+        ("state_width_x0 = 1e-300\n", ["state_width_x0"]),
+        ("battery_seed = -1\n", ["battery_seed"]),
+        ("grid_points = 1\nomega = -1.0\nx0_mm = 0.0\nparity_mode = mirror\n"
+         "battery_size = 0\n",
+         ["grid_points", "omega", "x0_mm", "parity_mode", "battery_size"]),
+    ])
+    def test_exit_two_names_each_bad_key(self, tmp_path, capsys, text, keys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = cli.main(["eta-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: ")
+        named = err.replace(str(cfg), "")
+        for key in keys:
+            assert key in named
 
     @pytest.mark.parametrize("error", [so.ContractError, so.DegenerateStateError,
                                        so.SamplingError])

@@ -84,6 +84,19 @@ def test_gaussian_packet_normalized(grid):
     assert p_mean == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("width", [1e300, 1e-300, 0.0, -1.0, float("nan"),
+                                   float("inf")])
+def test_gaussian_packet_width_rule(grid, width):
+    with pytest.raises(ConfigurationError):
+        so.gaussian_packet(grid, width=width)
+
+
+def test_gaussian_packet_width_limits(grid):
+    # the grid spacing and the window length are the narrowest and widest packets
+    for width in (grid.dx, grid.x_max - grid.x_min):
+        assert np.all(np.isfinite(so.gaussian_packet(grid, width=width).values))
+
+
 def test_momentum_roundtrip_and_parseval(grid, psi0):
     phi = so.to_momentum(psi0)
     assert phi.representation == so.MOMENTUM

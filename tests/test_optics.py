@@ -54,48 +54,49 @@ class TestSpotSize:
 
 class TestFresnel:
     def test_zero_distance_identity(self, psi0, units):
-        out = so.propagate_fresnel(psi0, 0.0, units)
+        out = so.FreeSpace(0.0).apply(psi0, units)
         np.testing.assert_array_equal(out.values, psi0.values)
 
-    def test_matches_kinetic_step_with_carrier_phase(self, grid, psi0, units):
-        z = 0.8
-        tau = z / (units.k * units.x0_m**2)
-        out = so.propagate_fresnel(psi0, z, units)
-        expected = so.kinetic_step(psi0, tau)
-        carrier = np.exp(1j * units.k * z)
-        np.testing.assert_allclose(out.values, carrier * expected.values, atol=1e-10)
+    def test_matches_kinetic_step_with_carrier_phase(self, W, psi0, units):
+        for z in (0.4, 0.8, 1.2368):
+            tau = z / (units.k * units.x0_m**2)
+            carrier = np.exp(1j * units.k * z)
+            for field_ in (psi0, so.apply_B_dag(psi0, W)):
+                out = so.FreeSpace(z).apply(field_, units)
+                expected = so.kinetic_step(field_, tau)
+                np.testing.assert_array_equal(out.values, expected.values * carrier)
 
     def test_warns_outside_paraxial_regime(self, psi0, units):
         with pytest.warns(ParaxialWarning):
-            so.propagate_fresnel(psi0, 0.01, units)
+            so.FreeSpace(0.01).apply(psi0, units)
 
     def test_silent_in_regime(self, psi0, units):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            so.propagate_fresnel(psi0, 0.8, units)
+            so.FreeSpace(0.8).apply(psi0, units)
 
     def test_contract(self, psi0, units):
+        with pytest.raises(ConfigurationError):
+            so.FreeSpace(-0.1)
         with pytest.raises(ContractError):
-            so.propagate_fresnel(psi0, -0.1, units)
-        with pytest.raises(ContractError):
-            so.propagate_fresnel(so.to_momentum(psi0), 0.1, units)
+            so.FreeSpace(0.1).apply(so.to_momentum(psi0), units)
 
 
 def test_lens_is_aperture_limited_phase(grid, psi0, units):
-    out = so.apply_lens(psi0, 0.8, 5e-3, units)
+    out = so.ThinLens(0.8, 5e-3).apply(psi0, units)
     inside = np.abs(grid.x) * units.x0_m <= 5e-3
     np.testing.assert_allclose(np.abs(out.values[inside]),
                                np.abs(psi0.values[inside]), atol=1e-14)
     assert np.all(out.values[~inside] == 0.0)
     with pytest.raises(ConfigurationError):
-        so.apply_lens(psi0, 0.0, 5e-3, units)
+        so.ThinLens(0.0, 5e-3)
     with pytest.raises(ConfigurationError):
-        so.apply_lens(psi0, 0.8, 0.0, units)
+        so.ThinLens(0.8, 0.0)
 
 
-def test_parity_flip_involution(grid, psi0):
-    once = so.parity_flip(psi0)
-    twice = so.parity_flip(once)
+def test_parity_flip_involution(grid, psi0, units):
+    once = so.ParityFlip().apply(psi0, units)
+    twice = so.ParityFlip().apply(once, units)
     np.testing.assert_array_equal(twice.values, psi0.values)
     x_mean = np.sum(grid.x * np.abs(psi0.values) ** 2) * grid.dx
     x_flip = np.sum(grid.x * np.abs(once.values) ** 2) * grid.dx
@@ -113,24 +114,31 @@ class TestElements:
 
     def test_phase_plate(self, grid, psi0, units):
         plate = so.PhasePlate(np.full(grid.n, 0.5))
-        out = so.apply_element(psi0, plate, units)
+        out = plate.apply(psi0, units)
         np.testing.assert_allclose(out.values, np.exp(-0.5j) * psi0.values,
                                    atol=1e-14)
 
     def test_amplitude_modulator(self, grid, psi0, units):
         profile = np.exp(-grid.x**2)
         mod = so.AmplitudeModulator(profile)
-        out = so.apply_element(psi0, mod, units)
+        out = mod.apply(psi0, units)
         np.testing.assert_allclose(out.values, profile * psi0.values, atol=1e-14)
 
     def test_wrong_grid_rejected(self, grid, small_grid, units):
         plate = so.PhasePlate(np.zeros(small_grid.n))
         with pytest.raises(ContractError):
-            so.apply_element(so.gaussian_packet(grid), plate, units)
+            plate.apply(so.gaussian_packet(grid), units)
 
-    def test_unknown_element_rejected(self, psi0, units):
+    def test_unknown_element_rejected(self, units):
+        # a train accepts only objects with the element interface
         with pytest.raises(ContractError):
-            so.apply_element(psi0, object(), units)
+            so.OpticalTrain((so.FreeSpace(0.8), object()), units)
+
+    def test_lengths(self):
+        assert so.FreeSpace(0.8).length_m == 0.8
+        for thin in (so.ThinLens(0.8), so.PhasePlate(np.zeros(4)),
+                     so.AmplitudeModulator(np.zeros(4)), so.ParityFlip()):
+            assert thin.length_m == 0.0
 
 
 class TestOpticalTrain:
@@ -148,7 +156,7 @@ class TestOpticalTrain:
         by_train = so.simulate_train(psi0, train)
         state = psi0
         for element in train.elements:
-            state = so.apply_element(state, element, units)
+            state = element.apply(state, units)
         np.testing.assert_array_equal(by_train.values, state.values)
 
     def test_layout_text(self, units):
@@ -162,6 +170,29 @@ class TestOpticalTrain:
         positions = [float(r[0]) for r in rows]
         assert positions == sorted(positions)
         assert text == self._train(units).to_layout_text()
+
+    def test_layout_text_golden(self, units):
+        # one element of each type, with an aperture-limited and a clear lens
+        train = so.OpticalTrain((
+            so.FreeSpace(0.8), so.ThinLens(0.8, 5e-3), so.FreeSpace(0.25),
+            so.PhasePlate(np.array([0.0, 0.5, -1.25, 2.0])),
+            so.AmplitudeModulator(np.array([0.5, -0.75, 1.0, 0.0])),
+            so.ThinLens(0.5), so.ParityFlip()), units)
+        assert train.to_layout_text().splitlines() == [
+            "# optical train layout",
+            "# wavelength_m: 5.32e-07",
+            "# x0_m: 0.001",
+            "# elements: 7",
+            "# total_length_m: 1.05",
+            "position_m\telement\tparameters",
+            "0.0\tfree_space\tz_m=0.8",
+            "0.8\tthin_lens\tf_m=0.8 aperture_m=0.005",
+            "0.8\tfree_space\tz_m=0.25",
+            "1.05\tphase_plate\tn_points=4 max_abs_phase_rad=2.0",
+            "1.05\tamplitude_modulator\tn_points=4 max_abs=1.0",
+            "1.05\tthin_lens\tf_m=0.5 aperture_m=inf",
+            "1.05\tparity_flip\t-",
+        ]
 
 
 class TestCompiledTrain:
