@@ -12,6 +12,13 @@ twice as fast as the state error, because a coherent error vector enters the
 overlap only quadratically; convergence scans therefore report both columns,
 and slope fits should use the state-error one.
 
+`trotter_states` is the one split-step kernel, for one state (n,) or a
+stack (m, n) under one shared (n,) potential or one (m, n) row per state.
+Each step is one batched transform pair along the grid axis, and a stack
+reproduces m separate runs bit for bit.  The carry is updated in place and
+each sample is one fresh array, so the kernel holds three stacks: the
+potential phases, the carry and the sample it is producing.
+
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
 split-step factors approximate.  The pairs are diagonalized on the Fourier
@@ -92,6 +99,10 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                    stride: int = 1):
     """Yield (step_index, state) at step 0 and every `stride` steps (plus the last).
 
+    psi is one state (n,) or a stack (m, n); V is one (n,) potential for
+    every row or an (m, n) stack of them, one per row.  Step 0 yields psi
+    itself; every later sample is a fresh read-only array.
+
     One loop serves both orders, because the second-order product is the
     first-order one conjugated by a half kinetic step:
 
@@ -103,12 +114,15 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     first order and K(dt/2) for second, and the next w is F^-1(s K(dt)),
     which in first order is the sample itself.  Every step costs one
     transform pair; second order adds one pair up front and one inverse
-    transform per sample before the last.
+    transform per sample before the last.  w is updated in place.
     """
     if psi.representation != POSITION:
         raise ContractError("trotter evolution expects a position-space state")
     if psi.grid != V.grid:
         raise ContractError("state and potential live on different grids")
+    if V.values.ndim == 2 and V.values.shape != psi.values.shape:
+        raise ContractError(f"potential stack {V.values.shape} does not match "
+                            f"state stack {psi.values.shape}")
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ConfigurationError(f"stride must be a positive integer, got {stride!r}")
     yield 0, psi
@@ -118,18 +132,36 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     g = psi.grid
     p2 = 0.5 * g.p**2
     dt = plan.dt
-    vphase = np.exp(-1j * V.values * dt)
     kin = np.exp(-1j * p2 * dt)
     first = plan.order == "first"
     kin_out = kin if first else np.exp(-1j * p2 * (0.5 * dt))
-    w = psi.values if first else np.fft.ifft(np.fft.fft(psi.values) * kin_out)
+    if first:
+        w = psi.values.copy()
+    else:
+        w = np.fft.fft(psi.values)
+        w *= kin_out
+        np.fft.ifft(w, out=w)
+    del psi  # freed here if the caller has dropped step 0, before the phases
+    vphase = -1j * V.values
+    vphase *= dt
+    np.exp(vphase, out=vphase)
+    del V
     for j in range(1, n + 1):
-        s = np.fft.fft(w * vphase)
+        sampled = j % stride == 0 or j == n
+        np.multiply(w, vphase, out=w)
+        np.fft.fft(w, out=w)  # w holds s until it is advanced
+        if sampled and not first:
+            sample = np.multiply(w, kin_out)
+            np.fft.ifft(sample, out=sample)
         if first or j < n:
-            w = np.fft.ifft(s * kin)
-        if j % stride == 0 or j == n:
-            sample = w if first else np.fft.ifft(s * kin_out)
+            np.multiply(w, kin, out=w)
+            np.fft.ifft(w, out=w)
+        if sampled:
+            if first:
+                sample = w.copy()
+            sample.setflags(write=False)
             yield j, WaveFunction(g, sample, POSITION)
+            del sample  # the caller's reference is the only one left
 
 
 def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
@@ -172,6 +204,8 @@ def eigenbasis(V: PotentialField, states) -> EigenBasis:
         raise ContractError("eigenbasis needs the states it has to evolve")
     if any(psi.grid != V.grid for psi in states):
         raise ContractError("state and potential live on different grids")
+    if any(psi.values.ndim != 1 for psi in states) or V.values.ndim != 1:
+        raise ContractError("eigenbasis takes single states and one potential")
     energies, vectors, _, band, capture = _band_eigenpairs(V, states=states)
     return EigenBasis(V.grid, energies, vectors, band, capture)
 
@@ -184,8 +218,8 @@ def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
     Negative t runs the evolution backwards (used by reversal checks).  A
     state the basis does not capture to CAPTURE_TOL raises NumericalError.
     """
-    if psi.representation != POSITION:
-        raise ContractError("exact_evolve expects a position-space state")
+    if psi.representation != POSITION or psi.values.ndim != 1:
+        raise ContractError("exact_evolve expects a single position-space state")
     if psi.grid != V.grid:
         raise ContractError("state and potential live on different grids")
     if basis is None:

@@ -32,7 +32,7 @@ from .evolution import (
     trotter_evolve,
     trotter_states,
 )
-from .grids import fidelity, norm, normalized
+from .grids import WaveFunction, fidelity, norm, normalized
 from .optics import (
     PhysicalUnits,
     calibrate_interferometer,
@@ -44,6 +44,7 @@ from .optics import (
     simulate_train,
 )
 from .susy import (
+    PotentialField,
     apply_B_dag,
     bound_spectrum,
     check_degeneracy,
@@ -130,6 +131,13 @@ def _two_path_setup(cfg: ExperimentConfig):
     return grid, W, psi0, v1, plan, apply_B_dag(psi0, W)
 
 
+def _frozen_stack(rows) -> np.ndarray:
+    """Rows stacked into one read-only array, which a field shares instead of copying."""
+    stack = np.vstack(rows)
+    stack.setflags(write=False)
+    return stack
+
+
 def _long_table(name, columns, row_coord, col_coord, surface, notes=()) -> Table:
     """(row, col, value) long-format table from a 2-d surface."""
     m, n = surface.shape
@@ -200,21 +208,23 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
     fid_t0 = None
     fid_final = None
     peak_dev = 0.0
-    stream1 = trotter_states(psi0, v1, plan, stride=cfg.trace_stride)
-    stream2 = trotter_states(psi_raised, v2, plan, stride=cfg.trace_stride)
-    for (j1, s1), (j2, s2) in zip(stream1, stream2):
-        assert j1 == j2
-        a = normalized(apply_B_dag(s1, W))
-        b = normalized(s2)
-        times.append(j1 * plan.dt)
+    # one stream of two rows: psi0 under V1 and B+ psi0 under V2
+    paths = trotter_states(
+        WaveFunction(grid, _frozen_stack([psi0.values, psi_raised.values])),
+        PotentialField(grid, _frozen_stack([v1.values, v2.values])),
+        plan, stride=cfg.trace_stride)
+    for j, state in paths:
+        a = normalized(apply_B_dag(state.with_values(state.values[0]), W))
+        b = normalized(state.with_values(state.values[1]))
+        times.append(j * plan.dt)
         dens1.append(np.abs(a.values) ** 2)
         dens2.append(np.abs(b.values) ** 2)
         dev = np.abs(a.values - b.values) ** 2
         devs.append(dev)
         peak_dev = max(peak_dev, float(dev.max()))
-        if j1 == 0:
+        if j == 0:
             fid_t0 = fidelity(a, b)
-        if j1 == plan.n_steps:
+        if j == plan.n_steps:
             fid_final = fidelity(a, b)
 
     times = np.asarray(times)
@@ -251,20 +261,35 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     the final-time fidelity must peak at both.  The sweep reports the whole
     fidelity(eta, t) surface plus the final-time slice and gates the argmax
     on each half-axis.
+
+    Both paths run as one stream: row 0 is psi0 under V1, the reference
+    path raised by B+ at each step, and row i is B+ psi0 under the i-th
+    V_eta.  The potentials are built before any step is taken.
     """
     grid, W, psi0, v1, plan, psi_raised = _two_path_setup(cfg)
-
-    reference = []  # normalized evolve-then-raise states, every step
-    for _, state in trotter_states(psi0, v1, plan, stride=1):
-        reference.append(normalized(apply_B_dag(state, W)))
-    times = plan.dt * np.arange(len(reference))
-
     etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_points)
+    # allocated first, so the family's own array sits above it and is freed from
+    # the top of the heap rather than leaving a hole under the kernel's stacks
+    potentials = np.empty((etas.size + 1, grid.n))
+    potentials[0] = v1.values
+    try:
+        potentials[1:] = eta_potential(W, etas, grid).values
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"sigma_over_x0: {exc}") from exc
+    potentials.setflags(write=False)
+
+    times = plan.dt * np.arange(plan.n_steps + 1)
     surface = np.empty((etas.size, times.size))
-    for i, eta in enumerate(etas):
-        v_eta = eta_potential(W, float(eta), grid)
-        for j, state in trotter_states(psi_raised, v_eta, plan, stride=1):
-            surface[i, j] = fidelity(reference[j], state)
+    # the state stack is built in the call, so no caller reference outlives step 0
+    paths = trotter_states(
+        WaveFunction(grid, _frozen_stack([psi0.values]
+                                         + [psi_raised.values] * etas.size)),
+        PotentialField(grid, potentials), plan, stride=1)
+    del potentials
+    for j, state in paths:
+        reference = normalized(apply_B_dag(state.with_values(state.values[0]), W))
+        surface[:, j] = fidelity(reference, state)[1:]
+        del state  # freed before the kernel allocates the next sample
 
     final = surface[:, -1]
     step = float(etas[1] - etas[0])

@@ -10,6 +10,11 @@ unitary one,
 discretized so that the round trip and Parseval's identity hold to machine
 precision.  Momentum-space arrays are stored in FFT-native order; consumers
 must address momenta through ``Grid1D.p`` and never through raw indices.
+
+A field holds one state (n,) or a stack of m states (m, n), grid on the last
+axis.  Transforms act along it and `inner`, `norm` and `fidelity` reduce
+along it (a Python scalar for one state), with each row's arithmetic exactly
+that of the row alone.
 """
 
 from __future__ import annotations
@@ -91,13 +96,33 @@ def make_grid(n: int, x_min: float, x_max: float) -> Grid1D:
     return Grid1D(int(n), float(x_min), float(x_max))
 
 
+def _grid_values(values, dtype, n: int, what: str) -> np.ndarray:
+    """values as a read-only, C-ordered (n,) or (m, n) array of dtype.
+
+    A C-ordered array that is already read-only and owns its data is
+    shared; any other input is copied, so later writes to it cannot reach
+    the field, and every row is contiguous, as a state alone would be.
+    """
+    vals = np.asarray(values, dtype=dtype)
+    if vals.ndim not in (1, 2) or vals.shape[-1] != n:
+        raise ContractError(
+            f"{what} shape {vals.shape} does not match grid size {n}: "
+            f"expected ({n},) or (m, {n})")
+    if (vals.flags.writeable or not vals.flags.owndata
+            or not vals.flags.c_contiguous):
+        vals = vals.copy(order="C")
+        vals.setflags(write=False)
+    return vals
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Complex field sampled on a grid, tagged with its representation.
 
-    Values are never mutated in place; every operation returns a new
-    instance.  Norms need not be 1 (operators like B-dagger produce
-    unnormalized output on purpose).
+    Values are one state (n,) or a stack of states (m, n).  They are never
+    mutated in place; every operation returns a new instance.  Norms need
+    not be 1 (operators like B-dagger produce unnormalized output on
+    purpose).
     """
 
     grid: Grid1D
@@ -108,13 +133,8 @@ class WaveFunction:
         if self.representation not in (POSITION, MOMENTUM):
             raise ContractError(
                 f"unknown representation {self.representation!r}")
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n,):
-            raise ContractError(
-                f"values shape {vals.shape} does not match grid size {self.grid.n}")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _grid_values(
+            self.values, np.complex128, self.grid.n, "values"))
 
     def with_values(self, values: np.ndarray) -> "WaveFunction":
         return WaveFunction(self.grid, values, self.representation)
@@ -148,30 +168,46 @@ def _check_compatible(a: WaveFunction, b: WaveFunction) -> None:
     if a.representation != b.representation:
         raise ContractError(
             f"representation mismatch: {a.representation} vs {b.representation}")
+    try:
+        np.broadcast_shapes(a.values.shape, b.values.shape)
+    except ValueError:
+        raise ContractError(
+            f"stack mismatch: {a.values.shape} vs {b.values.shape}") from None
 
 
-def inner(a: WaveFunction, b: WaveFunction) -> complex:
-    """Sesquilinear inner product <a|b> with the representation's weight."""
+def _per_state(x):
+    """A reduction's result: a Python scalar for one state, an array for a stack."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def inner(a: WaveFunction, b: WaveFunction):
+    """Sesquilinear inner product <a|b> with the representation's weight.
+
+    One state against a stack, or two stacks row by row, gives one product
+    per row.
+    """
     _check_compatible(a, b)
-    return complex(np.vdot(a.values, b.values) * a.grid.weight(a.representation))
+    return _per_state(np.vecdot(a.values, b.values) * a.grid.weight(a.representation))
 
 
-def norm(a: WaveFunction) -> float:
-    """L2 norm under the grid quadrature."""
+def norm(a: WaveFunction):
+    """L2 norm under the grid quadrature, per row of a stack."""
     w = a.grid.weight(a.representation)
-    return float(np.sqrt(np.sum(np.abs(a.values) ** 2) * w))
+    density = np.abs(a.values)
+    np.square(density, out=density)
+    return _per_state(np.sqrt(np.sum(density, axis=-1) * w))
 
 
 def normalized(a: WaveFunction) -> WaveFunction:
-    """Rescale to unit norm.  A zero field cannot be normalized."""
+    """Rescale to unit norm, per row of a stack.  A zero field cannot be normalized."""
     n = norm(a)
-    if n == 0.0 or not np.isfinite(n):
+    if np.any(np.equal(n, 0.0)) or not np.all(np.isfinite(n)):
         raise DegenerateStateError(f"cannot normalize field with norm {n}")
-    return a.with_values(a.values / n)
+    return a.with_values(a.values / np.expand_dims(n, -1))
 
 
-def fidelity(a: WaveFunction, b: WaveFunction, convention: str = "modulus") -> float:
-    """Overlap |<a|b>| / (||a|| ||b||), or its square.
+def fidelity(a: WaveFunction, b: WaveFunction, convention: str = "modulus"):
+    """Overlap |<a|b>| / (||a|| ||b||), or its square, per row of a stack.
 
     ``convention`` selects "modulus" (default) or "modulus_squared".  Both
     are insensitive to global phase and to the input norms.
@@ -181,12 +217,14 @@ def fidelity(a: WaveFunction, b: WaveFunction, convention: str = "modulus") -> f
             f"unknown fidelity convention {convention!r}; "
             f"use one of {FIDELITY_CONVENTIONS}")
     na, nb = norm(a), norm(b)
-    if na == 0.0 or nb == 0.0:
+    if np.any(np.equal(na, 0.0)) or np.any(np.equal(nb, 0.0)):
         raise DegenerateStateError("fidelity of a zero-norm field is undefined")
-    f = abs(inner(a, b)) / (na * nb)
+    overlap = inner(a, b)
+    # hypot rounds as abs() of a Python complex does; np.abs differs in the last bit
+    f = np.hypot(overlap.real, overlap.imag) / (na * nb)
     # clip the rounding overshoot so downstream 1 - F stays signed correctly
-    f = min(f, 1.0)
-    return f * f if convention == "modulus_squared" else f
+    f = np.minimum(f, 1.0)
+    return _per_state(f * f if convention == "modulus_squared" else f)
 
 
 def to_momentum(psi: WaveFunction) -> WaveFunction:
@@ -229,8 +267,12 @@ def gaussian_packet(grid: Grid1D, center: float = 0.0, width: float = 1.0,
                     momentum: float = 0.0) -> WaveFunction:
     """Normalized Gaussian (pi w^2)^-1/4 exp(-(x-c)^2 / 2w^2) exp(i q x).
 
-    The grid must resolve the width and hold it: dx <= w <= x_max - x_min.
+    The center must lie in the window [x_min, x_max), and the grid must
+    resolve the width and hold it: dx <= w <= x_max - x_min.
     """
+    if not grid.x_min <= center < grid.x_max:
+        raise ConfigurationError(f"center must lie in the window [{grid.x_min!r}, "
+                                 f"{grid.x_max!r}), got {center!r}")
     length = grid.x_max - grid.x_min
     if not grid.dx <= width <= length:
         raise ConfigurationError(

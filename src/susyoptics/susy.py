@@ -41,6 +41,7 @@ from .grids import (
     POSITION,
     Grid1D,
     WaveFunction,
+    _grid_values,
     normalized,
     spectral_derivative,
 )
@@ -157,21 +158,16 @@ class TabulatedSuperpotential:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Real potential sampled on a grid."""
+    """Real potential sampled on a grid: one (n,) or a stack (m, n), one per state."""
 
     grid: Grid1D
     values: np.ndarray = field(compare=False)
     label: str = "custom"
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
-            raise ContractError(
-                f"potential shape {vals.shape} does not match grid size {self.grid.n}")
+        vals = _grid_values(self.values, float, self.grid.n, "potential")
         if not np.all(np.isfinite(vals)):
             raise ContractError(f"potential {self.label!r} has non-finite values")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 
@@ -189,16 +185,17 @@ def partner_potential(W, which: int, grid: Grid1D) -> PotentialField:
     return PotentialField(grid, 0.5 * (w * w + sign * wp), label=f"V{which}")
 
 
-def eta_potential(W: Superpotential, eta: float, grid: Grid1D) -> PotentialField:
-    """Member of the one-parameter family interpolating between V1 and V2.
+def eta_potential(W: Superpotential, eta, grid: Grid1D) -> PotentialField:
+    """Members of the one-parameter family interpolating between V1 and V2.
 
         V_eta = (omega^2 x^2)/2 + (omega A^2/2) e^{-2 x^2/x0^2}
                 + 2 eta omega A (x/x0) e^{-x^2/x0^2}
 
     eta scales the odd barrier term: eta = 0 gives V1 - omega/2 and eta = 1
     gives V2 + omega/2 (the same dynamics as the partners, shifted by a
-    constant).  The construction collapses to this closed form only for
-    sigma = x0/2, so other widths are rejected.
+    constant).  A scalar eta gives one (n,) potential, an array of m etas
+    the (m, n) stack.  The construction collapses to this closed form only
+    for sigma = x0/2, so other widths are rejected.
     """
     if not isinstance(W, Superpotential):
         raise ConfigurationError(
@@ -209,11 +206,15 @@ def eta_potential(W: Superpotential, eta: float, grid: Grid1D) -> PotentialField
             f"eta family requires sigma = x0/2; got sigma = {W.sigma} "
             f"with x0/2 = {0.5 * W.x0}")
     om, amp, x0 = W.omega, W.amplitude, W.x0
+    eta = np.asarray(eta, dtype=float)
     u = grid.x / x0
     g = np.exp(-u * u)
-    vals = 0.5 * om**2 * grid.x**2 + 0.5 * om * amp**2 * g * g \
-        + 2.0 * eta * om * amp * u * g
-    return PotentialField(grid, vals, label=f"eta({eta:g})")
+    vals = 2.0 * eta[..., None] * om * amp * u  # the odd term, built in place
+    vals *= g
+    vals += 0.5 * om**2 * grid.x**2 + 0.5 * om * amp**2 * g * g
+    vals.setflags(write=False)  # shared by the field, not copied
+    label = f"eta({float(eta):g})" if eta.ndim == 0 else f"eta[{eta.size}]"
+    return PotentialField(grid, vals, label=label)
 
 
 def _apply_ladder(psi: WaveFunction, W, derivative_sign: float) -> WaveFunction:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ def test_eta_grid_must_hold_landmarks():
     assert validate(good) == []
     bad = dataclasses.replace(so.parse_config(None), eta_max=1.9, eta_points=81)
     assert validate(bad)
+
+
+@pytest.mark.parametrize("override", [dict(eta_max=1e300), dict(eta_min=-1e300),
+                                      dict(eta_points=80)])
+def test_eta_grid_landmarks_are_measured_in_eta(override):
+    # a step of 1.25e298 puts every landmark within 1e-9 of lattice index 0,
+    # yet the nearest lattice point to -1 is -2
+    cfg = dataclasses.replace(so.parse_config(None), **override)
+    assert any(p.startswith("eta_min, eta_max, eta_points: ") for p in validate(cfg))
+
+
+def test_packet_center_is_named_without_warnings():
+    cfg = dataclasses.replace(so.parse_config(None), x_center_x0=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problems = validate(cfg)
+    assert len(problems) == 1
+    assert _names(problems, "x_center_x0")
+    assert "center" in problems[0]
 
 
 def test_serialize_roundtrip_fixed_point(tmp_path):

@@ -107,6 +107,67 @@ class TestTrotterStates:
         assert so.norm(final) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestStackedKernel:
+    """A stack of m states is one stream that reproduces m separate runs."""
+
+    @pytest.fixture(scope="class")
+    def states(self, W, psi0):
+        moving = so.gaussian_packet(psi0.grid, -3.0, momentum=1.5)
+        return [psi0, moving, so.normalized(so.apply_B_dag(psi0, W))]
+
+    @pytest.mark.parametrize("order", ["first", "second"])
+    @pytest.mark.parametrize("stacked_potential", [False, True])
+    def test_stack_equals_separate_runs_bitwise(self, W, v1, v2, states, order,
+                                                stacked_potential):
+        grid = v2.grid
+        if stacked_potential:
+            potentials = [v1, v2, so.eta_potential(W, 0.5, grid)]
+            V = so.PotentialField(grid, np.vstack([v.values for v in potentials]))
+        else:
+            potentials = [v2] * len(states)
+            V = v2
+        stack = so.WaveFunction(grid, np.vstack([s.values for s in states]))
+        n = 40
+        plan = so.TrotterPlan(0.05, n, order=order)
+        for stride in (1, 7, n):
+            stacked = dict(so.trotter_states(stack, V, plan, stride=stride))
+            assert sorted(stacked) == sorted({*range(0, n + 1, stride), n})
+            for row, (state, v) in enumerate(zip(states, potentials)):
+                alone = dict(so.trotter_states(state, v, plan, stride=stride))
+                assert sorted(alone) == sorted(stacked)
+                for j, sample in alone.items():
+                    np.testing.assert_array_equal(stacked[j].values[row],
+                                                  sample.values)
+
+    def test_samples_are_fresh_and_read_only(self, v2, states):
+        stack = so.WaveFunction(v2.grid, np.vstack([s.values for s in states]))
+        samples = list(so.trotter_states(stack, v2, so.TrotterPlan(0.05, 3)))
+        assert samples[0][1] is stack
+        arrays = [state.values for _, state in samples]
+        for a in arrays:
+            assert a.shape == stack.values.shape
+            assert not a.flags.writeable
+        for a, b in zip(arrays, arrays[1:]):
+            assert not np.shares_memory(a, b)
+
+    def test_potential_rows_must_match_states(self, v1, v2, states):
+        grid = v2.grid
+        stack = so.WaveFunction(grid, np.vstack([s.values for s in states]))
+        two = so.PotentialField(grid, np.vstack([v1.values, v2.values]))
+        plan = so.TrotterPlan(0.05, 2)
+        with pytest.raises(ContractError):
+            next(so.trotter_states(stack, two, plan))
+        with pytest.raises(ContractError):
+            next(so.trotter_states(states[0], two, plan))
+
+    def test_single_state_operations_reject_stacks(self, v2, states):
+        stack = so.WaveFunction(v2.grid, np.vstack([s.values for s in states]))
+        with pytest.raises(ContractError):
+            so.exact_evolve(stack, v2, 1.0)
+        with pytest.raises(ContractError):
+            so.eigenbasis(v2, [stack])
+
+
 def test_trotter_evolve_trace_shapes(v2, psi0):
     plan = so.TrotterPlan(0.05, 12)
     trace = so.trotter_evolve(psi0, v2, plan, trace_stride=4)

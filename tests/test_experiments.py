@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import susyoptics as so
-from susyoptics import ConfigurationError, cli
+from susyoptics import ConfigurationError, cli, experiments
+from susyoptics.config import setup
 from susyoptics.experiments import SCENARIO_RUNNERS, GatedScalar, Table
 
 
@@ -82,6 +83,24 @@ class TestRunnerStructure:
         scalar = {s.name: s.value for s in r.scalars}
         assert scalar["argmax_eta_positive"] == pytest.approx(1.0, abs=0.1 + 1e-12)
         assert scalar["argmax_eta_negative"] == pytest.approx(-1.0, abs=0.1 + 1e-12)
+
+    def test_eta_sweep_stream_matches_one_state_per_run(self, small_cfg):
+        # the one stacked stream gives every fidelity bit for bit as a
+        # reference run plus one single-state run per eta would
+        cfg = dataclasses.replace(small_cfg, eta_points=9)
+        surface = so.run_eta_sweep(cfg).tables[0].rows[:, 2].reshape(9, -1)
+        run = setup(cfg)
+        W, grid = run.W, run.grid
+        plan = so.TrotterPlan(2.0 * np.pi / cfg.steps_per_period,
+                              cfg.steps_per_period * cfg.evolution_periods)
+        raised = so.apply_B_dag(run.psi0, W)
+        reference = [so.normalized(so.apply_B_dag(s, W)) for _, s in
+                     so.trotter_states(run.psi0, so.partner_potential(W, 1, grid), plan)]
+        for i, eta in enumerate(np.linspace(cfg.eta_min, cfg.eta_max, 9)):
+            v_eta = so.eta_potential(W, float(eta), grid)
+            alone = [so.fidelity(reference[j], s)
+                     for j, s in so.trotter_states(raised, v_eta, plan)]
+            np.testing.assert_array_equal(surface[i], alone)
 
     def test_bdag(self, small_cfg):
         # the bench needs the full grid: its lens chirps are undersampled at 512
@@ -236,6 +255,28 @@ class TestCli:
         code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
         assert code == 2
         assert capsys.readouterr().err == "configuration error: probe\n"
+
+    def test_exit_two_on_an_eta_range_beyond_its_lattice(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("eta_max = 1e300\n")
+        code = cli.main(["eta-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "eta_min, eta_max, eta_points: " in capsys.readouterr().err
+
+    def test_eta_sweep_names_sigma_before_any_step(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("split-step kernel started")
+
+        monkeypatch.setattr(experiments, "trotter_states", no_stepping)
+        cfg = tmp_path / "sigma.cfg"
+        cfg.write_text("sigma_over_x0 = 0.3\n")
+        code = cli.main(["eta-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: sigma_over_x0: eta family requires sigma = x0/2")
 
     @pytest.mark.parametrize("text,keys", [
         ("eta_min = -inf\n", ["eta_min"]),

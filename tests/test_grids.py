@@ -58,6 +58,82 @@ def test_wavefunction_contract(small_grid):
     assert other.values[0] == 2.0 + 0.0j
 
 
+@pytest.mark.parametrize("make", [
+    lambda g, v: so.WaveFunction(g, v),
+    lambda g, v: so.PotentialField(g, v.real),
+])
+def test_stack_shape_contract(small_grid, make):
+    n = small_grid.n
+    # one state and a stack of them, with the grid on the last axis
+    assert make(small_grid, np.ones(n)).values.shape == (n,)
+    assert make(small_grid, np.ones((3, n))).values.shape == (3, n)
+    for shape in [(3, n + 1), (2, 3, n), (n, 3), ()]:
+        with pytest.raises(ContractError):
+            make(small_grid, np.ones(shape))
+
+
+def test_wavefunction_copies_writable_input(small_grid):
+    vals = np.ones((2, small_grid.n), dtype=complex)
+    psi = so.WaveFunction(small_grid, vals)
+    vals[0, 0] = 5.0
+    assert psi.values[0, 0] == 1.0
+    view = so.WaveFunction(small_grid, psi.values[1])
+    assert not np.shares_memory(view.values, psi.values)
+
+
+def test_wavefunction_shares_frozen_arrays(small_grid):
+    vals = np.ones(small_grid.n, dtype=complex)
+    vals.setflags(write=False)
+    psi = so.WaveFunction(small_grid, vals)
+    assert psi.values is vals
+    assert psi.with_values(psi.values).values is vals
+    # a frozen stack in Fortran order is copied, so that each row is contiguous
+    stack = np.asfortranarray(np.ones((3, small_grid.n), dtype=complex))
+    stack.setflags(write=False)
+    copied = so.WaveFunction(small_grid, stack).values
+    assert copied.flags.c_contiguous and not np.shares_memory(copied, stack)
+
+
+def test_reductions_on_a_stack_match_rows(grid, psi0):
+    rows = [so.gaussian_packet(grid, c, 1.0, q) for c, q in ((-5.0, 0.0),
+                                                            (-4.0, 1.0),
+                                                            (2.0, -0.5))]
+    stack = so.WaveFunction(grid, np.vstack([r.values for r in rows]))
+    scaled = stack.with_values(np.array([[1.0], [2.5j], [0.3]]) * stack.values)
+    ref = rows[1]
+    for name, got, want in [
+        ("norm", so.norm(scaled), [so.norm(scaled.with_values(v)) for v in scaled.values]),
+        ("inner", so.inner(ref, scaled), [so.inner(ref, scaled.with_values(v))
+                                          for v in scaled.values]),
+        ("inner rows", so.inner(stack, scaled), [
+            so.inner(stack.with_values(a), scaled.with_values(b))
+            for a, b in zip(stack.values, scaled.values)]),
+        ("fidelity", so.fidelity(ref, scaled), [
+            so.fidelity(ref, scaled.with_values(v)) for v in scaled.values]),
+        ("fidelity squared", so.fidelity(ref, scaled, "modulus_squared"), [
+            so.fidelity(ref, scaled.with_values(v), "modulus_squared")
+            for v in scaled.values]),
+    ]:
+        assert isinstance(got, np.ndarray) and got.shape == (3,), name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14, err_msg=name)
+    unit = so.normalized(scaled)
+    np.testing.assert_allclose(so.norm(unit), 1.0, rtol=0, atol=1e-14)
+    # one state still reduces to Python scalars
+    assert type(so.norm(psi0)) is float
+    assert type(so.inner(psi0, ref)) is complex
+    assert type(so.fidelity(psi0, ref)) is float
+    assert type(so.fidelity(psi0, ref, "modulus_squared")) is float
+
+
+def test_reductions_reject_mismatched_stacks(small_grid):
+    a = so.WaveFunction(small_grid, np.ones((2, small_grid.n)))
+    b = so.WaveFunction(small_grid, np.ones((3, small_grid.n)))
+    with pytest.raises(ContractError):
+        so.inner(a, b)
+    with pytest.raises(DegenerateStateError):
+        so.fidelity(a, b.with_values(np.zeros((2, small_grid.n))))
+
+
 def test_sample_names_bad_point(small_grid):
     psi = so.sample(small_grid, lambda x: np.exp(-x * x))
     assert psi.values.shape == (small_grid.n,)
@@ -89,6 +165,19 @@ def test_gaussian_packet_normalized(grid):
 def test_gaussian_packet_width_rule(grid, width):
     with pytest.raises(ConfigurationError):
         so.gaussian_packet(grid, width=width)
+
+
+@pytest.mark.parametrize("center", [15.0, -15.1, 1e300, -1e300, float("nan"),
+                                    float("inf")])
+def test_gaussian_packet_center_rule(grid, center):
+    with pytest.raises(ConfigurationError, match="center"):
+        so.gaussian_packet(grid, center=center)
+
+
+def test_gaussian_packet_center_limits(grid):
+    # the window is [x_min, x_max): its left end is a sample, its right end is not
+    assert so.norm(so.gaussian_packet(grid, center=grid.x_min)) > 0.0
+    assert so.norm(so.gaussian_packet(grid, center=grid.x[-1])) > 0.0
 
 
 def test_gaussian_packet_width_limits(grid):
