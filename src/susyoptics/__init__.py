@@ -85,7 +85,6 @@ from .susy import (
     PotentialField,
     SpectrumResult,
     Superpotential,
-    TabulatedSuperpotential,
     apply_B,
     apply_B_dag,
     bound_spectrum,

@@ -278,13 +278,14 @@ def trotter_convergence_scan(psi: WaveFunction, V: PotentialField, t: float,
     return ConvergenceScan(steps, errors, infids, order, float(t))
 
 
-def fit_loglog_slope(ns, errors, saturation: float = 0.3) -> float:
+def fit_loglog_slope(ns, errors) -> float:
     """Least-squares slope of log(error) against log(n).
 
-    Points with error above `saturation` sit outside the asymptotic
-    power-law regime (the error there is bounded and bends over), so they
-    are excluded; at least three points must survive.
+    Points with error above the saturation level 0.3 sit outside the
+    asymptotic power-law regime (the error there is bounded and bends
+    over), so they are excluded; at least three points must survive.
     """
+    saturation = 0.3
     ns = np.asarray(ns, dtype=float)
     errs = np.asarray(errors, dtype=float)
     keep = (errs > 0) & (errs <= saturation)

@@ -67,11 +67,10 @@ class GatedScalar:
 
 @dataclass(frozen=True)
 class Table:
-    """One CSV-able series: column names and rows (tuples or a 2-d array)."""
+    """One CSV-able series: a structured array whose fields are the CSV columns."""
 
     name: str
-    columns: tuple
-    rows: object
+    rows: np.ndarray
     notes: tuple = ()
 
 
@@ -138,15 +137,23 @@ def _frozen_stack(rows) -> np.ndarray:
     return stack
 
 
-def _long_table(name, columns, row_coord, col_coord, surface, notes=()) -> Table:
-    """(row, col, value) long-format table from a 2-d surface."""
+def _table(name, notes=(), **columns) -> Table:
+    """Table whose fields are the equal-length keyword columns, in order."""
+    return Table(name, np.rec.fromarrays(list(columns.values()), names=list(columns)),
+                 tuple(notes))
+
+
+def _long_table(name, notes=(), **columns) -> Table:
+    """Long-format table of a 2-d surface.
+
+    The three keyword columns are the row coordinate, the column coordinate
+    and the (rows, cols) surface, in that order.
+    """
+    (row, row_coord), (col, col_coord), (value, surface) = columns.items()
     m, n = surface.shape
-    rows = np.column_stack([
-        np.repeat(np.asarray(row_coord, dtype=float), n),
-        np.tile(np.asarray(col_coord, dtype=float), m),
-        surface.ravel(),
-    ])
-    return Table(name, columns, rows, notes)
+    return _table(name, notes, **{row: np.repeat(row_coord, n),
+                                  col: np.tile(col_coord, m),
+                                  value: surface.ravel()})
 
 
 def _result(cfg, scenario, scalars, tables, texts=()) -> ScenarioResult:
@@ -177,16 +184,15 @@ def run_spectrum(cfg: ExperimentConfig) -> ScenarioResult:
         _gate_below("max_paired_gap", report.max_gap, tol),
         _gate_abs_below("ground_energy_v2", report.unpaired_ground, tol),
     )
-    potentials = Table(
-        "potentials", ("x", "V1", "V2"),
-        np.column_stack([grid.x, v1.values, v2.values]))
-    levels = Table(
-        "levels", ("n", "E1_n", "E2_n", "gap_E1_n_vs_E2_n1"),
-        tuple((int(n), float(s1.energies[n]), float(s2.energies[n]),
-               float(report.gaps[n])) for n in range(report.pair_count)),
-        notes=(f"unpaired ground energy of V2: {report.unpaired_ground!r}",
-               f"eigensolver: spectral, V1 on {s1.band_points} and V2 on "
-               f"{s2.band_points} of {grid.n} points"))
+    potentials = _table("potentials", x=grid.x, V1=v1.values, V2=v2.values)
+    m = report.pair_count
+    levels = _table(
+        "levels",
+        (f"unpaired ground energy of V2: {report.unpaired_ground!r}",
+         f"eigensolver: spectral, V1 on {s1.band_points} and V2 on "
+         f"{s2.band_points} of {grid.n} points"),
+        n=np.arange(m), E1_n=s1.energies[:m], E2_n=s2.energies[:m],
+        gap_E1_n_vs_E2_n1=report.gaps)
     return _result(cfg, "spectrum", scalars, (potentials, levels))
 
 
@@ -237,18 +243,16 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
     )
     note = ("states normalized per sample before densities and deviations",)
     tables = (
-        _long_table("density_evolve_then_raise", ("t", "x", "density"),
-                    times, grid.x, dens1, note),
-        _long_table("density_raise_then_evolve", ("t", "x", "density"),
-                    times, grid.x, dens2, note),
-        _long_table("deviation", ("t", "x", "deviation_density"),
-                    times, grid.x, devs, note),
-        Table("snapshots",
-              ("x", "evolve_then_raise_t0", "raise_then_evolve_t0",
-               "evolve_then_raise_final", "raise_then_evolve_final",
-               "deviation_final"),
-              np.column_stack([grid.x, dens1[0], dens2[0], dens1[-1],
-                               dens2[-1], devs[-1]])),
+        _long_table("density_evolve_then_raise", note,
+                    t=times, x=grid.x, density=dens1),
+        _long_table("density_raise_then_evolve", note,
+                    t=times, x=grid.x, density=dens2),
+        _long_table("deviation", note,
+                    t=times, x=grid.x, deviation_density=devs),
+        _table("snapshots", x=grid.x,
+               evolve_then_raise_t0=dens1[0], raise_then_evolve_t0=dens2[0],
+               evolve_then_raise_final=dens1[-1],
+               raise_then_evolve_final=dens2[-1], deviation_final=devs[-1]),
     )
     return _result(cfg, "susy-check", scalars, tables)
 
@@ -310,10 +314,8 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
         _gate_fidelity("peak_fidelity", peak, 0.995, 1.0, convention),
     )
     tables = (
-        _long_table("fidelity_surface", ("eta", "t", "fidelity"),
-                    etas, times, surface),
-        Table("fidelity_final", ("eta", "fidelity"),
-              np.column_stack([etas, surface[:, -1]])),
+        _long_table("fidelity_surface", eta=etas, t=times, fidelity=surface),
+        _table("fidelity_final", eta=etas, fidelity=surface[:, -1]),
     )
     return _result(cfg, "eta-sweep", scalars, tables)
 
@@ -344,26 +346,23 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
     aperture_m = run.spec.aperture_m
 
     spec_ref = calibrate_interferometer(run.spec, grid, units)
-    approx, target, rel_ref, max_ref, infid_ref = _bdag_errors(psi0, spec_ref, units, W)
-    cases = [("reference", cfg.focal_length_m, rel_ref, max_ref, infid_ref)]
-    profile_table = Table(
-        "profiles",
-        ("x", "amp_interferometric", "phase_interferometric",
-         "amp_algebraic", "phase_algebraic"),
-        np.column_stack([grid.x,
-                         np.abs(approx.values), np.angle(approx.values),
-                         np.abs(target.values), np.angle(target.values)]),
-        notes=(f"focal_length_m: {cfg.focal_length_m!r}",))
-
     spec_red = calibrate_interferometer(run.reduced_spec, grid, units)
-    _, _, rel_red, max_red, infid_red = _bdag_errors(psi0, spec_red, units, W)
-    cases.append(("reduced", cfg.reduced_focal_length_m, rel_red, max_red, infid_red))
-
-    worst_batt = 0.0
-    for i, state in enumerate(run.battery):
-        _, _, rel, mx, infd = _bdag_errors(state, spec_ref, units, W)
-        worst_batt = max(worst_batt, rel)
-        cases.append((f"battery_{i}", cfg.focal_length_m, rel, mx, infd))
+    # one case per row: reference, reduced, then the battery at the reference focus
+    n_batt = len(run.battery)
+    specs = [spec_ref, spec_red] + [spec_ref] * n_batt
+    cases = [_bdag_errors(psi, spec, units, W)
+             for psi, spec in zip([psi0, psi0, *run.battery], specs)]
+    approx, target = cases[0][:2]
+    errs = np.array([case[2:] for case in cases])
+    (rel_ref, max_ref, infid_ref), (rel_red, _, _) = errs[:2].tolist()
+    worst_batt = float(errs[2:, 0].max(initial=0.0))
+    profile_table = _table(
+        "profiles", (f"focal_length_m: {cfg.focal_length_m!r}",),
+        x=grid.x,
+        amp_interferometric=np.abs(approx.values),
+        phase_interferometric=np.angle(approx.values),
+        amp_algebraic=np.abs(target.values),
+        phase_algebraic=np.angle(target.values))
 
     fom_ref = cfg.focal_length_m**2 / aperture_m**2
     fom_red = cfg.reduced_focal_length_m**2 / aperture_m**2
@@ -383,10 +382,11 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
                     "value <= 10.0 and rel_l2_reference passed",
                     bool(ratio <= 10.0 and ref_gate.passed)),
     )
-    errors = Table(
-        "errors", ("case", "f_m", "rel_l2", "max_pointwise", "infidelity"),
-        tuple(cases),
-        notes=("figure of merit f^2/rho^2 uses the aperture half-width as rho",))
+    errors = _table(
+        "errors", ("figure of merit f^2/rho^2 uses the aperture half-width as rho",),
+        case=["reference", "reduced"] + [f"battery_{i}" for i in range(n_batt)],
+        f_m=[spec.focal_length_m for spec in specs],
+        rel_l2=errs[:, 0], max_pointwise=errs[:, 1], infidelity=errs[:, 2])
     lower, upper = interferometer_arm_trains(spec_ref, grid, units)
     texts = (
         ("arm_derivative_layout", lower.to_layout_text()),
@@ -451,16 +451,11 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
         _gate_below("oracle_capture_error", basis.capture_error, 1e-8),
     )
     note = ("slope fits use rel_l2_error; infidelity falls twice as fast",)
-    tables = (
-        Table("convergence_second", ("n", "rel_l2_error", "infidelity"),
-              tuple((int(n), float(e), float(f)) for n, e, f in
-                    zip(scan2.steps, scan2.rel_l2_error, scan2.infidelity)),
-              notes=note),
-        Table("convergence_first", ("n", "rel_l2_error", "infidelity"),
-              tuple((int(n), float(e), float(f)) for n, e, f in
-                    zip(scan1.steps, scan1.rel_l2_error, scan1.infidelity)),
-              notes=note),
-    )
+    tables = tuple(
+        _table(name, note, n=scan.steps, rel_l2_error=scan.rel_l2_error,
+               infidelity=scan.infidelity)
+        for name, scan in (("convergence_second", scan2),
+                           ("convergence_first", scan1)))
     texts = (("train_layout", train.to_layout_text()),)
     return _result(cfg, "trotter-convergence", scalars, tables, texts)
 
@@ -481,26 +476,33 @@ SCENARIO_RUNNERS.update({
 
 # --- CSV emission ---------------------------------------------------------------
 
-def _fmt_cell(cell) -> str:
-    if isinstance(cell, (bool, np.bool_)):
-        return "true" if cell else "false"
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    if isinstance(cell, (float, np.floating)):
-        return repr(float(cell))
-    text = str(cell)
-    if "," in text or "\n" in text:
-        raise ConfigurationError(f"cell value {text!r} is not CSV-safe")
-    return text
+# rows formatted per block: bounds the text held in memory for long tables
+_BLOCK_ROWS = 8192
+
+
+def _column_text(column: np.ndarray) -> list:
+    """One column's cells as CSV text, formatted by the column's dtype kind."""
+    kind = column.dtype.kind
+    values = column.tolist()
+    if kind == "f":
+        return list(map(repr, values))
+    if kind == "b":
+        return ["true" if v else "false" for v in values]
+    cells = list(map(str, values))
+    if kind not in "iu":
+        unsafe = [c for c in cells if "," in c or "\n" in c]
+        if unsafe:
+            raise ConfigurationError(f"cell value {unsafe[0]!r} is not CSV-safe")
+    return cells
 
 
 def emit_csv(result: ScenarioResult, out_dir) -> list:
     """Write one CSV per table (summary of gates first) plus any text sheets.
 
     Every file opens with comment lines carrying the scenario, config hash,
-    tool version and defaulted keys.  Floats are written with repr (shortest
-    round-trip form, locale independent), so identical configs give
-    byte-identical files.
+    tool version and defaulted keys; the header row is the table's field
+    names.  Floats are written with repr (shortest round-trip form, locale
+    independent), so identical configs give byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -510,9 +512,10 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
         f"# tool_version: {result.tool_version}",
         "# defaulted_keys: " + (",".join(result.defaulted_keys) or "(none)"),
     ]
-    summary = Table(
-        "summary", ("metric", "value", "gate", "passed"),
-        tuple((s.name, s.value, s.gate, s.passed) for s in result.scalars))
+    scalars = result.scalars
+    summary = _table("summary", metric=[s.name for s in scalars],
+                     value=[s.value for s in scalars], gate=[s.gate for s in scalars],
+                     passed=[s.passed for s in scalars])
     paths = []
     for table in (summary,) + tuple(result.tables):
         path = out / f"{result.scenario}_{table.name}.csv"
@@ -521,9 +524,12 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
                 fh.write(line + "\n")
             for note in table.notes:
                 fh.write(f"# {note}\n")
-            fh.write(",".join(table.columns) + "\n")
-            for row in table.rows:
-                fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
+            names = table.rows.dtype.names
+            fh.write(",".join(names) + "\n")
+            for start in range(0, len(table.rows), _BLOCK_ROWS):
+                block = table.rows[start:start + _BLOCK_ROWS]
+                cells = zip(*(_column_text(block[name]) for name in names))
+                fh.write("".join(",".join(row) + "\n" for row in cells))
         paths.append(path)
     for name, content in result.texts:
         path = out / f"{result.scenario}_{name}.txt"

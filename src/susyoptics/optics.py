@@ -440,18 +440,16 @@ def _simulate_arms(psi: WaveFunction, spec: InterferometerSpec,
 
 
 def calibrate_interferometer(spec: InterferometerSpec, grid: Grid1D,
-                             units: PhysicalUnits,
-                             reference: WaveFunction | None = None) -> InterferometerSpec:
+                             units: PhysicalUnits) -> InterferometerSpec:
     """Fix the relative arm phase on a reference field; also pins alpha.
 
     The derivative arm emerges with a unit-modulus constant attached (a
     real Fourier-plane ramp synthesizes the derivative only up to a
     quadrature phase, and its relay adds path phase).  One least-squares
-    phase against the algebraic target on a reference Gaussian pins it,
-    mirroring the path-length trim of a physical interferometer.
+    phase against the algebraic target on the centered unit Gaussian pins
+    it, mirroring the path-length trim of a physical interferometer.
     """
-    if reference is None:
-        reference = gaussian_packet(grid)
+    reference = gaussian_packet(grid)
     alpha = _resolve_alpha(spec, grid, units)
     pinned = replace(spec, alpha=alpha)
     lower, upper = _simulate_arms(reference, pinned, units)
@@ -460,8 +458,7 @@ def calibrate_interferometer(spec: InterferometerSpec, grid: Grid1D,
     overlap = np.vdot(lower, target)
     if abs(overlap) < 1e-300:
         raise NumericalError(
-            "calibration reference produces no derivative-arm signal; "
-            "choose a reference with spatial structure")
+            "calibration reference produces no derivative-arm signal")
     return replace(pinned, calibration_phase=float(np.angle(overlap)))
 
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import erf
 
 from .errors import ConfigurationError, ContractError, NumericalError
@@ -105,57 +104,6 @@ class Superpotential:
         return self.value(x)
 
 
-class TabulatedSuperpotential:
-    """Superpotential given as samples of W and W' on a grid.
-
-    Construction cross-checks the supplied derivative against centered
-    finite differences of the W samples; disagreement beyond `fd_rel_tol`
-    (relative to the derivative's scale) means the tabulation is too coarse
-    or inconsistent, and it is rejected.  Evaluation between nodes is
-    linear interpolation; outside the tabulated domain it is an error.
-    """
-
-    def __init__(self, grid: Grid1D, w_values, w_prime_values, fd_rel_tol: float = 1e-6):
-        w = np.asarray(w_values, dtype=float)
-        wp = np.asarray(w_prime_values, dtype=float)
-        if w.shape != (grid.n,) or wp.shape != (grid.n,):
-            raise ConfigurationError(
-                f"sample shapes {w.shape}, {wp.shape} do not match grid size {grid.n}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wp))):
-            raise ConfigurationError("tabulated superpotential has non-finite samples")
-        fd = (w[2:] - w[:-2]) / (2.0 * grid.dx)
-        scale = max(float(np.max(np.abs(wp))), 1e-300)
-        mismatch = float(np.max(np.abs(fd - wp[1:-1]))) / scale
-        if mismatch > fd_rel_tol:
-            raise ConfigurationError(
-                "tabulated W' disagrees with centered differences of W: "
-                f"relative mismatch {mismatch:.3e} exceeds {fd_rel_tol:.1e} "
-                "(tabulate on a finer grid or loosen fd_rel_tol)")
-        self.grid = grid
-        self._w = w
-        self._wp = wp
-        self._w.setflags(write=False)
-        self._wp.setflags(write=False)
-
-    def _interp(self, x, table):
-        xs = np.asarray(x, dtype=float)
-        lo, hi = float(self.grid.x[0]), float(self.grid.x[-1])
-        if np.any(xs < lo) or np.any(xs > hi):
-            raise ContractError(
-                f"evaluation outside the tabulated domain [{lo}, {hi}]")
-        out = np.interp(xs, self.grid.x, table)
-        return out if out.shape else float(out)
-
-    def value(self, x):
-        return self._interp(x, self._w)
-
-    def derivative(self, x):
-        return self._interp(x, self._wp)
-
-    def __call__(self, x):
-        return self.value(x)
-
-
 @dataclass(frozen=True)
 class PotentialField:
     """Real potential sampled on a grid: one (n,) or a stack (m, n), one per state."""
@@ -197,10 +145,6 @@ def eta_potential(W: Superpotential, eta, grid: Grid1D) -> PotentialField:
     the (m, n) stack.  The construction collapses to this closed form only
     for sigma = x0/2, so other widths are rejected.
     """
-    if not isinstance(W, Superpotential):
-        raise ConfigurationError(
-            "the eta family is defined for the analytic trap-plus-barrier "
-            "superpotential, not tabulated data")
     if abs(W.sigma - 0.5 * W.x0) > 1e-12 * W.x0:
         raise ConfigurationError(
             f"eta family requires sigma = x0/2; got sigma = {W.sigma} "
@@ -413,21 +357,16 @@ def check_degeneracy(s1: SpectrumResult, s2: SpectrumResult, tol: float) -> Dege
     return DegeneracyReport(m, gaps, float(s2.energies[0]), float(tol), passed)
 
 
-def zero_mode(W, grid: Grid1D) -> WaveFunction:
+def zero_mode(W: Superpotential, grid: Grid1D) -> WaveFunction:
     """Normalized zero-energy ground state of H2, proportional to exp(-int W).
 
     Annihilated by B.  It is normalizable because the linear trap term of W
-    dominates the bounded barrier term at large |x|.  The antiderivative is
-    analytic for the trap-plus-barrier form and trapezoid quadrature for
-    tabulated superpotentials.
+    dominates the bounded barrier term at large |x|.  The antiderivative of
+    the trap-plus-barrier form is analytic.
     """
-    if isinstance(W, Superpotential):
-        s = W.sigma
-        anti = math.sqrt(W.omega) * (
-            grid.x**2 / (2.0 * W.x0)
-            + W.amplitude * s * math.sqrt(math.pi) * erf(grid.x / (2.0 * s)))
-    else:
-        w = np.asarray(W.value(grid.x), dtype=float)
-        anti = cumulative_trapezoid(w, grid.x, initial=0.0)
+    s = W.sigma
+    anti = math.sqrt(W.omega) * (
+        grid.x**2 / (2.0 * W.x0)
+        + W.amplitude * s * math.sqrt(math.pi) * erf(grid.x / (2.0 * s)))
     anti = anti - anti.min()  # exp argument <= 0: no overflow, underflow is harmless
     return normalized(WaveFunction(grid, np.exp(-anti)))

@@ -71,15 +71,19 @@ class TestRunnerStructure:
                          "deviation", "snapshots"]
         # stride 10 over 30 steps: samples at 0, 10, 20, 30
         n_samples = 4
-        assert r.tables[0].rows.shape == (n_samples * small_cfg.grid_points, 3)
+        rows = r.tables[0].rows
+        assert len(rows) == n_samples * small_cfg.grid_points
+        assert rows.dtype.names == ("t", "x", "density")
         scalar = {s.name: s for s in r.scalars}
         assert scalar["fidelity_t0"].passed
 
     def test_eta_sweep(self, small_cfg):
         r = so.run_eta_sweep(small_cfg)
         surface, final = r.tables
-        assert surface.rows.shape == (41 * 31, 3)
-        assert final.rows.shape == (41, 2)
+        assert len(surface.rows) == 41 * 31
+        assert surface.rows.dtype.names == ("eta", "t", "fidelity")
+        assert len(final.rows) == 41
+        assert final.rows.dtype.names == ("eta", "fidelity")
         scalar = {s.name: s.value for s in r.scalars}
         assert scalar["argmax_eta_positive"] == pytest.approx(1.0, abs=0.1 + 1e-12)
         assert scalar["argmax_eta_negative"] == pytest.approx(-1.0, abs=0.1 + 1e-12)
@@ -88,7 +92,7 @@ class TestRunnerStructure:
         # the one stacked stream gives every fidelity bit for bit as a
         # reference run plus one single-state run per eta would
         cfg = dataclasses.replace(small_cfg, eta_points=9)
-        surface = so.run_eta_sweep(cfg).tables[0].rows[:, 2].reshape(9, -1)
+        surface = so.run_eta_sweep(cfg).tables[0].rows["fidelity"].reshape(9, -1)
         run = setup(cfg)
         W, grid = run.W, run.grid
         plan = so.TrotterPlan(2.0 * np.pi / cfg.steps_per_period,
@@ -199,10 +203,50 @@ class TestEmitCsv:
 
     def test_unsafe_cell_rejected(self, small_cfg, tmp_path):
         r = so.run_spectrum(small_cfg)
-        bad = dataclasses.replace(
-            r, tables=(Table("odd", ("label",), (("a,b",),)),))
-        with pytest.raises(ConfigurationError):
-            so.emit_csv(bad, tmp_path)
+        for cell in ("a,b", "a\nb"):
+            rows = np.rec.fromarrays([np.array([cell])], names=["label"])
+            bad = dataclasses.replace(r, tables=(Table("odd", rows),))
+            with pytest.raises(ConfigurationError):
+                so.emit_csv(bad, tmp_path)
+
+    def test_golden_formatting(self, tmp_path):
+        # the expected text is what the former per-cell formatter wrote
+        rows = np.rec.fromarrays([
+            np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1e22]),
+            np.array([-3, 0, 1, 7, 42, -1, 2**62], dtype=np.int64),
+            np.array([True, False, True, True, False, False, True]),
+            np.array(["a", "b c", "reference", "battery_0", "x", "é", ""]),
+        ], names=["value", "count", "flag", "label"])
+        result = so.ScenarioResult(
+            scenario="golden", config_hash="0" * 12, tool_version="0.0.0",
+            defaulted_keys=(), scalars=(), tables=(Table("cells", rows),))
+        so.emit_csv(result, tmp_path)
+        text = (tmp_path / "golden_cells.csv").read_text(encoding="utf-8")
+        assert text == (
+            "# scenario: golden\n"
+            "# config_hash: 000000000000\n"
+            "# tool_version: 0.0.0\n"
+            "# defaulted_keys: (none)\n"
+            "value,count,flag,label\n"
+            "-0.0,-3,true,a\n"
+            "nan,0,false,b c\n"
+            "inf,1,true,reference\n"
+            "-inf,7,true,battery_0\n"
+            "5e-324,42,false,x\n"
+            "0.1,-1,false,é\n"
+            "1e+22,4611686018427387904,true,\n")
+
+    @pytest.mark.parametrize("scenario", ["spectrum", "susy-check"])
+    def test_header_and_row_count_follow_the_rows(self, small_cfg, tmp_path,
+                                                  scenario):
+        result = SCENARIO_RUNNERS[scenario](small_cfg)
+        so.emit_csv(result, tmp_path)
+        for table in result.tables:
+            path = tmp_path / f"{result.scenario}_{table.name}.csv"
+            lines = [l for l in path.read_text().splitlines()
+                     if not l.startswith("#")]
+            assert tuple(lines[0].split(",")) == table.rows.dtype.names
+            assert len(lines) - 1 == len(table.rows)
 
 
 class TestCli:

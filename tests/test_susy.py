@@ -77,42 +77,6 @@ def test_potential_field_contract(small_grid):
         field.values[0] = 1.0
 
 
-class TestTabulatedSuperpotential:
-    def test_linear_samples_accepted(self, small_grid):
-        tab = so.TabulatedSuperpotential(small_grid, small_grid.x,
-                                         np.ones(small_grid.n))
-        x = np.linspace(-11.0, 11.0, 37)
-        np.testing.assert_allclose(tab.value(x), x, atol=1e-12)
-        np.testing.assert_allclose(tab.derivative(x), 1.0, atol=1e-12)
-
-    def test_inconsistent_derivative_rejected(self, small_grid):
-        with pytest.raises(ConfigurationError):
-            so.TabulatedSuperpotential(small_grid, small_grid.x,
-                                       2.0 * np.ones(small_grid.n))
-
-    def test_smooth_profile_needs_fine_grid(self, W, grid):
-        # the barrier's curvature defeats centered differences at 2048 points
-        with pytest.raises(ConfigurationError):
-            so.TabulatedSuperpotential(grid, W.value(grid.x),
-                                       W.derivative(grid.x))
-        fine = so.make_grid(32768, -15.0, 15.0)
-        tab = so.TabulatedSuperpotential(fine, W.value(fine.x),
-                                         W.derivative(fine.x))
-        # linear interpolation between samples: error is W'' dx^2 / 8
-        assert tab.value(0.25) == pytest.approx(W(0.25), abs=1e-6)
-
-    def test_tolerance_is_configurable(self, W, grid):
-        tab = so.TabulatedSuperpotential(grid, W.value(grid.x),
-                                         W.derivative(grid.x), fd_rel_tol=1e-3)
-        assert tab.derivative(0.0) == pytest.approx(W.derivative(0.0))
-
-    def test_out_of_domain_rejected(self, small_grid):
-        tab = so.TabulatedSuperpotential(small_grid, small_grid.x,
-                                         np.ones(small_grid.n))
-        with pytest.raises(ContractError):
-            tab.value(13.0)
-
-
 class TestLadderOperators:
     def test_adjointness(self, grid, W, battery):
         # <B phi, psi> = <phi, B+ psi> for smooth states
@@ -148,14 +112,6 @@ def test_zero_mode_is_partner_ground_state(grid, W, v2):
     z0 = so.zero_mode(W, grid)
     s2 = so.bound_spectrum(v2, 1)
     assert so.fidelity(z0, s2.states[0]) > 1.0 - 1e-8
-
-
-def test_zero_mode_from_tabulated_matches_analytic(W):
-    fine = so.make_grid(32768, -15.0, 15.0)
-    tab = so.TabulatedSuperpotential(fine, W.value(fine.x), W.derivative(fine.x))
-    za = so.zero_mode(W, fine)
-    zt = so.zero_mode(tab, fine)
-    assert so.fidelity(za, zt) > 1.0 - 1e-10
 
 
 class TestBoundSpectrum:
