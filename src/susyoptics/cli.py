@@ -2,8 +2,9 @@
 
 Exit codes: 0 all gates passed, 1 at least one gate failed (or a warning was
 raised under --strict), 2 configuration problem (in the config file, an
-override, or found by a runner), 3 any other simulation error: a numerical
-failure or a broken contract.
+override, found by a runner, or a table cell CSV cannot hold, in which case
+no file of that result is written), 3 any other simulation error: a
+numerical failure or a broken contract.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ def main(argv=None) -> int:
                 results = run_all(cfg)
             else:
                 results = (SCENARIO_RUNNERS[cfg.scenario](cfg),)
+        written = [path for result in results
+                   for path in emit_csv(result, cfg.out_dir)]
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -85,9 +88,7 @@ def main(argv=None) -> int:
         print(f"{kind}: {exc}", file=sys.stderr)
         return 3
 
-    written = []
     for result in results:
-        written.extend(emit_csv(result, cfg.out_dir))
         for s in result.scalars:
             verdict = "PASS" if s.passed else "FAIL"
             print(f"[{verdict}] {result.scenario}/{s.name} = {s.value!r}"

@@ -1,4 +1,4 @@
-"""Split-step propagation and the dense-diagonalization oracle.
+"""Split-step propagation and the band-limited diagonalization oracle.
 
 The propagator factorizes into kinetic pieces (diagonal in momentum space)
 and potential pieces (diagonal in position space).  The symmetric
@@ -13,11 +13,14 @@ overlap only quadratically; convergence scans therefore report both columns,
 and slope fits should use the state-error one.
 
 `trotter_states` is the one split-step kernel, for one state (n,) or a
-stack (m, n) under one shared (n,) potential or one (m, n) row per state.
-Each step is one batched transform pair along the grid axis, and a stack
-reproduces m separate runs bit for bit.  The carry is updated in place and
-each sample is one fresh array, so the kernel holds three stacks: the
-potential phases, the carry and the sample it is producing.
+stack (m, n) under one shared (n,) potential or one (m, n) row per state,
+in position or momentum space.  Each step is one batched transform pair
+along the grid axis, and a stack reproduces m separate runs bit for bit.
+A momentum-space sample is the transformed state the step already holds,
+times a phase; a second-order position-space sample costs one more inverse
+transform.  The carry is updated in place and each sample is one fresh
+array, so the kernel holds three stacks: the potential phases, the carry
+and the sample it is producing.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
@@ -35,7 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, NumericalError
-from .grids import POSITION, Grid1D, WaveFunction, fidelity, norm
+from .grids import (
+    MOMENTUM,
+    POSITION,
+    Grid1D,
+    WaveFunction,
+    _unitary_phase,
+    fidelity,
+    norm,
+)
 from .susy import CAPTURE_TOL, PotentialField, _band_eigenpairs, _uncaptured
 
 ORDERS = ("first", "second")
@@ -99,25 +110,28 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                    stride: int = 1):
     """Yield (step_index, state) at step 0 and every `stride` steps (plus the last).
 
-    psi is one state (n,) or a stack (m, n); V is one (n,) potential for
-    every row or an (m, n) stack of them, one per row.  Step 0 yields psi
-    itself; every later sample is a fresh read-only array.
+    psi is one state (n,) or a stack (m, n), in either representation, and
+    every sample is in that same representation; V is one (n,) potential
+    for every row or an (m, n) stack of them, one per row.  Step 0 yields
+    psi itself; every later sample is a fresh read-only array.
 
     One loop serves both orders, because the second-order product is the
     first-order one conjugated by a half kinetic step:
 
         [K(dt/2) P K(dt/2)]^j = K(-dt/2) [K(dt) P]^j K(dt/2).
 
-    The loop carries w, the state just before the next potential kick:
-    psi itself for first order, K(dt/2) psi for second order.  Each step
-    forms s = F(P w); the sample is F^-1(s K_out), with K_out = K(dt) for
-    first order and K(dt/2) for second, and the next w is F^-1(s K(dt)),
-    which in first order is the sample itself.  Every step costs one
-    transform pair; second order adds one pair up front and one inverse
-    transform per sample before the last.  w is updated in place.
+    The loop carries w, the position-space state just before the next
+    potential kick: psi itself for first order, K(dt/2) psi for second
+    order.  Each step forms s = F(P w) and advances w to F^-1(s K(dt)).
+    The sample is s K_out, with K_out = K(dt) for first order and K(dt/2)
+    for second, taken to position as F^-1(s K_out) (in first order that is
+    the next w) or to momentum as s (K_out u), where u is the phase of
+    `to_momentum`.  Every step costs one transform pair (the last skips the
+    advance unless the sample is w itself).  Setting up w costs a transform
+    pair for second-order position input and one inverse transform for
+    momentum input.  A second-order position sample costs one more inverse
+    transform; a momentum sample costs none.  w is updated in place.
     """
-    if psi.representation != POSITION:
-        raise ContractError("trotter evolution expects a position-space state")
     if psi.grid != V.grid:
         raise ContractError("state and potential live on different grids")
     if V.values.ndim == 2 and V.values.shape != psi.values.shape:
@@ -130,17 +144,27 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     if n == 0:
         return
     g = psi.grid
+    representation = psi.representation
+    momentum = representation == MOMENTUM
     p2 = 0.5 * g.p**2
     dt = plan.dt
     kin = np.exp(-1j * p2 * dt)
     first = plan.order == "first"
     kin_out = kin if first else np.exp(-1j * p2 * (0.5 * dt))
-    if first:
+    carry_is_sample = first and not momentum
+    if carry_is_sample:
         w = psi.values.copy()
     else:
-        w = np.fft.fft(psi.values)
-        w *= kin_out
+        if momentum:
+            u = _unitary_phase(g)
+            w = psi.values / u  # F(psi) in numpy's unnormalized convention
+        else:
+            w = np.fft.fft(psi.values)
+        if not first:
+            w *= kin_out
         np.fft.ifft(w, out=w)
+    if momentum:
+        kin_out = kin_out * u  # a sample s K_out u is in to_momentum's convention
     del psi  # freed here if the caller has dropped step 0, before the phases
     vphase = -1j * V.values
     vphase *= dt
@@ -150,17 +174,18 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
         sampled = j % stride == 0 or j == n
         np.multiply(w, vphase, out=w)
         np.fft.fft(w, out=w)  # w holds s until it is advanced
-        if sampled and not first:
+        if sampled and not carry_is_sample:
             sample = np.multiply(w, kin_out)
-            np.fft.ifft(sample, out=sample)
-        if first or j < n:
+            if not momentum:
+                np.fft.ifft(sample, out=sample)
+        if carry_is_sample or j < n:
             np.multiply(w, kin, out=w)
             np.fft.ifft(w, out=w)
         if sampled:
-            if first:
+            if carry_is_sample:
                 sample = w.copy()
             sample.setflags(write=False)
-            yield j, WaveFunction(g, sample, POSITION)
+            yield j, WaveFunction(g, sample, representation)
             del sample  # the caller's reference is the only one left
 
 

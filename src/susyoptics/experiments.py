@@ -32,7 +32,14 @@ from .evolution import (
     trotter_evolve,
     trotter_states,
 )
-from .grids import WaveFunction, fidelity, norm, normalized
+from .grids import (
+    WaveFunction,
+    fidelity,
+    norm,
+    normalized,
+    to_momentum,
+    to_position,
+)
 from .optics import (
     PhysicalUnits,
     calibrate_interferometer,
@@ -268,7 +275,10 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
 
     Both paths run as one stream: row 0 is psi0 under V1, the reference
     path raised by B+ at each step, and row i is B+ psi0 under the i-th
-    V_eta.  The potentials are built before any step is taken.
+    V_eta.  The stream runs in momentum space, where its samples cost no
+    transform; only row 0 goes back to position for B+, and the fidelities
+    are taken in momentum space (equal to the position-space ones by
+    Parseval).  The potentials are built before any step is taken.
     """
     grid, W, psi0, v1, plan, psi_raised = _two_path_setup(cfg)
     etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_points)
@@ -286,12 +296,13 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     surface = np.empty((etas.size, times.size))
     # the state stack is built in the call, so no caller reference outlives step 0
     paths = trotter_states(
-        WaveFunction(grid, _frozen_stack([psi0.values]
-                                         + [psi_raised.values] * etas.size)),
+        to_momentum(WaveFunction(grid, _frozen_stack(
+            [psi0.values] + [psi_raised.values] * etas.size))),
         PotentialField(grid, potentials), plan, stride=1)
     del potentials
     for j, state in paths:
-        reference = normalized(apply_B_dag(state.with_values(state.values[0]), W))
+        path_one = to_position(state.with_values(state.values[0]))
+        reference = to_momentum(normalized(apply_B_dag(path_one, W)))
         surface[:, j] = fidelity(reference, state)[1:]
         del state  # freed before the kernel allocates the next sample
 
@@ -488,12 +499,25 @@ def _column_text(column: np.ndarray) -> list:
         return list(map(repr, values))
     if kind == "b":
         return ["true" if v else "false" for v in values]
-    cells = list(map(str, values))
-    if kind not in "iu":
-        unsafe = [c for c in cells if "," in c or "\n" in c]
-        if unsafe:
-            raise ConfigurationError(f"cell value {unsafe[0]!r} is not CSV-safe")
-    return cells
+    return list(map(str, values))
+
+
+def _checked_sheets(result: ScenarioResult) -> tuple:
+    """The summary of gates and the result's tables, every text cell CSV-safe."""
+    scalars = result.scalars
+    summary = _table("summary", metric=[s.name for s in scalars],
+                     value=[s.value for s in scalars], gate=[s.gate for s in scalars],
+                     passed=[s.passed for s in scalars])
+    sheets = (summary,) + tuple(result.tables)
+    for table in sheets:
+        for name in table.rows.dtype.names:
+            column = table.rows[name]
+            if column.dtype.kind in "fiub":
+                continue
+            unsafe = [c for c in _column_text(column) if "," in c or "\n" in c]
+            if unsafe:
+                raise ConfigurationError(f"cell value {unsafe[0]!r} is not CSV-safe")
+    return sheets
 
 
 def emit_csv(result: ScenarioResult, out_dir) -> list:
@@ -502,8 +526,11 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
     Every file opens with comment lines carrying the scenario, config hash,
     tool version and defaulted keys; the header row is the table's field
     names.  Floats are written with repr (shortest round-trip form, locale
-    independent), so identical configs give byte-identical files.
+    independent), so identical configs give byte-identical files.  Every
+    text cell is checked before any file is opened, so a result that holds
+    a comma or a newline in a cell writes nothing.
     """
+    sheets = _checked_sheets(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     provenance = [
@@ -512,12 +539,8 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
         f"# tool_version: {result.tool_version}",
         "# defaulted_keys: " + (",".join(result.defaulted_keys) or "(none)"),
     ]
-    scalars = result.scalars
-    summary = _table("summary", metric=[s.name for s in scalars],
-                     value=[s.value for s in scalars], gate=[s.gate for s in scalars],
-                     passed=[s.passed for s in scalars])
     paths = []
-    for table in (summary,) + tuple(result.tables):
+    for table in sheets:
         path = out / f"{result.scenario}_{table.name}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for line in provenance:

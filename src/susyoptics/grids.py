@@ -227,6 +227,11 @@ def fidelity(a: WaveFunction, b: WaveFunction, convention: str = "modulus"):
     return _per_state(f * f if convention == "modulus_squared" else f)
 
 
+def _unitary_phase(g: Grid1D) -> np.ndarray:
+    """u = (dx / sqrt(2 pi)) exp(-i p x_min): the unitary momentum state is u * fft(psi)."""
+    return (g.dx / _SQRT_2PI) * np.exp(-1j * g.p * g.x_min)
+
+
 def to_momentum(psi: WaveFunction) -> WaveFunction:
     """Unitary transform to the momentum representation.
 
@@ -237,7 +242,7 @@ def to_momentum(psi: WaveFunction) -> WaveFunction:
     if psi.representation == MOMENTUM:
         raise ContractError("state is already in the momentum representation")
     g = psi.grid
-    vals = (g.dx / _SQRT_2PI) * np.exp(-1j * g.p * g.x_min) * np.fft.fft(psi.values)
+    vals = _unitary_phase(g) * np.fft.fft(psi.values)
     return WaveFunction(g, vals, MOMENTUM)
 
 

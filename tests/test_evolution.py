@@ -101,6 +101,24 @@ class TestTrotterStates:
                                            atol=1e-12)
 
     @pytest.mark.parametrize("order", ["first", "second"])
+    def test_momentum_input_samples_in_momentum(self, v2, psi0, order):
+        # momentum in, momentum out: the transform of each position sample
+        phi = so.to_momentum(psi0)
+        scale = 1e-14 * np.max(np.abs(phi.values))
+        n = 40
+        plan = so.TrotterPlan(0.05, n, order=order)
+        for stride in (1, 7, n):
+            position = dict(so.trotter_states(psi0, v2, plan, stride=stride))
+            momentum = dict(so.trotter_states(phi, v2, plan, stride=stride))
+            assert sorted(momentum) == sorted(position)
+            assert momentum[0] is phi
+            for j, state in momentum.items():
+                assert state.representation == so.MOMENTUM
+                np.testing.assert_allclose(
+                    state.values, so.to_momentum(position[j]).values,
+                    rtol=0, atol=scale)
+
+    @pytest.mark.parametrize("order", ["first", "second"])
     def test_unitarity(self, v2, psi0, order):
         plan = so.TrotterPlan(0.1, 50, order=order)
         final = so.trotter_evolve(psi0, v2, plan, trace_stride=50).final_state
@@ -127,6 +145,10 @@ class TestStackedKernel:
             potentials = [v2] * len(states)
             V = v2
         stack = so.WaveFunction(grid, np.vstack([s.values for s in states]))
+        self._assert_rows_run_alone(stack, V, states, potentials, order)
+
+    @staticmethod
+    def _assert_rows_run_alone(stack, V, states, potentials, order):
         n = 40
         plan = so.TrotterPlan(0.05, n, order=order)
         for stride in (1, 7, n):
@@ -136,8 +158,25 @@ class TestStackedKernel:
                 alone = dict(so.trotter_states(state, v, plan, stride=stride))
                 assert sorted(alone) == sorted(stacked)
                 for j, sample in alone.items():
+                    assert stacked[j].representation == sample.representation
                     np.testing.assert_array_equal(stacked[j].values[row],
                                                   sample.values)
+
+    @pytest.mark.parametrize("order", ["first", "second"])
+    @pytest.mark.parametrize("stacked_potential", [False, True])
+    def test_momentum_stack_equals_separate_runs_bitwise(self, W, v1, v2, states,
+                                                         order, stacked_potential):
+        grid = v2.grid
+        if stacked_potential:
+            potentials = [v1, v2, so.eta_potential(W, 0.5, grid)]
+            V = so.PotentialField(grid, np.vstack([v.values for v in potentials]))
+        else:
+            potentials = [v2] * len(states)
+            V = v2
+        momenta = [so.to_momentum(s) for s in states]
+        stack = so.WaveFunction(grid, np.vstack([s.values for s in momenta]),
+                                so.MOMENTUM)
+        self._assert_rows_run_alone(stack, V, momenta, potentials, order)
 
     def test_samples_are_fresh_and_read_only(self, v2, states):
         stack = so.WaveFunction(v2.grid, np.vstack([s.values for s in states]))
@@ -149,6 +188,20 @@ class TestStackedKernel:
             assert not a.flags.writeable
         for a, b in zip(arrays, arrays[1:]):
             assert not np.shares_memory(a, b)
+
+    def test_momentum_samples_are_fresh_and_read_only(self, v2, states):
+        stack = so.to_momentum(
+            so.WaveFunction(v2.grid, np.vstack([s.values for s in states])))
+        for order in ("first", "second"):
+            plan = so.TrotterPlan(0.05, 3, order=order)
+            samples = list(so.trotter_states(stack, v2, plan))
+            assert samples[0][1] is stack
+            arrays = [state.values for _, state in samples]
+            for _, state in samples:
+                assert state.representation == so.MOMENTUM
+                assert not state.values.flags.writeable
+            for a, b in zip(arrays, arrays[1:]):
+                assert not np.shares_memory(a, b)
 
     def test_potential_rows_must_match_states(self, v1, v2, states):
         grid = v2.grid

@@ -89,22 +89,45 @@ class TestRunnerStructure:
         assert scalar["argmax_eta_negative"] == pytest.approx(-1.0, abs=0.1 + 1e-12)
 
     def test_eta_sweep_stream_matches_one_state_per_run(self, small_cfg):
-        # the one stacked stream gives every fidelity bit for bit as a
-        # reference run plus one single-state run per eta would
+        # the one stacked momentum-space stream gives every fidelity bit for
+        # bit as a momentum reference run plus one momentum run per eta would
         cfg = dataclasses.replace(small_cfg, eta_points=9)
         surface = so.run_eta_sweep(cfg).tables[0].rows["fidelity"].reshape(9, -1)
         run = setup(cfg)
         W, grid = run.W, run.grid
         plan = so.TrotterPlan(2.0 * np.pi / cfg.steps_per_period,
                               cfg.steps_per_period * cfg.evolution_periods)
-        raised = so.apply_B_dag(run.psi0, W)
-        reference = [so.normalized(so.apply_B_dag(s, W)) for _, s in
-                     so.trotter_states(run.psi0, so.partner_potential(W, 1, grid), plan)]
+        raised = so.to_momentum(so.apply_B_dag(run.psi0, W))
+        reference = [so.to_momentum(so.normalized(so.apply_B_dag(so.to_position(s), W)))
+                     for _, s in so.trotter_states(so.to_momentum(run.psi0),
+                                                   so.partner_potential(W, 1, grid),
+                                                   plan)]
         for i, eta in enumerate(np.linspace(cfg.eta_min, cfg.eta_max, 9)):
             v_eta = so.eta_potential(W, float(eta), grid)
             alone = [so.fidelity(reference[j], s)
                      for j, s in so.trotter_states(raised, v_eta, plan)]
             np.testing.assert_array_equal(surface[i], alone)
+
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_eta_sweep_matches_position_space_fidelities(self, small_cfg, n):
+        # Parseval: the momentum-space surface is the position-space one up
+        # to rounding
+        cfg = dataclasses.replace(small_cfg, grid_points=n, eta_points=9)
+        surface = so.run_eta_sweep(cfg).tables[0].rows["fidelity"].reshape(9, -1)
+        run = setup(cfg)
+        W, grid = run.W, run.grid
+        plan = so.TrotterPlan(2.0 * np.pi / cfg.steps_per_period,
+                              cfg.steps_per_period * cfg.evolution_periods)
+        etas = np.linspace(cfg.eta_min, cfg.eta_max, 9)
+        raised = so.apply_B_dag(run.psi0, W)
+        stack = so.WaveFunction(grid, np.vstack([run.psi0.values] + [raised.values] * 9))
+        family = so.PotentialField(grid, np.vstack(
+            [so.partner_potential(W, 1, grid).values, so.eta_potential(W, etas, grid).values]))
+        position = np.empty_like(surface)
+        for j, state in so.trotter_states(stack, family, plan):
+            reference = so.normalized(so.apply_B_dag(state.with_values(state.values[0]), W))
+            position[:, j] = so.fidelity(reference, state)[1:]
+        np.testing.assert_allclose(surface, position, rtol=0, atol=1e-14)
 
     def test_bdag(self, small_cfg):
         # the bench needs the full grid: its lens chirps are undersampled at 512
@@ -208,6 +231,15 @@ class TestEmitCsv:
             bad = dataclasses.replace(r, tables=(Table("odd", rows),))
             with pytest.raises(ConfigurationError):
                 so.emit_csv(bad, tmp_path)
+            assert list(tmp_path.iterdir()) == []
+
+    def test_unsafe_gate_text_rejected(self, small_cfg, tmp_path):
+        # the summary's text cells are checked like any table's
+        r = so.run_spectrum(small_cfg)
+        odd = GatedScalar("probe", 1.0, "value <= 2.0, strictly", True)
+        with pytest.raises(ConfigurationError, match="not CSV-safe"):
+            so.emit_csv(dataclasses.replace(r, scalars=(odd,)), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_golden_formatting(self, tmp_path):
         # the expected text is what the former per-cell formatter wrote
@@ -299,6 +331,22 @@ class TestCli:
         code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
         assert code == 2
         assert capsys.readouterr().err == "configuration error: probe\n"
+
+    def test_exit_two_and_no_file_on_an_unsafe_cell(self, tmp_path, capsys,
+                                                     monkeypatch):
+        rows = np.rec.fromarrays([np.array(["a,b"])], names=["label"])
+        result = so.ScenarioResult(
+            scenario="spectrum", config_hash="0" * 12,
+            tool_version=so.__version__, defaulted_keys=(),
+            scalars=(GatedScalar("probe", 1.0, "value <= 2.0", True),),
+            tables=(Table("odd", rows),))
+        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", lambda cfg: result)
+        code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "configuration error: cell value 'a,b' is not CSV-safe\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r").exists()
 
     def test_exit_two_on_an_eta_range_beyond_its_lattice(self, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"

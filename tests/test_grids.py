@@ -198,6 +198,24 @@ def test_momentum_roundtrip_and_parseval(grid, psi0):
         so.to_position(psi0)
 
 
+@pytest.mark.parametrize("n", [2048, 513])
+def test_transforms_of_a_stack_match_rows(n):
+    grid = so.make_grid(n, -15.0, 15.0)
+    rows = [so.gaussian_packet(grid, c, 1.0, q) for c, q in ((-5.0, 0.0),
+                                                            (-4.0, 1.0),
+                                                            (2.0, -0.5))]
+    stack = so.WaveFunction(grid, np.vstack([r.values for r in rows]))
+    phi = so.to_momentum(stack)
+    back = so.to_position(phi)
+    assert phi.values.shape == back.values.shape == (3, n)
+    for i, row in enumerate(rows):
+        alone = so.to_momentum(row)
+        np.testing.assert_array_equal(phi.values[i], alone.values)
+        np.testing.assert_array_equal(back.values[i], so.to_position(alone).values)
+    np.testing.assert_allclose(back.values, stack.values, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(so.norm(phi), so.norm(stack), rtol=0, atol=1e-14)
+
+
 def test_momentum_transform_matches_analytic(grid):
     # FT of exp(-x^2/2)/pi^(1/4) is exp(-p^2/2)/pi^(1/4) in the unitary convention
     psi = so.gaussian_packet(grid)
