@@ -63,6 +63,7 @@ from .grids import (
 )
 from .optics import (
     AmplitudeModulator,
+    CalibratedInterferometer,
     FreeSpace,
     InterferometerSpec,
     OpticalTrain,
@@ -73,7 +74,6 @@ from .optics import (
     alpha_passivity_bound,
     calibrate_interferometer,
     compile_trotter_train,
-    interferometer_arm_trains,
     interferometric_B_dag,
     map_distance_to_time,
     map_time_to_distance,

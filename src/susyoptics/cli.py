@@ -3,7 +3,7 @@
 Exit codes: 0 all gates passed, 1 at least one gate failed (or a warning was
 raised under --strict), 2 configuration problem (in the config file, an
 override, found by a runner, or a table cell CSV cannot hold, in which case
-no file of that result is written), 3 any other simulation error: a
+no file of any result is written), 3 any other simulation error: a
 numerical failure or a broken contract.
 """
 
@@ -17,7 +17,7 @@ import warnings
 from ._version import __version__
 from .config import SCENARIOS, parse_config
 from .errors import ConfigurationError, NumericalError, SimulationError
-from .experiments import SCENARIO_RUNNERS, emit_csv, run_all
+from .experiments import SCENARIO_RUNNERS, csv_sheets, emit_csv, run_all
 
 _SCENARIO_HELP = {
     "all": "run every scenario below in a fixed order",
@@ -77,6 +77,8 @@ def main(argv=None) -> int:
                 results = run_all(cfg)
             else:
                 results = (SCENARIO_RUNNERS[cfg.scenario](cfg),)
+        for result in results:  # any unsafe cell stops the run before a file opens
+            csv_sheets(result)
         written = [path for result in results
                    for path in emit_csv(result, cfg.out_dir)]
     except ConfigurationError as exc:

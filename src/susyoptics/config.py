@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
 from .grids import (
-    FIDELITY_CONVENTIONS,
     Grid1D,
     WaveFunction,
     gaussian_packet,
@@ -34,6 +33,7 @@ from .susy import MAX_BOUND_LEVELS, Superpotential
 
 SCENARIOS = ("all", "spectrum", "susy-check", "eta-sweep", "bdag-check",
              "trotter-convergence")
+FIDELITY_CONVENTIONS = ("modulus", "modulus_squared")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from .grids import (
     POSITION,
     Grid1D,
     WaveFunction,
-    _unitary_phase,
     fidelity,
     norm,
 )
@@ -156,7 +155,7 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
         w = psi.values.copy()
     else:
         if momentum:
-            u = _unitary_phase(g)
+            u = g._unitary_phase
             w = psi.values / u  # F(psi) in numpy's unnormalized convention
         else:
             w = np.fft.fft(psi.values)

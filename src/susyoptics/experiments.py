@@ -44,7 +44,6 @@ from .optics import (
     PhysicalUnits,
     calibrate_interferometer,
     compile_trotter_train,
-    interferometer_arm_trains,
     interferometric_B_dag,
     map_distance_to_time,
     map_time_to_distance,
@@ -185,7 +184,7 @@ def run_spectrum(cfg: ExperimentConfig) -> ScenarioResult:
     s1 = bound_spectrum(v1, k)
     s2 = bound_spectrum(v2, k + 1)
     tol = 1e-6 * cfg.omega
-    report = check_degeneracy(s1, s2, tol)
+    report = check_degeneracy(s1, s2)
 
     scalars = (
         _gate_below("max_paired_gap", report.max_gap, tol),
@@ -331,8 +330,8 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     return _result(cfg, "eta-sweep", scalars, tables)
 
 
-def _bdag_errors(psi, spec, units, W):
-    approx = interferometric_B_dag(psi, spec, units)
+def _bdag_errors(psi, bench, W):
+    approx = interferometric_B_dag(psi, bench)
     target = apply_B_dag(psi, W)
     diff = approx.values - target.values
     ref = norm(target)
@@ -356,13 +355,13 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
     grid, W, psi0, units = run.grid, run.W, run.psi0, run.units
     aperture_m = run.spec.aperture_m
 
-    spec_ref = calibrate_interferometer(run.spec, grid, units)
-    spec_red = calibrate_interferometer(run.reduced_spec, grid, units)
+    bench_ref = calibrate_interferometer(run.spec, grid, units)
+    bench_red = calibrate_interferometer(run.reduced_spec, grid, units)
     # one case per row: reference, reduced, then the battery at the reference focus
     n_batt = len(run.battery)
-    specs = [spec_ref, spec_red] + [spec_ref] * n_batt
-    cases = [_bdag_errors(psi, spec, units, W)
-             for psi, spec in zip([psi0, psi0, *run.battery], specs)]
+    benches = [bench_ref, bench_red] + [bench_ref] * n_batt
+    cases = [_bdag_errors(psi, bench, W)
+             for psi, bench in zip([psi0, psi0, *run.battery], benches)]
     approx, target = cases[0][:2]
     errs = np.array([case[2:] for case in cases])
     (rel_ref, max_ref, infid_ref), (rel_red, _, _) = errs[:2].tolist()
@@ -396,12 +395,11 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
     errors = _table(
         "errors", ("figure of merit f^2/rho^2 uses the aperture half-width as rho",),
         case=["reference", "reduced"] + [f"battery_{i}" for i in range(n_batt)],
-        f_m=[spec.focal_length_m for spec in specs],
+        f_m=[bench.spec.focal_length_m for bench in benches],
         rel_l2=errs[:, 0], max_pointwise=errs[:, 1], infidelity=errs[:, 2])
-    lower, upper = interferometer_arm_trains(spec_ref, grid, units)
     texts = (
-        ("arm_derivative_layout", lower.to_layout_text()),
-        ("arm_multiplication_layout", upper.to_layout_text()),
+        ("arm_derivative_layout", bench_ref.derivative_arm.to_layout_text()),
+        ("arm_multiplication_layout", bench_ref.multiplication_arm.to_layout_text()),
     )
     return _result(cfg, "bdag-check", scalars, (profile_table, errors), texts)
 
@@ -502,7 +500,7 @@ def _column_text(column: np.ndarray) -> list:
     return list(map(str, values))
 
 
-def _checked_sheets(result: ScenarioResult) -> tuple:
+def csv_sheets(result: ScenarioResult) -> tuple:
     """The summary of gates and the result's tables, every text cell CSV-safe."""
     scalars = result.scalars
     summary = _table("summary", metric=[s.name for s in scalars],
@@ -530,7 +528,7 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
     text cell is checked before any file is opened, so a result that holds
     a comma or a newline in a cell writes nothing.
     """
-    sheets = _checked_sheets(result)
+    sheets = csv_sheets(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     provenance = [

@@ -20,6 +20,7 @@ that of the row alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import sqrt, tau as two_pi
 
 import numpy as np
@@ -33,9 +34,13 @@ from .errors import (
 
 POSITION = "position"
 MOMENTUM = "momentum"
-FIDELITY_CONVENTIONS = ("modulus", "modulus_squared")
 
 _SQRT_2PI = sqrt(two_pi)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=True)
@@ -45,6 +50,8 @@ class Grid1D:
     The right endpoint is excluded: x_i = x_min + i*dx with dx = (x_max -
     x_min)/n, which is the sampling an FFT expects.  ``p`` holds the conjugate
     momenta 2*pi*j/(n*dx) for j in [-n/2, n/2), in FFT-native storage order.
+    The coordinate arrays and transform phases are computed once per grid
+    and are read-only.
     """
 
     n: int
@@ -59,17 +66,23 @@ class Grid1D:
     def dp(self) -> float:
         return two_pi / (self.n * self.dx)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        xs = self.x_min + self.dx * np.arange(self.n)
-        xs.setflags(write=False)
-        return xs
+        return _frozen(self.x_min + self.dx * np.arange(self.n))
 
-    @property
+    @cached_property
     def p(self) -> np.ndarray:
-        ps = two_pi * np.fft.fftfreq(self.n, d=self.dx)
-        ps.setflags(write=False)
-        return ps
+        return _frozen(two_pi * np.fft.fftfreq(self.n, d=self.dx))
+
+    @cached_property
+    def _unitary_phase(self) -> np.ndarray:
+        """u = (dx / sqrt(2 pi)) exp(-i p x_min): the unitary momentum state is u * fft(psi)."""
+        return _frozen((self.dx / _SQRT_2PI) * np.exp(-1j * self.p * self.x_min))
+
+    @cached_property
+    def _inverse_phase(self) -> np.ndarray:
+        """exp(i p x_min), applied before the inverse FFT."""
+        return _frozen(np.exp(1j * self.p * self.x_min))
 
     def weight(self, representation: str) -> float:
         """Quadrature weight of the given representation (dx or dp)."""
@@ -206,16 +219,11 @@ def normalized(a: WaveFunction) -> WaveFunction:
     return a.with_values(a.values / np.expand_dims(n, -1))
 
 
-def fidelity(a: WaveFunction, b: WaveFunction, convention: str = "modulus"):
-    """Overlap |<a|b>| / (||a|| ||b||), or its square, per row of a stack.
+def fidelity(a: WaveFunction, b: WaveFunction):
+    """Overlap |<a|b>| / (||a|| ||b||), per row of a stack.
 
-    ``convention`` selects "modulus" (default) or "modulus_squared".  Both
-    are insensitive to global phase and to the input norms.
+    Insensitive to global phase and to the input norms.
     """
-    if convention not in FIDELITY_CONVENTIONS:
-        raise ConfigurationError(
-            f"unknown fidelity convention {convention!r}; "
-            f"use one of {FIDELITY_CONVENTIONS}")
     na, nb = norm(a), norm(b)
     if np.any(np.equal(na, 0.0)) or np.any(np.equal(nb, 0.0)):
         raise DegenerateStateError("fidelity of a zero-norm field is undefined")
@@ -224,12 +232,7 @@ def fidelity(a: WaveFunction, b: WaveFunction, convention: str = "modulus"):
     f = np.hypot(overlap.real, overlap.imag) / (na * nb)
     # clip the rounding overshoot so downstream 1 - F stays signed correctly
     f = np.minimum(f, 1.0)
-    return _per_state(f * f if convention == "modulus_squared" else f)
-
-
-def _unitary_phase(g: Grid1D) -> np.ndarray:
-    """u = (dx / sqrt(2 pi)) exp(-i p x_min): the unitary momentum state is u * fft(psi)."""
-    return (g.dx / _SQRT_2PI) * np.exp(-1j * g.p * g.x_min)
+    return _per_state(f)
 
 
 def to_momentum(psi: WaveFunction) -> WaveFunction:
@@ -242,7 +245,7 @@ def to_momentum(psi: WaveFunction) -> WaveFunction:
     if psi.representation == MOMENTUM:
         raise ContractError("state is already in the momentum representation")
     g = psi.grid
-    vals = _unitary_phase(g) * np.fft.fft(psi.values)
+    vals = g._unitary_phase * np.fft.fft(psi.values)
     return WaveFunction(g, vals, MOMENTUM)
 
 
@@ -251,7 +254,7 @@ def to_position(psi: WaveFunction) -> WaveFunction:
     if psi.representation == POSITION:
         raise ContractError("state is already in the position representation")
     g = psi.grid
-    vals = (_SQRT_2PI / g.dx) * np.fft.ifft(np.exp(1j * g.p * g.x_min) * psi.values)
+    vals = (_SQRT_2PI / g.dx) * np.fft.ifft(g._inverse_phase * psi.values)
     return WaveFunction(g, vals, POSITION)
 
 
@@ -289,8 +292,7 @@ def gaussian_packet(grid: Grid1D, center: float = 0.0, width: float = 1.0,
     return WaveFunction(grid, vals, POSITION)
 
 
-def make_random_states(grid, count, seed, center=0.0, width=1.0, modes=4,
-                       decay=0.8):
+def make_random_states(grid, count, seed, center=0.0, width=1.0):
     """Smooth random test states: Gaussian-enveloped Hermite superpositions.
 
     Band-limited by construction (polynomial times Gaussian), so ladder
@@ -298,6 +300,8 @@ def make_random_states(grid, count, seed, center=0.0, width=1.0, modes=4,
     states would probe the discretization, not the physics.  Coefficients
     are complex normal with geometric damping `decay` per mode.
     """
+    modes = 4  # Hermite orders 0..4
+    decay = 0.8
     if count < 1:
         raise ConfigurationError(f"battery needs at least one state, got {count}")
     if seed < 0:

@@ -13,9 +13,11 @@ by free-space gaps.  The non-unitary ladder operator B+ is assembled from a
 two-arm interferometer: a derivative arm (two cascaded f-lens-f Fourier
 stages with a linear amplitude ramp in the shared focal plane, then a parity
 stage) and a multiplication arm (an amplitude mask shaped like the
-superpotential between two parity stages).  Summing the arms with a
-calibrated relative phase and dividing the known gain sqrt(2)*alpha yields
-B+ psi.
+superpotential between two parity stages).  `calibrate_interferometer`
+fixes the gain alpha, builds both arm trains and trims their relative
+phase once per spec and grid; `interferometric_B_dag` then applies that
+calibrated object to any number of states, summing the arms and dividing
+the known gain sqrt(2)*alpha to yield B+ psi.
 
 All fields here are WaveFunction values on the dimensionless grid; `units`
 carries the physical scale.  Functions that take durations expect them
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,10 +78,9 @@ def map_distance_to_time(z_m: float, units: PhysicalUnits) -> float:
     return z_m / (units.k * units.x0_m**2)
 
 
-def spot_size(psi: WaveFunction, fraction: float = 0.9999) -> float:
-    """Half-width (in grid units) of the interval around x=0 holding `fraction` of the mass."""
-    if not 0 < fraction < 1:
-        raise ConfigurationError(f"fraction must be in (0, 1), got {fraction}")
+def spot_size(psi: WaveFunction) -> float:
+    """Half-width (in grid units) of the interval around x=0 holding 99.99% of the mass."""
+    fraction = 0.9999
     weights = np.abs(psi.values) ** 2
     total = float(weights.sum())
     if total == 0.0:
@@ -313,29 +314,21 @@ def compile_trotter_train(plan, V, units: PhysicalUnits) -> OpticalTrain:
 
 @dataclass(frozen=True)
 class InterferometerSpec:
-    """Two-arm layout synthesizing B+: geometry, gain, and calibration state.
+    """Two-arm layout synthesizing B+: the geometry a config sets.
 
-    alpha is the dimensionless common gain of both arm modulators (None
-    selects 95% of the passivity bound automatically).  calibration_phase
-    is the relative phase applied to the derivative arm before the arms are
-    summed; None means not yet calibrated.  parity_mode chooses how parity
-    stages are modeled: "ideal" exact inversions (default) or "fresnel"
-    full two-lens 4f relays.
+    parity_mode chooses how parity stages are modeled: "ideal" exact
+    inversions (default) or "fresnel" full two-lens 4f relays.
     """
 
     superpotential: object
     focal_length_m: float
     aperture_m: float
-    alpha: float | None = None
-    calibration_phase: float | None = None
     parity_mode: str = "ideal"
 
     def __post_init__(self):
         # the lens and the focal gap of its Fourier stages own f and the aperture
         ThinLens(self.focal_length_m, self.aperture_m)
         FreeSpace(self.focal_length_m)
-        if self.alpha is not None and not self.alpha > 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
         if self.parity_mode not in PARITY_MODES:
             raise ConfigurationError(
                 f"parity_mode must be one of {PARITY_MODES}, got {self.parity_mode!r}")
@@ -367,17 +360,6 @@ def alpha_passivity_bound(spec: InterferometerSpec, grid: Grid1D,
     return min(bounds)
 
 
-def _resolve_alpha(spec: InterferometerSpec, grid: Grid1D, units: PhysicalUnits) -> float:
-    bound = alpha_passivity_bound(spec, grid, units)
-    if spec.alpha is None:
-        return 0.95 * bound
-    if spec.alpha > bound:
-        raise ConfigurationError(
-            f"alpha = {spec.alpha:.6e} drives a modulator past unit magnitude; "
-            f"reduce alpha to at most {bound:.6e}")
-    return float(spec.alpha)
-
-
 def _fourier_stage(f_m: float, aperture_m: float):
     # front focal plane -> back focal plane: exact scaled Fourier transform
     return [FreeSpace(f_m), ThinLens(f_m, aperture_m), FreeSpace(f_m)]
@@ -406,10 +388,9 @@ def _upper_frame_constant(spec: InterferometerSpec, units: PhysicalUnits) -> com
     return complex(relay * relay)
 
 
-def interferometer_arm_trains(spec: InterferometerSpec, grid: Grid1D,
-                              units: PhysicalUnits) -> tuple:
+def _arm_trains(spec: InterferometerSpec, grid: Grid1D, units: PhysicalUnits,
+                alpha: float) -> tuple:
     """(derivative_arm, multiplication_arm) as simulatable OpticalTrains."""
-    alpha = _resolve_alpha(spec, grid, units)
     a_grid = spec.aperture_m / units.x0_m
     tau_f = map_distance_to_time(spec.focal_length_m, units)
     inside = np.abs(grid.x) <= a_grid
@@ -430,54 +411,69 @@ def interferometer_arm_trains(spec: InterferometerSpec, grid: Grid1D,
     return lower, upper
 
 
-def _simulate_arms(psi: WaveFunction, spec: InterferometerSpec,
-                   units: PhysicalUnits) -> tuple:
-    lower_train, upper_train = interferometer_arm_trains(spec, psi.grid, units)
-    frame = _upper_frame_constant(spec, units)
-    lower = simulate_train(psi, lower_train).values / frame
-    upper = simulate_train(psi, upper_train).values / frame
-    return lower, upper
+def _arm_outputs(psi: WaveFunction, spec: InterferometerSpec, arms: tuple) -> list:
+    """Each arm's output for psi, in the frame of the multiplication arm."""
+    frame = _upper_frame_constant(spec, arms[0].units)
+    return [simulate_train(psi, arm).values / frame for arm in arms]
+
+
+@dataclass(frozen=True)
+class CalibratedInterferometer:
+    """A spec on one grid with its gain, arm trains and relative arm phase fixed.
+
+    Made by `calibrate_interferometer`; `interferometric_B_dag` applies it
+    to any number of states on that grid.
+    """
+
+    spec: InterferometerSpec
+    grid: Grid1D
+    alpha: float
+    derivative_arm: OpticalTrain
+    multiplication_arm: OpticalTrain
+    phase: float
 
 
 def calibrate_interferometer(spec: InterferometerSpec, grid: Grid1D,
-                             units: PhysicalUnits) -> InterferometerSpec:
-    """Fix the relative arm phase on a reference field; also pins alpha.
+                             units: PhysicalUnits) -> CalibratedInterferometer:
+    """Pin the gain and the relative arm phase of spec on grid.
 
-    The derivative arm emerges with a unit-modulus constant attached (a
-    real Fourier-plane ramp synthesizes the derivative only up to a
-    quadrature phase, and its relay adds path phase).  One least-squares
-    phase against the algebraic target on the centered unit Gaussian pins
-    it, mirroring the path-length trim of a physical interferometer.
+    The gain alpha is 95% of the passivity bound, and both arm trains are
+    built once with it.  The derivative arm emerges with a unit-modulus
+    constant attached (a real Fourier-plane ramp synthesizes the derivative
+    only up to a quadrature phase, and its relay adds path phase).  One
+    least-squares phase against the algebraic target on the centered unit
+    Gaussian pins it, mirroring the path-length trim of a physical
+    interferometer.
     """
+    alpha = 0.95 * alpha_passivity_bound(spec, grid, units)
+    arms = _arm_trains(spec, grid, units, alpha)
     reference = gaussian_packet(grid)
-    alpha = _resolve_alpha(spec, grid, units)
-    pinned = replace(spec, alpha=alpha)
-    lower, upper = _simulate_arms(reference, pinned, units)
+    lower, upper = _arm_outputs(reference, spec, arms)
     target = math.sqrt(2.0) * alpha * apply_B_dag(
         reference, spec.superpotential).values - upper
     overlap = np.vdot(lower, target)
     if abs(overlap) < 1e-300:
         raise NumericalError(
             "calibration reference produces no derivative-arm signal")
-    return replace(pinned, calibration_phase=float(np.angle(overlap)))
+    return CalibratedInterferometer(spec, grid, alpha, *arms,
+                                    float(np.angle(overlap)))
 
 
-def interferometric_B_dag(psi: WaveFunction, spec: InterferometerSpec,
-                          units: PhysicalUnits) -> WaveFunction:
-    """Assemble B+ psi from the two simulated arms.
+def interferometric_B_dag(psi: WaveFunction,
+                          calibrated: CalibratedInterferometer) -> WaveFunction:
+    """Assemble B+ psi from the two simulated arms of a calibrated interferometer.
 
     Both arms are propagated element by element; the derivative arm gets
     the calibration phase, the arms are summed, and the known gain
     sqrt(2)*alpha is divided out.  The output approximates apply_B_dag(psi)
-    and is unnormalized like it.  Uncalibrated specs are calibrated on the
-    fly against a centered reference Gaussian.
+    and is unnormalized like it.
     """
     if psi.representation != POSITION:
         raise ContractError("interferometric_B_dag expects a position-space field")
-    if spec.calibration_phase is None or spec.alpha is None:
-        spec = calibrate_interferometer(spec, psi.grid, units)
-    alpha = _resolve_alpha(spec, psi.grid, units)
-    lower, upper = _simulate_arms(psi, spec, units)
-    combined = (upper + np.exp(1j * spec.calibration_phase) * lower) \
-        / (math.sqrt(2.0) * alpha)
+    if psi.grid != calibrated.grid:
+        raise ContractError("interferometer was calibrated on a different grid")
+    lower, upper = _arm_outputs(psi, calibrated.spec, (
+        calibrated.derivative_arm, calibrated.multiplication_arm))
+    combined = (upper + np.exp(1j * calibrated.phase) * lower) \
+        / (math.sqrt(2.0) * calibrated.alpha)
     return psi.with_values(combined)

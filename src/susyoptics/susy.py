@@ -233,8 +233,7 @@ def _uncaptured(vecs: np.ndarray, states) -> float:
     return float(np.max(lost / np.linalg.norm(parts.reshape(n, -1, 2), axis=(0, 2))))
 
 
-def _band_eigenpairs(V: PotentialField, k: int | None = None, states: tuple = (),
-                     residual_tol: float = RESIDUAL_TOL):
+def _band_eigenpairs(V: PotentialField, k: int | None = None, states: tuple = ()):
     """Eigenpairs of `dense_hamiltonian(V)` from the occupied Fourier band.
 
     The band is that of a coarser grid over the same box: V is sampled at
@@ -242,7 +241,7 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None, states: tuple = ()
     the eigenvectors are carried back by trigonometric interpolation.  On
     the full grid each pair then gets its Rayleigh-quotient energy and the
     matrix-free residual ||H v - E v||, which must stay within
-    `residual_tol`.  With `k`, the k lowest pairs must all pass; with
+    RESIDUAL_TOL.  With `k`, the k lowest pairs must all pass; with
     `states`, every pair of the coarse grid is tried, the passing ones are
     kept as Q, and each state must satisfy ||psi - Q Q^T psi|| <=
     CAPTURE_TOL ||psi||.  s is halved until this holds; s = 1 is the
@@ -270,19 +269,19 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None, states: tuple = ()
         energies = np.einsum("ij,ij->j", vecs, hv)
         resid = np.linalg.norm(hv - vecs * energies, axis=0)
         if k is None:
-            ok = resid <= residual_tol
+            ok = resid <= RESIDUAL_TOL
             vecs, energies, resid = vecs[:, ok], energies[ok], resid[ok]
             worst = _uncaptured(vecs, states)
             if worst <= CAPTURE_TOL:
                 return energies, vecs, resid, m, worst
         else:
             worst = float(resid.max())
-            if worst <= residual_tol:
+            if worst <= RESIDUAL_TOL:
                 return energies, vecs, resid, m, 0.0
     if k is not None:
         raise NumericalError(
             f"eigensolver residual {worst:.3e} exceeds "
-            f"{residual_tol:.1e} on {V.label!r}")
+            f"{RESIDUAL_TOL:.1e} on {V.label!r}")
     raise NumericalError(
         f"verified eigenpairs of {V.label!r} leave {worst:.3e} of a state "
         f"uncaptured (limit {CAPTURE_TOL:.1e})")
@@ -303,12 +302,11 @@ class SpectrumResult:
     label: str = ""
 
 
-def bound_spectrum(V: PotentialField, k: int,
-                   residual_tol: float = RESIDUAL_TOL) -> SpectrumResult:
+def bound_spectrum(V: PotentialField, k: int) -> SpectrumResult:
     """k lowest bound states of p^2/2 + V, the operator of `dense_hamiltonian`.
 
     The pairs come from the occupied Fourier band and every residual
-    ||H v - E v|| is checked on the full grid against `residual_tol`.
+    ||H v - E v|| is checked on the full grid against RESIDUAL_TOL.
     Eigenstates come back quadrature-normalized with a deterministic sign.
     """
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_BOUND_LEVELS:
@@ -318,8 +316,7 @@ def bound_spectrum(V: PotentialField, k: int,
     grid = V.grid
     if k >= grid.n:
         raise ConfigurationError(f"k = {k} requires a grid larger than {grid.n} points")
-    energies, vecs, resid, band, _ = _band_eigenpairs(V, k=int(k),
-                                                      residual_tol=residual_tol)
+    energies, vecs, resid, band, _ = _band_eigenpairs(V, k=int(k))
     # deterministic sign: largest-magnitude component made positive
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])
@@ -335,26 +332,22 @@ class DegeneracyReport:
     pair_count: int
     gaps: np.ndarray
     unpaired_ground: float
-    tol: float
-    passed: bool
 
     @property
     def max_gap(self) -> float:
         return float(self.gaps.max()) if self.pair_count else 0.0
 
 
-def check_degeneracy(s1: SpectrumResult, s2: SpectrumResult, tol: float) -> DegeneracyReport:
+def check_degeneracy(s1: SpectrumResult, s2: SpectrumResult) -> DegeneracyReport:
     """Pair E1_n with E2_(n+1), leaving the ground state of spectrum 2 alone.
 
-    Passes iff every paired gap is at most tol.  The unpaired ground energy
-    is reported, not gated here.
+    The gaps and the unpaired ground energy are reported, not gated here.
     """
     if s1.grid != s2.grid:
         raise ContractError("spectra were computed on different grids")
     m = max(min(len(s1.energies), len(s2.energies) - 1), 0)
     gaps = np.abs(s1.energies[:m] - s2.energies[1:m + 1])
-    passed = bool(np.all(gaps <= tol))
-    return DegeneracyReport(m, gaps, float(s2.energies[0]), float(tol), passed)
+    return DegeneracyReport(m, gaps, float(s2.energies[0]))
 
 
 def zero_mode(W: Superpotential, grid: Grid1D) -> WaveFunction:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import susyoptics as so
-from susyoptics import ConfigurationError, cli, experiments
+from susyoptics import ConfigurationError, cli, experiments, optics
 from susyoptics.config import setup
 from susyoptics.experiments import SCENARIO_RUNNERS, GatedScalar, Table
 
@@ -140,6 +140,17 @@ class TestRunnerStructure:
         assert len(cases) == 2 + small_cfg.battery_size
         assert r.passed
 
+    def test_bdag_calibrates_each_focal_length_once(self, small_cfg, monkeypatch):
+        calls = {"alpha_passivity_bound": 0, "_arm_trains": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(optics, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(optics, name, counted)
+        so.run_bdag_validation(small_cfg)
+        # the reference and the reduced focal length, each calibrated once
+        assert calls == {"alpha_passivity_bound": 2, "_arm_trains": 2}
+
     def test_bench_run_keeps_the_callers_hash(self, small_cfg):
         # the bench frame is built at omega = 1, but provenance is the caller's
         cfg = dataclasses.replace(small_cfg, omega=2.0)
@@ -208,7 +219,8 @@ class TestEmitCsv:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
-    @pytest.mark.parametrize("scenario", ["spectrum", "trotter-convergence"])
+    @pytest.mark.parametrize("scenario", ["spectrum", "trotter-convergence",
+                                          "bdag-check", "eta-sweep"])
     def test_byte_identical_oracle_reruns(self, small_cfg, tmp_path, scenario):
         runs = [so.emit_csv(SCENARIO_RUNNERS[scenario](small_cfg), tmp_path / sub)
                 for sub in ("a", "b")]
@@ -347,6 +359,25 @@ class TestCli:
         assert captured.err == "configuration error: cell value 'a,b' is not CSV-safe\n"
         assert captured.out == ""
         assert not (tmp_path / "r").exists()
+
+    def test_all_writes_nothing_when_a_later_result_is_unsafe(
+            self, small_cfg, tmp_path, capsys, monkeypatch):
+        # trotter-convergence runs last, after every other scenario succeeded
+        def unsafe_runner(cfg):
+            rows = np.rec.fromarrays([np.array(["a,b"])], names=["label"])
+            return dataclasses.replace(so.run_spectrum(cfg),
+                                       scenario="trotter-convergence",
+                                       tables=(Table("odd", rows),))
+
+        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "trotter-convergence",
+                            unsafe_runner)
+        cfg_file = tmp_path / "small.cfg"
+        cfg_file.write_text(so.serialize_config(small_cfg))
+        out = tmp_path / "r"
+        code = cli.main(["all", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 2
+        assert "not CSV-safe" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_exit_two_on_an_eta_range_beyond_its_lattice(self, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"

@@ -26,6 +26,17 @@ def test_grid_arrays_read_only():
         g.p[0] = 0.0
 
 
+def test_grid_arrays_computed_once():
+    g = so.make_grid(64, -1.0, 1.0)
+    for name in ("x", "p", "_unitary_phase", "_inverse_phase"):
+        first = getattr(g, name)
+        assert getattr(g, name) is first
+        assert not first.flags.writeable
+    # equal grids stay equal and hashable with their arrays cached
+    assert g == so.make_grid(64, -1.0, 1.0)
+    assert hash(g) == hash(so.make_grid(64, -1.0, 1.0))
+
+
 @pytest.mark.parametrize("n,lo,hi", [
     (1, -1.0, 1.0),
     (64, 1.0, -1.0),
@@ -110,9 +121,6 @@ def test_reductions_on_a_stack_match_rows(grid, psi0):
             for a, b in zip(stack.values, scaled.values)]),
         ("fidelity", so.fidelity(ref, scaled), [
             so.fidelity(ref, scaled.with_values(v)) for v in scaled.values]),
-        ("fidelity squared", so.fidelity(ref, scaled, "modulus_squared"), [
-            so.fidelity(ref, scaled.with_values(v), "modulus_squared")
-            for v in scaled.values]),
     ]:
         assert isinstance(got, np.ndarray) and got.shape == (3,), name
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14, err_msg=name)
@@ -122,7 +130,6 @@ def test_reductions_on_a_stack_match_rows(grid, psi0):
     assert type(so.norm(psi0)) is float
     assert type(so.inner(psi0, ref)) is complex
     assert type(so.fidelity(psi0, ref)) is float
-    assert type(so.fidelity(psi0, ref, "modulus_squared")) is float
 
 
 def test_reductions_reject_mismatched_stacks(small_grid):
@@ -240,25 +247,10 @@ def test_inner_is_conjugate_linear(grid):
     assert so.inner(a, a.with_values(2j * a.values)) == pytest.approx(2j * so.inner(a, a))
 
 
-@pytest.mark.parametrize("convention,expected", [
-    ("modulus", 1.0),
-    ("modulus_squared", 1.0),
-])
-def test_fidelity_self(grid, psi0, convention, expected):
+def test_fidelity_self(grid, psi0):
     # scaling must not matter: fidelity normalizes internally
     scaled = psi0.with_values(3.7j * psi0.values)
-    assert so.fidelity(psi0, scaled, convention=convention) == pytest.approx(expected, abs=1e-12)
-
-
-def test_fidelity_convention_squares(grid):
-    a = so.gaussian_packet(grid, center=0.0)
-    b = so.gaussian_packet(grid, center=1.0)
-    f = so.fidelity(a, b)
-    f2 = so.fidelity(a, b, convention="modulus_squared")
-    assert 0.0 < f < 1.0
-    assert f2 == pytest.approx(f * f, rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        so.fidelity(a, b, convention="overlap")
+    assert so.fidelity(psi0, scaled) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_zero_state_rejected(small_grid):

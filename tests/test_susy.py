@@ -135,9 +135,10 @@ class TestBoundSpectrum:
         for sa, sb in zip(a.states, b.states):
             np.testing.assert_array_equal(sa.values, sb.values)
 
-    def test_residual_gate_raises(self, v1):
+    def test_residual_gate_raises(self, v1, monkeypatch):
+        monkeypatch.setattr(susy, "RESIDUAL_TOL", 1e-16)
         with pytest.raises(NumericalError):
-            so.bound_spectrum(v1, 4, residual_tol=1e-16)
+            so.bound_spectrum(v1, 4)
 
 
 class TestBandLimitedSolver:
@@ -239,10 +240,10 @@ def test_hamiltonian_matrices_are_symmetric(v1):
 def test_check_degeneracy_pairs_partner_levels(v1, v2):
     s1 = so.bound_spectrum(v1, 8)
     s2 = so.bound_spectrum(v2, 9)
-    report = so.check_degeneracy(s1, s2, tol=1e-6)
+    report = so.check_degeneracy(s1, s2)
     assert report.pair_count == 8
-    assert report.passed
     assert report.max_gap <= 1e-6
+    assert report.max_gap == float(np.max(np.abs(s1.energies - s2.energies[1:])))
     assert abs(report.unpaired_ground) <= 1e-6
 
 
@@ -251,7 +252,7 @@ def test_check_degeneracy_grid_mismatch(v1, small_grid):
     other = so.bound_spectrum(flat, 3)
     mine = so.bound_spectrum(v1, 3)
     with pytest.raises(ContractError):
-        so.check_degeneracy(mine, other, tol=1e-6)
+        so.check_degeneracy(mine, other)
 
 
 class TestHarmonicLimit:
