@@ -24,11 +24,11 @@ and the sample it is producing.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
-split-step factors approximate.  The pairs are diagonalized on the Fourier
-band the states occupy (`susy.bound_spectrum`'s solver) and kept only if
-their residual on the full grid is within tolerance; a state is evolved only
-if those pairs capture it to 1e-8 in relative norm, so the comparison
-isolates the Trotter error with no spatial-discretization floor.
+split-step factors approximate.  The lowest pairs are diagonalized on the
+Fourier band the states occupy (`susy.bound_spectrum`'s solver) and kept
+only if their residual on the full grid is within tolerance; a state is
+evolved only if those pairs capture it to 1e-8 in relative norm, so the
+comparison isolates the Trotter error with no spatial-discretization floor.
 """
 
 from __future__ import annotations
@@ -205,9 +205,10 @@ def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
 class EigenBasis:
     """Verified eigenpairs of the Hamiltonian with the spectral kinetic block.
 
-    Only pairs whose full-grid residual passed are kept.  band_points is the
-    size of the grid they were diagonalized on, and capture_error the
-    largest relative norm of a build state left outside their span.
+    They are the lowest pairs of a band, and only those whose full-grid
+    residual passed are kept.  band_points is the size of the grid they
+    were diagonalized on, and capture_error the largest relative norm of a
+    build state left outside their span.
     """
 
     grid: Grid1D
@@ -221,7 +222,10 @@ def eigenbasis(V: PotentialField, states) -> EigenBasis:
     """Diagonalize once for the given states; reuse across times.
 
     The basis holds the verified eigenpairs (full-grid residual within
-    RESIDUAL_TOL) and captures every state in `states` to CAPTURE_TOL.
+    RESIDUAL_TOL) and captures every state in `states` to CAPTURE_TOL.  The
+    lowest susy.BASIS_PAIRS (128) pairs of a band are solved and verified
+    first; their number doubles while the highest of them still verifies,
+    and the band widens when it stops.
     """
     states = tuple(states)
     if not states:

@@ -50,8 +50,8 @@ class Grid1D:
     The right endpoint is excluded: x_i = x_min + i*dx with dx = (x_max -
     x_min)/n, which is the sampling an FFT expects.  ``p`` holds the conjugate
     momenta 2*pi*j/(n*dx) for j in [-n/2, n/2), in FFT-native storage order.
-    The coordinate arrays and transform phases are computed once per grid
-    and are read-only.
+    The coordinate arrays, the order of the samples by distance from x = 0
+    and the transform phases are computed once per grid and are read-only.
     """
 
     n: int
@@ -73,6 +73,11 @@ class Grid1D:
     @cached_property
     def p(self) -> np.ndarray:
         return _frozen(two_pi * np.fft.fftfreq(self.n, d=self.dx))
+
+    @cached_property
+    def distance_order(self) -> np.ndarray:
+        """Sample indices sorted by |x|, ties in index order."""
+        return _frozen(np.argsort(np.abs(self.x), kind="stable"))
 
     @cached_property
     def _unitary_phase(self) -> np.ndarray:

@@ -85,7 +85,7 @@ def spot_size(psi: WaveFunction) -> float:
     total = float(weights.sum())
     if total == 0.0:
         raise DegenerateStateError("spot size of a zero field is undefined")
-    order = np.argsort(np.abs(psi.grid.x), kind="stable")
+    order = psi.grid.distance_order
     mass = np.cumsum(weights[order]) / total
     idx = int(np.searchsorted(mass, fraction))
     idx = min(idx, psi.grid.n - 1)

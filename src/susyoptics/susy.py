@@ -19,11 +19,12 @@ limit); this is the discretization the split-step propagator and the
 ladder operators share, which is why partner degeneracy holds at the 1e-6
 level, where a central-difference stencil would add O(dx^2) dispersion
 error (~1e-4 on the default grid).  The low states occupy a narrow Fourier
-band, so the matrix is diagonalized on a coarser grid over the same box and
-the eigenvectors are interpolated back; every returned pair is verified
-against the full-grid operator, and the band widens until it passes (the
-full grid is the last resort).  `bound_spectrum` and the propagation oracle
-`evolution.eigenbasis` share this solver.
+band, so only the lowest pairs of a coarser grid over the same box are
+solved and their eigenvectors are interpolated back.  Each of them is
+verified against the full-grid operator; the set of pairs widens while its
+highest pair still verifies, and then the band widens until the check
+passes (the full grid is the last resort).  `bound_spectrum` and the
+propagation oracle `evolution.eigenbasis` share this solver.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ MAX_BOUND_LEVELS = 16
 # that an oracle basis may leave outside its pairs
 RESIDUAL_TOL = 1e-8
 CAPTURE_TOL = 1e-8
+
+# an oracle basis solves this many of a band's lowest pairs first, and twice
+# as many each time the highest of them still verifies
+BASIS_PAIRS = 128
 
 
 @dataclass(frozen=True)
@@ -234,17 +239,18 @@ def _uncaptured(vecs: np.ndarray, states) -> float:
 
 
 def _band_eigenpairs(V: PotentialField, k: int | None = None, states: tuple = ()):
-    """Eigenpairs of `dense_hamiltonian(V)` from the occupied Fourier band.
+    """Lowest eigenpairs of `dense_hamiltonian(V)` from the occupied Fourier band.
 
     The band is that of a coarser grid over the same box: V is sampled at
-    every s-th point (s a power of two dividing n), diagonalized there, and
-    the eigenvectors are carried back by trigonometric interpolation.  On
-    the full grid each pair then gets its Rayleigh-quotient energy and the
-    matrix-free residual ||H v - E v||, which must stay within
-    RESIDUAL_TOL.  With `k`, the k lowest pairs must all pass; with
-    `states`, every pair of the coarse grid is tried, the passing ones are
-    kept as Q, and each state must satisfy ||psi - Q Q^T psi|| <=
-    CAPTURE_TOL ||psi||.  s is halved until this holds; s = 1 is the
+    every s-th point (s a power of two dividing n), the r lowest pairs are
+    solved there, and their eigenvectors are carried back by trigonometric
+    interpolation.  On the full grid each pair then gets its Rayleigh-quotient
+    energy and the matrix-free residual ||H v - E v||, which must stay within
+    RESIDUAL_TOL.  With `k`, r = k and all k pairs must pass.  With
+    `states`, r starts at BASIS_PAIRS, the passing pairs are kept as Q, and
+    each state must satisfy ||psi - Q Q^T psi|| <= CAPTURE_TOL ||psi||;
+    while the highest of the r pairs still passes, the next ones up may pass
+    too, so r doubles on the same band.  Otherwise s is halved; s = 1 is the
     full-grid solve.
 
     Returns (energies, vectors, residuals, band_points, capture_error) with
@@ -258,26 +264,32 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None, states: tuple = ()
         m = n // s
         coarse = PotentialField(Grid1D(m, grid.x_min, grid.x_max),
                                 V.values[::s], V.label)
-        try:
-            _, cvecs = sla.eigh(dense_hamiltonian(coarse),
-                                subset_by_index=None if k is None else (0, k - 1))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed on {V.label!r}: {exc}") from exc
-        vecs = _interpolate(cvecs, n)
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        hv = _apply_hamiltonian(V, vecs)
-        energies = np.einsum("ij,ij->j", vecs, hv)
-        resid = np.linalg.norm(hv - vecs * energies, axis=0)
-        if k is None:
+        h = dense_hamiltonian(coarse)
+        r = k or min(BASIS_PAIRS, m)
+        while True:
+            try:
+                _, cvecs = sla.eigh(h, subset_by_index=(0, r - 1))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"eigensolver failed on {V.label!r}: {exc}") from exc
+            vecs = _interpolate(cvecs, n)
+            vecs = vecs / np.linalg.norm(vecs, axis=0)
+            hv = _apply_hamiltonian(V, vecs)
+            energies = np.einsum("ij,ij->j", vecs, hv)
+            resid = np.linalg.norm(hv - vecs * energies, axis=0)
+            if k is not None:
+                worst = float(resid.max())
+                if worst <= RESIDUAL_TOL:
+                    return energies, vecs, resid, m, 0.0
+                break
             ok = resid <= RESIDUAL_TOL
-            vecs, energies, resid = vecs[:, ok], energies[ok], resid[ok]
-            worst = _uncaptured(vecs, states)
+            kept = vecs[:, ok]
+            worst = _uncaptured(kept, states)
             if worst <= CAPTURE_TOL:
-                return energies, vecs, resid, m, worst
-        else:
-            worst = float(resid.max())
-            if worst <= RESIDUAL_TOL:
-                return energies, vecs, resid, m, 0.0
+                return energies[ok], kept, resid[ok], m, worst
+            if not ok[-1] or r == m:
+                break
+            r = min(2 * r, m)
     if k is not None:
         raise NumericalError(
             f"eigensolver residual {worst:.3e} exceeds "

@@ -37,6 +37,14 @@ def test_grid_arrays_computed_once():
     assert hash(g) == hash(so.make_grid(64, -1.0, 1.0))
 
 
+def test_distance_order_computed_once():
+    g = so.make_grid(64, -1.0, 1.0)
+    order = g.distance_order
+    assert g.distance_order is order
+    assert not order.flags.writeable
+    np.testing.assert_array_equal(order, np.argsort(np.abs(g.x), kind="stable"))
+
+
 @pytest.mark.parametrize("n,lo,hi", [
     (1, -1.0, 1.0),
     (64, 1.0, -1.0),

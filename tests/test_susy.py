@@ -214,8 +214,9 @@ class TestBandLimitedSolver:
         basis = so.eigenbasis(v1, [so.gaussian_packet(grid, -5.0)])
         assert basis.capture_error <= susy.CAPTURE_TOL
 
-    def test_large_grid_builds_no_large_matrix(self, W, monkeypatch):
-        # a full-grid solve at n = 8192 would need a 0.5 GB matrix
+    @pytest.fixture
+    def dense_sizes(self, monkeypatch):
+        # the grid size of every dense H the solver builds
         sizes = []
         build = susy.dense_hamiltonian
 
@@ -224,12 +225,59 @@ class TestBandLimitedSolver:
             return build(V)
 
         monkeypatch.setattr(susy, "dense_hamiltonian", counting_build)
+        return sizes
+
+    def test_large_grid_builds_no_large_matrix(self, W, dense_sizes):
+        # a full-grid solve at n = 8192 would need a 0.5 GB matrix
         grid = so.make_grid(8192, -15.0, 15.0)
         s = so.bound_spectrum(so.partner_potential(W, 1, grid), 8)
-        assert sizes and max(sizes) <= 1024
+        assert dense_sizes and max(dense_sizes) <= 1024
         assert np.all(s.residuals <= 1e-8)
         np.testing.assert_allclose(s.energies[:2], [3.0275104807, 3.0298247861],
                                    rtol=0, atol=1e-9)
+
+    def test_eigenbasis_keeps_what_a_full_band_solve_verifies(self, v2, band_basis):
+        # every pair of the basis's band, verified on the full grid as the
+        # basis verifies its lowest ones
+        n, m = v2.grid.n, band_basis.band_points
+        coarse = so.PotentialField(so.make_grid(m, v2.grid.x_min, v2.grid.x_max),
+                                   v2.values[::n // m])
+        vecs = susy._interpolate(sla.eigh(so.dense_hamiltonian(coarse))[1], n)
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        hv = susy._apply_hamiltonian(v2, vecs)
+        energies = np.einsum("ij,ij->j", vecs, hv)
+        ok = np.linalg.norm(hv - vecs * energies, axis=0) <= susy.RESIDUAL_TOL
+        assert band_basis.vectors.shape[1] == np.count_nonzero(ok)
+        np.testing.assert_allclose(band_basis.energies, energies[ok],
+                                   rtol=0, atol=1e-10)
+
+    def test_pairs_double_while_the_highest_verifies(self, grid, dense_sizes):
+        # on a flat box every plane wave of a band verifies, so a fast packet
+        # needs more than the first solve's pairs; one H is built per band
+        flat = so.PotentialField(grid, np.zeros(grid.n), label="flat")
+        packet = so.gaussian_packet(grid, center=-5.0, momentum=40.0)
+        basis = so.eigenbasis(flat, [packet])
+        assert basis.vectors.shape[1] > 128
+        assert len(dense_sizes) == len(set(dense_sizes))
+        exact = so.exact_evolve(packet, flat, 0.2, basis=basis)
+        np.testing.assert_allclose(exact.values, so.kinetic_step(packet, 0.2).values,
+                                   rtol=0, atol=1e-12)
+
+    def test_bases_interpolate_only_the_low_pairs(self, basis_v1, basis_v2,
+                                                  monkeypatch):
+        # the 2048-point fallback of the fixtures keeps a few hundred pairs at most
+        assert basis_v1.vectors.shape[1] <= 256
+        assert basis_v2.vectors.shape[1] <= 256
+        widths = []
+        interpolate = susy._interpolate
+
+        def counting_interpolate(vecs, n):
+            widths.append(vecs.shape[1])
+            return interpolate(vecs, n)
+
+        monkeypatch.setattr(susy, "_interpolate", counting_interpolate)
+        so.run_trotter_convergence(so.parse_config(None))
+        assert widths and max(widths) <= 128
 
 
 def test_hamiltonian_matrices_are_symmetric(v1):
