@@ -95,4 +95,31 @@ from .susy import (
     zero_mode,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "__version__",
+    "ExperimentConfig", "config_hash", "parse_config", "serialize_config",
+    "ConfigurationError", "ContractError", "DegenerateStateError",
+    "NumericalError", "ParaxialWarning", "SamplingError",
+    "SimulationError",
+    "ConvergenceScan", "EigenBasis", "EvolutionTrace", "TrotterPlan",
+    "eigenbasis", "exact_evolve", "fit_loglog_slope", "kinetic_step",
+    "potential_step", "trotter_convergence_scan", "trotter_evolve",
+    "trotter_states",
+    "GatedScalar", "ScenarioResult", "Table", "emit_csv", "run_all",
+    "run_bdag_validation", "run_eta_sweep", "run_spectrum",
+    "run_susy_check", "run_trotter_convergence",
+    "MOMENTUM", "POSITION", "Grid1D", "WaveFunction", "fidelity",
+    "gaussian_packet", "inner", "make_grid", "make_random_states", "norm",
+    "normalized", "sample", "spectral_derivative", "to_momentum",
+    "to_position",
+    "AmplitudeModulator", "CalibratedInterferometer", "FreeSpace",
+    "InterferometerSpec", "OpticalTrain", "ParityFlip", "PhasePlate",
+    "PhysicalUnits", "ThinLens", "alpha_passivity_bound",
+    "calibrate_interferometer", "compile_trotter_train",
+    "interferometric_B_dag", "map_distance_to_time",
+    "map_time_to_distance", "simulate_train", "spot_size",
+    "DegeneracyReport", "PotentialField", "SpectrumResult",
+    "Superpotential", "apply_B", "apply_B_dag", "bound_spectrum",
+    "check_degeneracy", "dense_hamiltonian", "eta_potential",
+    "partner_potential", "zero_mode",
+]

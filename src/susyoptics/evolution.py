@@ -206,16 +206,21 @@ class EigenBasis:
     """Verified eigenpairs of the Hamiltonian with the spectral kinetic block.
 
     They are the lowest pairs of a band, and only those whose full-grid
-    residual passed are kept.  band_points is the size of the grid they
-    were diagonalized on, and capture_error the largest relative norm of a
-    build state left outside their span.
+    residual passed are kept.  potential is the field they diagonalize,
+    band_points the size of the grid they were diagonalized on, and
+    capture_error the largest relative norm of a build state left outside
+    their span.
     """
 
-    grid: Grid1D
+    potential: PotentialField
     energies: np.ndarray
     vectors: np.ndarray  # n x r; column j: unit 2-norm eigenvector
     band_points: int
     capture_error: float
+
+    @property
+    def grid(self) -> Grid1D:
+        return self.potential.grid
 
 
 def eigenbasis(V: PotentialField, states) -> EigenBasis:
@@ -235,7 +240,7 @@ def eigenbasis(V: PotentialField, states) -> EigenBasis:
     if any(psi.values.ndim != 1 for psi in states) or V.values.ndim != 1:
         raise ContractError("eigenbasis takes single states and one potential")
     energies, vectors, _, band, capture = _band_eigenpairs(V, states=states)
-    return EigenBasis(V.grid, energies, vectors, band, capture)
+    return EigenBasis(V, energies, vectors, band, capture)
 
 
 def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
@@ -244,7 +249,8 @@ def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
 
     Step-size free; accuracy is limited only by the spatial discretization.
     Negative t runs the evolution backwards (used by reversal checks).  A
-    state the basis does not capture to CAPTURE_TOL raises NumericalError.
+    basis built for another potential raises ContractError, and a state the
+    basis does not capture to CAPTURE_TOL raises NumericalError.
     """
     if psi.representation != POSITION or psi.values.ndim != 1:
         raise ContractError("exact_evolve expects a single position-space state")
@@ -254,6 +260,9 @@ def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
         basis = eigenbasis(V, [psi])
     elif basis.grid != V.grid:
         raise ContractError("eigenbasis was computed on a different grid")
+    elif not np.array_equal(basis.potential.values, V.values):
+        raise ContractError(f"eigenbasis was computed for {basis.potential.label!r}, "
+                            f"a potential other than {V.label!r}")
     q = basis.vectors
     lost = _uncaptured(q, [psi])
     if not lost <= CAPTURE_TOL:

@@ -25,6 +25,10 @@ verified against the full-grid operator; the set of pairs widens while its
 highest pair still verifies, and then the band widens until the check
 passes (the full grid is the last resort).  `bound_spectrum` and the
 propagation oracle `evolution.eigenbasis` share this solver.
+
+The module needs only numpy until the solver runs: scipy.linalg (for an
+index-subset `eigh`) is imported inside it, so runs that never diagonalize
+never load scipy.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.special import erf
 
 from .errors import ConfigurationError, ContractError, NumericalError
 from .grids import (
@@ -195,9 +197,12 @@ def dense_hamiltonian(V: PotentialField) -> np.ndarray:
     second-order stencil.
     """
     g = V.grid
-    kernel = np.fft.ifft(0.5 * g.p**2)
-    kin = sla.circulant(np.real(kernel))  # imaginary part is rounding noise
-    h = kin + np.diag(V.values)
+    kernel = np.real(np.fft.ifft(0.5 * g.p**2))  # imaginary part is rounding noise
+    # the circulant, entry (i, j) = kernel[(i - j) % n], as a view of the
+    # n windows of kernel[1:] + kernel read backwards; the sum copies it once
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((kernel[1:], kernel)), g.n)
+    h = windows[:, ::-1] + np.diag(V.values)
     return 0.5 * (h + h.T)
 
 
@@ -256,6 +261,9 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None, states: tuple = ()
     Returns (energies, vectors, residuals, band_points, capture_error) with
     unit 2-norm vectors as the columns of an n x r array.
     """
+    # imported here so that runs which never diagonalize never load scipy
+    from scipy import linalg as sla
+
     grid = V.grid
     n = grid.n
     strides = [2**j for j in range(n.bit_length())
@@ -321,6 +329,8 @@ def bound_spectrum(V: PotentialField, k: int) -> SpectrumResult:
     ||H v - E v|| is checked on the full grid against RESIDUAL_TOL.
     Eigenstates come back quadrature-normalized with a deterministic sign.
     """
+    if V.values.ndim != 1:
+        raise ContractError("bound_spectrum takes one potential, not a stack")
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_BOUND_LEVELS:
         raise ConfigurationError(
             f"k must be an integer in [1, {MAX_BOUND_LEVELS}], got {k!r} "
@@ -370,6 +380,7 @@ def zero_mode(W: Superpotential, grid: Grid1D) -> WaveFunction:
     the trap-plus-barrier form is analytic.
     """
     s = W.sigma
+    erf = np.vectorize(math.erf, otypes=[float])
     anti = math.sqrt(W.omega) * (
         grid.x**2 / (2.0 * W.x0)
         + W.amplitude * s * math.sqrt(math.pi) * erf(grid.x / (2.0 * s)))

@@ -260,6 +260,18 @@ class TestExactEvolve:
         with pytest.raises(ContractError):
             so.exact_evolve(other, v2, 1.0)
 
+    def test_basis_of_another_potential_raises(self, W, grid, v2, psi0, basis_v1,
+                                               basis_v2):
+        with pytest.raises(ContractError, match="potential other than 'V2'"):
+            so.exact_evolve(psi0, v2, 1.0, basis=basis_v1)
+        with pytest.raises(ContractError, match="potential other than 'V2'"):
+            so.trotter_convergence_scan(psi0, v2, 1.0, (8, 16), basis=basis_v1)
+        rebuilt = so.partner_potential(W, 2, grid)
+        assert rebuilt.values is not basis_v2.potential.values
+        np.testing.assert_array_equal(
+            so.exact_evolve(psi0, rebuilt, 1.0, basis=basis_v2).values,
+            so.exact_evolve(psi0, v2, 1.0, basis=basis_v2).values)
+
     def test_uncaptured_state_raises(self, v2, psi0):
         # a fast packet lies outside the band of a basis built for psi0
         basis = so.eigenbasis(v2, [psi0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg as sla
+from scipy.special import erf
 
 import susyoptics as so
 from susyoptics import ConfigurationError, ContractError, NumericalError, susy
@@ -107,6 +108,15 @@ class TestLadderOperators:
         assert so.norm(z0) == pytest.approx(1.0, abs=1e-12)
         assert so.norm(so.apply_B(z0, W)) < 1e-8
 
+    def test_zero_mode_matches_scipy_erf_reference(self, grid, W):
+        s = W.sigma
+        anti = math.sqrt(W.omega) * (
+            grid.x**2 / (2.0 * W.x0)
+            + W.amplitude * s * math.sqrt(math.pi) * erf(grid.x / (2.0 * s)))
+        ref = so.normalized(so.WaveFunction(grid, np.exp(-(anti - anti.min()))))
+        np.testing.assert_allclose(so.zero_mode(W, grid).values, ref.values,
+                                   rtol=0, atol=1e-14)
+
 
 def test_zero_mode_is_partner_ground_state(grid, W, v2):
     z0 = so.zero_mode(W, grid)
@@ -134,6 +144,11 @@ class TestBoundSpectrum:
         b = so.bound_spectrum(v1, 3)
         for sa, sb in zip(a.states, b.states):
             np.testing.assert_array_equal(sa.values, sb.values)
+
+    def test_potential_stack_rejected(self, W, grid):
+        stack = so.eta_potential(W, np.linspace(-2.0, 2.0, 4), grid)
+        with pytest.raises(ContractError, match="takes one potential"):
+            so.bound_spectrum(stack, 2)
 
     def test_residual_gate_raises(self, v1, monkeypatch):
         monkeypatch.setattr(susy, "RESIDUAL_TOL", 1e-16)
@@ -283,6 +298,13 @@ class TestBandLimitedSolver:
 def test_hamiltonian_matrices_are_symmetric(v1):
     dense = so.dense_hamiltonian(v1)
     np.testing.assert_array_equal(dense, dense.T)
+
+
+@pytest.mark.parametrize("n", [256, 255])
+def test_dense_hamiltonian_is_the_symmetrized_circulant(W, n):
+    v = so.partner_potential(W, 1, so.Grid1D(n, -15.0, 15.0))
+    h = sla.circulant(np.real(np.fft.ifft(0.5 * v.grid.p**2))) + np.diag(v.values)
+    np.testing.assert_array_equal(so.dense_hamiltonian(v), 0.5 * (h + h.T))
 
 
 def test_check_degeneracy_pairs_partner_levels(v1, v2):
