@@ -24,11 +24,11 @@ and the sample it is producing.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
-split-step factors approximate.  The lowest pairs are diagonalized on the
-Fourier band the states occupy (`susy.bound_spectrum`'s solver) and kept
-only if their residual on the full grid is within tolerance; a state is
-evolved only if those pairs capture it to 1e-8 in relative norm, so the
-comparison isolates the Trotter error with no spatial-discretization floor.
+split-step factors approximate.  The lowest quarter of the pairs of the
+Fourier band the states occupy are diagonalized (`susy.bound_spectrum`'s
+solver); a state is evolved only if an a-posteriori bound on the error of
+its evolved expansion is within 1e-8 of its norm, so the comparison
+isolates the Trotter error with no spatial-discretization floor.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, NumericalError
+from .errors import ConfigurationError, ContractError, DegenerateStateError, NumericalError
 from .grids import (
     MOMENTUM,
     POSITION,
@@ -46,7 +46,7 @@ from .grids import (
     fidelity,
     norm,
 )
-from .susy import CAPTURE_TOL, PotentialField, _band_eigenpairs, _uncaptured
+from .susy import PotentialField, _band_eigenpairs, _oracle_coefficients
 
 ORDERS = ("first", "second")
 
@@ -203,44 +203,52 @@ def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Verified eigenpairs of the Hamiltonian with the spectral kinetic block.
+    """Eigenpairs of the Hamiltonian with the spectral kinetic block.
 
-    They are the lowest pairs of a band, and only those whose full-grid
-    residual passed are kept.  potential is the field they diagonalize,
-    band_points the size of the grid they were diagonalized on, and
-    capture_error the largest relative norm of a build state left outside
-    their span.
+    They are the lowest quarter of a band's pairs, each with its full-grid
+    residual.  potential is the field they diagonalize, band_points the size
+    of the grid they were diagonalized on, and error_bound the largest bound
+    on the relative error of a build state evolved over the build time.
     """
 
     potential: PotentialField
     energies: np.ndarray
     vectors: np.ndarray  # n x r; column j: unit 2-norm eigenvector
+    residuals: np.ndarray
     band_points: int
-    capture_error: float
+    error_bound: float
 
     @property
     def grid(self) -> Grid1D:
         return self.potential.grid
 
 
-def eigenbasis(V: PotentialField, states) -> EigenBasis:
-    """Diagonalize once for the given states; reuse across times.
-
-    The basis holds the verified eigenpairs (full-grid residual within
-    RESIDUAL_TOL) and captures every state in `states` to CAPTURE_TOL.  The
-    lowest susy.BASIS_PAIRS (128) pairs of a band are solved and verified
-    first; their number doubles while the highest of them still verifies,
-    and the band widens when it stops.
-    """
+def _oracle_states(V: PotentialField, states) -> np.ndarray:
+    """The (m, n) values of single position-space states the oracle may evolve."""
     states = tuple(states)
     if not states:
         raise ContractError("eigenbasis needs the states it has to evolve")
     if any(psi.grid != V.grid for psi in states):
         raise ContractError("state and potential live on different grids")
-    if any(psi.values.ndim != 1 for psi in states) or V.values.ndim != 1:
-        raise ContractError("eigenbasis takes single states and one potential")
-    energies, vectors, _, band, capture = _band_eigenpairs(V, states=states)
-    return EigenBasis(V, energies, vectors, band, capture)
+    if V.values.ndim != 1 or any(psi.values.ndim != 1 or psi.representation != POSITION
+                                 for psi in states):
+        raise ContractError("the oracle takes single position-space states and one potential")
+    values = np.stack([psi.values for psi in states])
+    if not np.all(np.any(values, axis=1)):
+        raise DegenerateStateError("the oracle cannot evolve a zero-norm state")
+    return values
+
+
+def eigenbasis(V: PotentialField, states, t: float) -> EigenBasis:
+    """Diagonalize once for the given states; reuse across times up to |t|.
+
+    The basis is that of the coarsest band whose pairs bound the error of
+    every state in `states`, evolved over time t, to 1e-8 of its norm.
+    """
+    values = _oracle_states(V, states)
+    energies, vectors, residuals, band = _band_eigenpairs(V, values=values, t=t)
+    _, bound = _oracle_coefficients(vectors, residuals, values, t, V.label)
+    return EigenBasis(V, energies, vectors, residuals, band, bound)
 
 
 def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
@@ -249,29 +257,19 @@ def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
 
     Step-size free; accuracy is limited only by the spatial discretization.
     Negative t runs the evolution backwards (used by reversal checks).  A
-    basis built for another potential raises ContractError, and a state the
-    basis does not capture to CAPTURE_TOL raises NumericalError.
+    basis built for another potential raises ContractError, and a state
+    whose error bound at this t exceeds 1e-8 raises NumericalError.
     """
-    if psi.representation != POSITION or psi.values.ndim != 1:
-        raise ContractError("exact_evolve expects a single position-space state")
-    if psi.grid != V.grid:
-        raise ContractError("state and potential live on different grids")
+    values = _oracle_states(V, [psi])
     if basis is None:
-        basis = eigenbasis(V, [psi])
-    elif basis.grid != V.grid:
-        raise ContractError("eigenbasis was computed on a different grid")
-    elif not np.array_equal(basis.potential.values, V.values):
+        basis = eigenbasis(V, [psi], t)
+    elif basis.grid != V.grid or not np.array_equal(basis.potential.values, V.values):
         raise ContractError(f"eigenbasis was computed for {basis.potential.label!r}, "
                             f"a potential other than {V.label!r}")
     q = basis.vectors
-    lost = _uncaptured(q, [psi])
-    if not lost <= CAPTURE_TOL:
-        raise NumericalError(
-            f"eigenbasis leaves {lost:.3e} of the state uncaptured "
-            f"(limit {CAPTURE_TOL:.1e}); build it for this state")
+    coeff, _ = _oracle_coefficients(q, basis.residuals, values, t, V.label)
+    phased = np.exp(-1j * basis.energies * t) * coeff[:, 0]
     # q is real: real products spare the complex copy a mixed product makes
-    coeff = q.T @ psi.values.real + 1j * (q.T @ psi.values.imag)
-    phased = np.exp(-1j * basis.energies * t) * coeff
     return psi.with_values(q @ phased.real + 1j * (q @ phased.imag))
 
 
@@ -301,8 +299,6 @@ def trotter_convergence_scan(psi: WaveFunction, V: PotentialField, t: float,
             f"steps_list must be ascending positive integers, got {steps_list!r}")
     if t <= 0:
         raise ConfigurationError(f"total time must be positive, got {t}")
-    if basis is None:
-        basis = eigenbasis(V, [psi])
     reference = exact_evolve(psi, V, t, basis=basis)
     ref_norm = norm(reference)
     errors = np.empty(steps.size)

@@ -20,11 +20,10 @@ ladder operators share, which is why partner degeneracy holds at the 1e-6
 level, where a central-difference stencil would add O(dx^2) dispersion
 error (~1e-4 on the default grid).  The low states occupy a narrow Fourier
 band, so only the lowest pairs of a coarser grid over the same box are
-solved and their eigenvectors are interpolated back.  Each of them is
-verified against the full-grid operator; the set of pairs widens while its
-highest pair still verifies, and then the band widens until the check
-passes (the full grid is the last resort).  `bound_spectrum` and the
-propagation oracle `evolution.eigenbasis` share this solver.
+solved and their eigenvectors are interpolated back; the band widens until
+they pass a full-grid check (the full grid is the last resort).  For
+`bound_spectrum` that is each pair's residual; for the propagation oracle
+`evolution.eigenbasis` it is one bound on the error of each evolved state.
 
 The module needs only numpy until the solver runs: scipy.linalg (for an
 index-subset `eigh`) is imported inside it, so runs that never diagonalize
@@ -54,15 +53,14 @@ _SQRT2 = math.sqrt(2.0)
 # discretization-corrupted top of the spectrum
 MAX_BOUND_LEVELS = 16
 
-# full-grid checks on every eigenpair the solver returns: the residual
-# ||H v - E v|| of a unit vector, and the largest relative norm of a state
-# that an oracle basis may leave outside its pairs
+# the full-grid residual ||H v - E v|| each `bound_spectrum` pair must meet,
+# and the oracle's bound on an evolved state's error, relative to its norm
 RESIDUAL_TOL = 1e-8
-CAPTURE_TOL = 1e-8
+ORACLE_TOL = 1e-8
 
-# an oracle basis solves this many of a band's lowest pairs first, and twice
-# as many each time the highest of them still verifies
-BASIS_PAIRS = 128
+# an oracle basis keeps the lowest 1/BASIS_SHARE of a band's pairs: the top
+# pairs of a coarse band lose orthogonality once interpolated
+BASIS_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -229,37 +227,50 @@ def _apply_hamiltonian(V: PotentialField, vecs: np.ndarray) -> np.ndarray:
             + V.values[:, None] * vecs)
 
 
-def _uncaptured(vecs: np.ndarray, states) -> float:
-    """Largest relative norm of a state's part outside the span of orthonormal `vecs`.
+def _oracle_coefficients(vecs: np.ndarray, residuals: np.ndarray,
+                         values: np.ndarray, t: float, label: str):
+    """Coefficients c = Q^T psi of each row of `values`, certified for time t.
 
-    Each state enters as two real columns, its real and imaginary parts, so
-    the projection never makes a complex copy of `vecs`.
+    With E_j the Rayleigh quotients of the columns q_j of Q and r_j their
+    residuals ||H q_j - E_j q_j||, Duhamel's formula bounds the error of the
+    evolved expansion for any Q, orthonormal or not:
+
+        ||exp(-iHt) psi - Q exp(-iEt) c|| <= ||psi - Q c|| + |t| sum_j |c_j| r_j.
+
+    Returns c (r x m) and the largest such bound relative to ||psi||, and
+    raises NumericalError above ORACLE_TOL.  Each state enters as two real
+    columns, so Q is never copied to complex.
     """
-    parts = np.column_stack([part for psi in states
-                             for part in (psi.values.real, psi.values.imag)])
-    rest = parts - vecs @ (vecs.T @ parts)
-    n = parts.shape[0]
-    lost = np.linalg.norm(rest.reshape(n, -1, 2), axis=(0, 2))
-    return float(np.max(lost / np.linalg.norm(parts.reshape(n, -1, 2), axis=(0, 2))))
+    m = values.shape[0]
+    parts = np.concatenate((values.real, values.imag)).T
+    c = vecs.T @ parts
+    lost = np.linalg.norm(parts - vecs @ c, axis=0)
+    coeff = c[:, :m] + 1j * c[:, m:]
+    drift = abs(t) * (residuals @ np.abs(coeff))
+    bound = float(np.max((np.hypot(lost[:m], lost[m:]) + drift)
+                         / np.linalg.norm(values, axis=1)))
+    if not bound <= ORACLE_TOL:
+        raise NumericalError(
+            f"eigenpairs of {label!r} leave a state uncaptured: its error bound "
+            f"at |t| = {abs(t):g} is {bound:.3e} (limit {ORACLE_TOL:.1e})")
+    return coeff, bound
 
 
-def _band_eigenpairs(V: PotentialField, k: int | None = None, states: tuple = ()):
+def _band_eigenpairs(V: PotentialField, k: int | None = None,
+                     values: np.ndarray | None = None, t: float = 0.0):
     """Lowest eigenpairs of `dense_hamiltonian(V)` from the occupied Fourier band.
 
     The band is that of a coarser grid over the same box: V is sampled at
     every s-th point (s a power of two dividing n), the r lowest pairs are
     solved there, and their eigenvectors are carried back by trigonometric
     interpolation.  On the full grid each pair then gets its Rayleigh-quotient
-    energy and the matrix-free residual ||H v - E v||, which must stay within
-    RESIDUAL_TOL.  With `k`, r = k and all k pairs must pass.  With
-    `states`, r starts at BASIS_PAIRS, the passing pairs are kept as Q, and
-    each state must satisfy ||psi - Q Q^T psi|| <= CAPTURE_TOL ||psi||;
-    while the highest of the r pairs still passes, the next ones up may pass
-    too, so r doubles on the same band.  Otherwise s is halved; s = 1 is the
-    full-grid solve.
+    energy and the matrix-free residual ||H v - E v||.  With `k`, r = k and
+    every residual must be within RESIDUAL_TOL; with the state rows `values`,
+    r is 1/BASIS_SHARE of the band, and every state's `_oracle_coefficients`
+    bound at time t must hold.  Else s is halved; s = 1 is the full grid.
 
-    Returns (energies, vectors, residuals, band_points, capture_error) with
-    unit 2-norm vectors as the columns of an n x r array.
+    Returns (energies, vectors, residuals, band_points) with unit 2-norm
+    vectors as the columns of an n x r array.
     """
     # imported here so that runs which never diagonalize never load scipy
     from scipy import linalg as sla
@@ -272,39 +283,29 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None, states: tuple = ()
         m = n // s
         coarse = PotentialField(Grid1D(m, grid.x_min, grid.x_max),
                                 V.values[::s], V.label)
-        h = dense_hamiltonian(coarse)
-        r = k or min(BASIS_PAIRS, m)
-        while True:
+        r = k or max(1, m // BASIS_SHARE)
+        try:
+            _, cvecs = sla.eigh(dense_hamiltonian(coarse), subset_by_index=(0, r - 1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigensolver failed on {V.label!r}: {exc}") from exc
+        vecs = _interpolate(cvecs, n)
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        hv = _apply_hamiltonian(V, vecs)
+        energies = np.einsum("ij,ij->j", vecs, hv)
+        resid = np.linalg.norm(hv - vecs * energies, axis=0)
+        if k is None:
             try:
-                _, cvecs = sla.eigh(h, subset_by_index=(0, r - 1))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"eigensolver failed on {V.label!r}: {exc}") from exc
-            vecs = _interpolate(cvecs, n)
-            vecs = vecs / np.linalg.norm(vecs, axis=0)
-            hv = _apply_hamiltonian(V, vecs)
-            energies = np.einsum("ij,ij->j", vecs, hv)
-            resid = np.linalg.norm(hv - vecs * energies, axis=0)
-            if k is not None:
-                worst = float(resid.max())
-                if worst <= RESIDUAL_TOL:
-                    return energies, vecs, resid, m, 0.0
-                break
-            ok = resid <= RESIDUAL_TOL
-            kept = vecs[:, ok]
-            worst = _uncaptured(kept, states)
-            if worst <= CAPTURE_TOL:
-                return energies[ok], kept, resid[ok], m, worst
-            if not ok[-1] or r == m:
-                break
-            r = min(2 * r, m)
-    if k is not None:
-        raise NumericalError(
-            f"eigensolver residual {worst:.3e} exceeds "
-            f"{RESIDUAL_TOL:.1e} on {V.label!r}")
-    raise NumericalError(
-        f"verified eigenpairs of {V.label!r} leave {worst:.3e} of a state "
-        f"uncaptured (limit {CAPTURE_TOL:.1e})")
+                _oracle_coefficients(vecs, resid, values, t, V.label)
+            except NumericalError as exc:
+                failure = exc
+                continue
+        elif not resid.max() <= RESIDUAL_TOL:
+            failure = NumericalError(f"eigensolver residual {resid.max():.3e} exceeds "
+                                     f"{RESIDUAL_TOL:.1e} on {V.label!r}")
+            continue
+        return energies, vecs, resid, m
+    raise failure
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,7 @@ def bound_spectrum(V: PotentialField, k: int) -> SpectrumResult:
     grid = V.grid
     if k >= grid.n:
         raise ConfigurationError(f"k = {k} requires a grid larger than {grid.n} points")
-    energies, vecs, resid, band, _ = _band_eigenpairs(V, k=int(k))
+    energies, vecs, resid, band = _band_eigenpairs(V, k=int(k))
     # deterministic sign: largest-magnitude component made positive
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])

@@ -47,16 +47,17 @@ def battery(grid):
     return so.make_random_states(grid, 5, seed=7, center=-5.0)
 
 
-# the oracle bases capture the states the tests evolve under each partner
+# the oracle bases serve the states the tests evolve under each partner, for
+# up to three periods
 @pytest.fixture(scope="session")
 def basis_v1(v1, psi0, battery):
-    return so.eigenbasis(v1, [psi0, *battery])
+    return so.eigenbasis(v1, [psi0, *battery], 3 * PERIOD)
 
 
 @pytest.fixture(scope="session")
 def basis_v2(v2, W, psi0, battery):
     raised = [so.apply_B_dag(s, W) for s in [psi0, *battery]]
-    return so.eigenbasis(v2, [psi0, *raised])
+    return so.eigenbasis(v2, [psi0, *raised], 3 * PERIOD)
 
 
 @pytest.fixture(scope="session")

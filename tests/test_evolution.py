@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import susyoptics as so
-from susyoptics import ConfigurationError, ContractError, NumericalError
+from susyoptics import (
+    ConfigurationError,
+    ContractError,
+    DegenerateStateError,
+    NumericalError,
+    susy,
+)
 
 
 class TestTrotterPlan:
@@ -218,7 +224,7 @@ class TestStackedKernel:
         with pytest.raises(ContractError):
             so.exact_evolve(stack, v2, 1.0)
         with pytest.raises(ContractError):
-            so.eigenbasis(v2, [stack])
+            so.eigenbasis(v2, [stack], 1.0)
 
 
 def test_trotter_evolve_trace_shapes(v2, psi0):
@@ -274,17 +280,32 @@ class TestExactEvolve:
 
     def test_uncaptured_state_raises(self, v2, psi0):
         # a fast packet lies outside the band of a basis built for psi0
-        basis = so.eigenbasis(v2, [psi0])
+        basis = so.eigenbasis(v2, [psi0], 1.0)
         assert basis.band_points < v2.grid.n
         kicked = so.gaussian_packet(v2.grid, -5.0, momentum=40.0)
         with pytest.raises(NumericalError, match="uncaptured"):
             so.exact_evolve(kicked, v2, 1.0, basis=basis)
 
-    def test_eigenbasis_contract(self, v2, small_grid):
+    def test_eigenbasis_contract(self, v2, psi0, small_grid):
         with pytest.raises(ContractError):
-            so.eigenbasis(v2, [])
+            so.eigenbasis(v2, [], 1.0)
         with pytest.raises(ContractError):
-            so.eigenbasis(v2, [so.gaussian_packet(small_grid)])
+            so.eigenbasis(v2, [so.gaussian_packet(small_grid)], 1.0)
+        with pytest.raises(ContractError):
+            so.eigenbasis(v2, [so.to_momentum(psi0)], 1.0)
+
+    def test_zero_state_raises_before_any_solve(self, v2, psi0, basis_v2, monkeypatch):
+        def no_solve(V):
+            raise AssertionError("the eigensolver ran")
+
+        monkeypatch.setattr(susy, "dense_hamiltonian", no_solve)
+        zero = psi0.with_values(np.zeros(v2.grid.n))
+        with pytest.raises(DegenerateStateError, match="zero-norm"):
+            so.eigenbasis(v2, [psi0, zero], 1.0)
+        with pytest.raises(DegenerateStateError, match="zero-norm"):
+            so.exact_evolve(zero, v2, 1.0)
+        with pytest.raises(DegenerateStateError, match="zero-norm"):
+            so.exact_evolve(zero, v2, 1.0, basis=basis_v2)
 
 
 def test_trotter_approaches_oracle(v2, psi0, W, basis_v2):

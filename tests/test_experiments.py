@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import os
 import subprocess
 import sys
@@ -165,6 +166,19 @@ class TestRunnerStructure:
         assert scalar["battery_error_ratio"].value <= 10.0
         assert not scalar["battery_error_ratio"].passed
 
+    @pytest.mark.parametrize("n", [1408, 1440])
+    def test_reference_lens_sampling_threshold(self, n):
+        # the reference lens chirp exp(-i x^2 / 2 tau_f), tau_f = f/(k x0^2),
+        # has local momentum a/tau_f at the aperture edge a; it is aliased once
+        # that exceeds the grid's p_max = pi/dx, which happens between n = 1,408
+        # (rel_l2_reference 1.37e-5) and n = 1,440 (9.52e-6)
+        cfg = dataclasses.replace(so.parse_config(None), grid_points=n)
+        k_x0_sq = 2.0 * math.pi / (cfg.wavelength_nm * 1e-9) * (cfg.x0_mm * 1e-3) ** 2
+        edge = cfg.aperture_x0 * k_x0_sq / cfg.focal_length_m
+        p_max = math.pi * n / (cfg.x_max_x0 - cfg.x_min_x0)
+        gate = {s.name: s for s in so.run_bdag_validation(cfg).scalars}["rel_l2_reference"]
+        assert gate.passed == (edge <= p_max) == (n == 1440)
+
     def test_trotter_convergence(self, small_cfg):
         r = so.run_trotter_convergence(small_cfg)
         assert [t.name for t in r.tables] == ["convergence_second",
@@ -176,7 +190,7 @@ class TestRunnerStructure:
         scalar = {s.name: s for s in r.scalars}
         assert scalar["z_reference_m"].passed
         assert scalar["unit_roundtrip_error"].passed
-        assert scalar["oracle_capture_error"].value <= 1e-8
+        assert scalar["oracle_error_bound"].value <= 1e-8
 
     def test_run_all_order(self, small_cfg):
         results = so.run_all(small_cfg)

@@ -167,7 +167,8 @@ class TestBandLimitedSolver:
     @pytest.fixture(scope="class")
     def band_basis(self, v2, W, psi0):
         # the states the trotter-convergence oracle serves: psi0 and B+ psi0
-        return so.eigenbasis(v2, [psi0, so.apply_B_dag(psi0, W)])
+        # over half a period
+        return so.eigenbasis(v2, [psi0, so.apply_B_dag(psi0, W)], math.pi)
 
     def test_bound_spectrum_agrees_with_full_grid_solve(self, v2, full_grid_pairs):
         energies, vecs = full_grid_pairs
@@ -191,7 +192,7 @@ class TestBandLimitedSolver:
         q = band_basis.vectors
         assert q.shape[0] == band_basis.grid.n and q.shape[1] < q.shape[0]
         np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
-        assert band_basis.capture_error <= susy.CAPTURE_TOL
+        assert band_basis.error_bound <= susy.ORACLE_TOL
 
     @pytest.mark.parametrize("m, n", [(64, 256), (63, 189)])
     def test_interpolation_is_trigonometric(self, m, n):
@@ -226,8 +227,8 @@ class TestBandLimitedSolver:
         assert (s.band_points == n) == (n % 2 == 1)
         reference = sla.eigh(so.dense_hamiltonian(v1), subset_by_index=(0, 7))[0]
         np.testing.assert_allclose(s.energies, reference, rtol=0, atol=1e-10)
-        basis = so.eigenbasis(v1, [so.gaussian_packet(grid, -5.0)])
-        assert basis.capture_error <= susy.CAPTURE_TOL
+        basis = so.eigenbasis(v1, [so.gaussian_packet(grid, -5.0)], math.pi)
+        assert basis.error_bound <= susy.ORACLE_TOL
 
     @pytest.fixture
     def dense_sizes(self, monkeypatch):
@@ -251,36 +252,45 @@ class TestBandLimitedSolver:
         np.testing.assert_allclose(s.energies[:2], [3.0275104807, 3.0298247861],
                                    rtol=0, atol=1e-9)
 
-    def test_eigenbasis_keeps_what_a_full_band_solve_verifies(self, v2, band_basis):
-        # every pair of the basis's band, verified on the full grid as the
-        # basis verifies its lowest ones
-        n, m = v2.grid.n, band_basis.band_points
-        coarse = so.PotentialField(so.make_grid(m, v2.grid.x_min, v2.grid.x_max),
-                                   v2.values[::n // m])
-        vecs = susy._interpolate(sla.eigh(so.dense_hamiltonian(coarse))[1], n)
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        hv = susy._apply_hamiltonian(v2, vecs)
-        energies = np.einsum("ij,ij->j", vecs, hv)
-        ok = np.linalg.norm(hv - vecs * energies, axis=0) <= susy.RESIDUAL_TOL
-        assert band_basis.vectors.shape[1] == np.count_nonzero(ok)
-        np.testing.assert_allclose(band_basis.energies, energies[ok],
-                                   rtol=0, atol=1e-10)
+    @pytest.fixture(scope="class")
+    def full_grid_v1_pairs(self, v1):
+        return sla.eigh(so.dense_hamiltonian(v1), subset_by_index=(0, 255))
 
-    def test_pairs_double_while_the_highest_verifies(self, grid, dense_sizes):
-        # on a flat box every plane wave of a band verifies, so a fast packet
-        # needs more than the first solve's pairs; one H is built per band
+    def test_error_bound_holds_against_a_full_grid_solve(self, v1, psi0, battery,
+                                                          basis_v1, full_grid_v1_pairs):
+        # over three periods, the band oracle's error against an evolution on
+        # exact pairs of the full-grid matrix stays within the stored bound
+        t = 6.0 * math.pi
+        energies, vecs = full_grid_v1_pairs
+        assert basis_v1.band_points < v1.grid.n
+        for psi in [psi0, *battery]:
+            size = np.linalg.norm(psi.values)
+            coeff = vecs.T @ psi.values
+            assert np.linalg.norm(psi.values - vecs @ coeff) <= 1e-12 * size
+            exact = vecs @ (np.exp(-1j * energies * t) * coeff)
+            band = so.exact_evolve(psi, v1, t, basis=basis_v1).values
+            assert np.linalg.norm(band - exact) <= basis_v1.error_bound * size
+
+    def test_fast_packet_widens_the_band(self, grid, dense_sizes):
+        # on a flat box a fast packet lies above the low pairs of the coarse
+        # bands, so it needs a wider band and more pairs; one H per band
         flat = so.PotentialField(grid, np.zeros(grid.n), label="flat")
-        packet = so.gaussian_packet(grid, center=-5.0, momentum=40.0)
-        basis = so.eigenbasis(flat, [packet])
-        assert basis.vectors.shape[1] > 128
+        packet = so.gaussian_packet(grid, center=-5.0, momentum=16.0)
+        basis = so.eigenbasis(flat, [packet], 0.2)
+        assert basis.vectors.shape[1] > 128 and basis.band_points < grid.n
         assert len(dense_sizes) == len(set(dense_sizes))
         exact = so.exact_evolve(packet, flat, 0.2, basis=basis)
         np.testing.assert_allclose(exact.values, so.kinetic_step(packet, 0.2).values,
                                    rtol=0, atol=1e-12)
 
+    def test_fixture_bases_stay_on_a_coarse_band(self, basis_v1, basis_v2):
+        # psi0 and the battery over three periods need no full-grid solve
+        assert basis_v1.band_points <= 512
+        assert basis_v2.band_points <= 512
+
     def test_bases_interpolate_only_the_low_pairs(self, basis_v1, basis_v2,
                                                   monkeypatch):
-        # the 2048-point fallback of the fixtures keeps a few hundred pairs at most
+        # each band keeps a quarter of its pairs
         assert basis_v1.vectors.shape[1] <= 256
         assert basis_v2.vectors.shape[1] <= 256
         widths = []
