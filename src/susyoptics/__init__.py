@@ -27,7 +27,6 @@ from .evolution import (
     exact_evolve,
     fit_loglog_slope,
     kinetic_step,
-    potential_step,
     trotter_convergence_scan,
     trotter_evolve,
     trotter_states,
@@ -103,8 +102,7 @@ __all__ = [
     "SimulationError",
     "ConvergenceScan", "EigenBasis", "EvolutionTrace", "TrotterPlan",
     "eigenbasis", "exact_evolve", "fit_loglog_slope", "kinetic_step",
-    "potential_step", "trotter_convergence_scan", "trotter_evolve",
-    "trotter_states",
+    "trotter_convergence_scan", "trotter_evolve", "trotter_states",
     "GatedScalar", "ScenarioResult", "Table", "emit_csv", "run_all",
     "run_bdag_validation", "run_eta_sweep", "run_spectrum",
     "run_susy_check", "run_trotter_convergence",

@@ -24,9 +24,9 @@ and the sample it is producing.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
-split-step factors approximate.  The lowest quarter of the pairs of the
-Fourier band the states occupy are diagonalized (`susy.bound_spectrum`'s
-solver); a state is evolved only if an a-posteriori bound on the error of
+split-step factors approximate.  The Fourier band the states occupy is
+diagonalized (`susy.bound_spectrum`'s solver) and the lowest quarter of its
+pairs kept; a state is evolved only if an a-posteriori bound on the error of
 its evolved expansion is within 1e-8 of its norm, so the comparison
 isolates the Trotter error with no spatial-discretization floor.
 """
@@ -94,15 +94,6 @@ def kinetic_step(psi: WaveFunction, tau: float) -> WaveFunction:
     g = psi.grid
     vals = np.fft.ifft(np.exp(-0.5j * g.p**2 * tau) * np.fft.fft(psi.values))
     return psi.with_values(vals)
-
-
-def potential_step(psi: WaveFunction, V: PotentialField, tau: float) -> WaveFunction:
-    """Delta-kick phase exp(-i V(x) tau): pointwise, density-preserving."""
-    if psi.representation != POSITION:
-        raise ContractError("potential_step expects a position-space state")
-    if psi.grid != V.grid:
-        raise ContractError("state and potential live on different grids")
-    return psi.with_values(psi.values * np.exp(-1j * V.values * tau))
 
 
 def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
@@ -223,8 +214,10 @@ class EigenBasis:
         return self.potential.grid
 
 
-def _oracle_states(V: PotentialField, states) -> np.ndarray:
-    """The (m, n) values of single position-space states the oracle may evolve."""
+def _oracle_states(V: PotentialField, states, t: float) -> np.ndarray:
+    """The (m, n) values of single position-space states the oracle may evolve to t."""
+    if not np.isfinite(t):
+        raise ConfigurationError(f"the oracle evolves over a finite time, got t = {t}")
     states = tuple(states)
     if not states:
         raise ContractError("eigenbasis needs the states it has to evolve")
@@ -245,7 +238,7 @@ def eigenbasis(V: PotentialField, states, t: float) -> EigenBasis:
     The basis is that of the coarsest band whose pairs bound the error of
     every state in `states`, evolved over time t, to 1e-8 of its norm.
     """
-    values = _oracle_states(V, states)
+    values = _oracle_states(V, states, t)
     energies, vectors, residuals, band = _band_eigenpairs(V, values=values, t=t)
     _, bound = _oracle_coefficients(vectors, residuals, values, t, V.label)
     return EigenBasis(V, energies, vectors, residuals, band, bound)
@@ -260,7 +253,7 @@ def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
     basis built for another potential raises ContractError, and a state
     whose error bound at this t exceeds 1e-8 raises NumericalError.
     """
-    values = _oracle_states(V, [psi])
+    values = _oracle_states(V, [psi], t)
     if basis is None:
         basis = eigenbasis(V, [psi], t)
     elif basis.grid != V.grid or not np.array_equal(basis.potential.values, V.values):

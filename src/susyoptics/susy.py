@@ -19,15 +19,12 @@ limit); this is the discretization the split-step propagator and the
 ladder operators share, which is why partner degeneracy holds at the 1e-6
 level, where a central-difference stencil would add O(dx^2) dispersion
 error (~1e-4 on the default grid).  The low states occupy a narrow Fourier
-band, so only the lowest pairs of a coarser grid over the same box are
-solved and their eigenvectors are interpolated back; the band widens until
-they pass a full-grid check (the full grid is the last resort).  For
-`bound_spectrum` that is each pair's residual; for the propagation oracle
-`evolution.eigenbasis` it is one bound on the error of each evolved state.
-
-The module needs only numpy until the solver runs: scipy.linalg (for an
-index-subset `eigh`) is imported inside it, so runs that never diagonalize
-never load scipy.
+band, so a coarser grid over the same box is solved whole (numpy's `eigh`;
+the module needs nothing else) and the eigenvectors of its lowest pairs are
+interpolated back; the band widens until they pass a full-grid check (the
+full grid is the last resort).  For `bound_spectrum` that is each pair's
+residual; for the propagation oracle `evolution.eigenbasis` it is one bound
+on the error of each evolved state.
 """
 
 from __future__ import annotations
@@ -261,20 +258,18 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None,
     """Lowest eigenpairs of `dense_hamiltonian(V)` from the occupied Fourier band.
 
     The band is that of a coarser grid over the same box: V is sampled at
-    every s-th point (s a power of two dividing n), the r lowest pairs are
-    solved there, and their eigenvectors are carried back by trigonometric
-    interpolation.  On the full grid each pair then gets its Rayleigh-quotient
-    energy and the matrix-free residual ||H v - E v||.  With `k`, r = k and
-    every residual must be within RESIDUAL_TOL; with the state rows `values`,
-    r is 1/BASIS_SHARE of the band, and every state's `_oracle_coefficients`
-    bound at time t must hold.  Else s is halved; s = 1 is the full grid.
+    every s-th point (s a power of two dividing n), the whole band is solved
+    there, and the eigenvectors of its r lowest pairs are carried back by
+    trigonometric interpolation.  On the full grid each pair then gets its
+    Rayleigh-quotient energy and the matrix-free residual ||H v - E v||.
+    With `k`, r = k and every residual must be within RESIDUAL_TOL; with the
+    state rows `values`, r is 1/BASIS_SHARE of the band, and every state's
+    `_oracle_coefficients` bound at time t must hold.  Else s is halved;
+    s = 1 is the full grid.
 
     Returns (energies, vectors, residuals, band_points) with unit 2-norm
     vectors as the columns of an n x r array.
     """
-    # imported here so that runs which never diagonalize never load scipy
-    from scipy import linalg as sla
-
     grid = V.grid
     n = grid.n
     strides = [2**j for j in range(n.bit_length())
@@ -285,11 +280,12 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None,
                                 V.values[::s], V.label)
         r = k or max(1, m // BASIS_SHARE)
         try:
-            _, cvecs = sla.eigh(dense_hamiltonian(coarse), subset_by_index=(0, r - 1))
+            _, cvecs = np.linalg.eigh(dense_hamiltonian(coarse))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"eigensolver failed on {V.label!r}: {exc}") from exc
-        vecs = _interpolate(cvecs, n)
+        vecs = _interpolate(cvecs[:, :r], n)
+        del cvecs  # the m x m matrix: on the full grid vecs views it until normalized
         vecs = vecs / np.linalg.norm(vecs, axis=0)
         hv = _apply_hamiltonian(V, vecs)
         energies = np.einsum("ij,ij->j", vecs, hv)

@@ -52,16 +52,6 @@ def test_kinetic_step_contract(grid, psi0):
     np.testing.assert_array_equal(same.values, psi0.values)
 
 
-def test_potential_step_is_pure_phase(v1, psi0):
-    out = so.potential_step(psi0, v1, 0.3)
-    np.testing.assert_allclose(np.abs(out.values), np.abs(psi0.values), atol=1e-14)
-    np.testing.assert_allclose(out.values,
-                               np.exp(-0.3j * v1.values) * psi0.values, atol=1e-14)
-    other = so.PotentialField(so.make_grid(64, -1.0, 1.0), np.zeros(64))
-    with pytest.raises(ContractError):
-        so.potential_step(psi0, other, 0.3)
-
-
 class TestTrotterStates:
     def test_zero_step_plan_yields_initial(self, v2, psi0):
         plan = so.TrotterPlan(0.1, 0)
@@ -90,13 +80,17 @@ class TestTrotterStates:
         # the stepping loop against the product written out factor by factor
         dt, n = 0.05, 40
         expected = [psi0]
+
+        def kick(psi):
+            return psi.with_values(psi.values * np.exp(-1j * v2.values * dt))
+
         for _ in range(n):
             state = expected[-1]
             if order == "first":
-                state = so.kinetic_step(so.potential_step(state, v2, dt), dt)
+                state = so.kinetic_step(kick(state), dt)
             else:
                 state = so.kinetic_step(state, 0.5 * dt)
-                state = so.kinetic_step(so.potential_step(state, v2, dt), 0.5 * dt)
+                state = so.kinetic_step(kick(state), 0.5 * dt)
             expected.append(state)
         plan = so.TrotterPlan(dt, n, order=order)
         for stride in (1, 7, n):
@@ -306,6 +300,22 @@ class TestExactEvolve:
             so.exact_evolve(zero, v2, 1.0)
         with pytest.raises(DegenerateStateError, match="zero-norm"):
             so.exact_evolve(zero, v2, 1.0, basis=basis_v2)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_raises_before_any_solve(self, v2, psi0, basis_v2, t,
+                                                      monkeypatch):
+        def no_solve(V):
+            raise AssertionError("the eigensolver ran")
+
+        monkeypatch.setattr(susy, "dense_hamiltonian", no_solve)
+        with pytest.raises(ConfigurationError, match="finite time"):
+            so.eigenbasis(v2, [psi0], t)
+        with pytest.raises(ConfigurationError, match="finite time"):
+            so.exact_evolve(psi0, v2, t)
+        with pytest.raises(ConfigurationError, match="finite time"):
+            so.exact_evolve(psi0, v2, t, basis=basis_v2)
+        with pytest.raises(ConfigurationError):
+            so.trotter_convergence_scan(psi0, v2, t, (8, 16))
 
 
 def test_trotter_approaches_oracle(v2, psi0, W, basis_v2):

@@ -9,29 +9,27 @@ import types
 from pathlib import Path
 
 import susyoptics as so
+from susyoptics.experiments import SCENARIO_RUNNERS
 
-# Runs in a fresh interpreter and prints, after each step, the scipy modules
-# loaded so far.
+# Runs in a fresh interpreter in which every scipy import fails, and prints
+# the scenarios it ran and the scipy modules loaded.
 _PROBE = """\
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not a runtime dependency")
 
-loaded = {}
+sys.meta_path.insert(0, NoScipy())
 import susyoptics.cli
-from susyoptics import (Grid1D, Superpotential, bound_spectrum,
-                        partner_potential, run_bdag_validation, run_eta_sweep,
-                        run_susy_check)
+from susyoptics import (Grid1D, Superpotential, bound_spectrum, eigenbasis,
+                        partner_potential, run_all)
 from susyoptics.config import parse_config
-cfg = parse_config(sys.argv[1])
-loaded["import and parse_config"] = scipy_modules()
-for run in (run_eta_sweep, run_susy_check, run_bdag_validation):
-    run(cfg)
-    loaded[run.__name__] = scipy_modules()
-bound_spectrum(partner_potential(Superpotential(), 1, Grid1D(256, -15.0, 15.0)), 2)
-loaded["bound_spectrum"] = scipy_modules()
-print(json.dumps(loaded))
+ran = [result.scenario for result in run_all(parse_config(sys.argv[1]))]
+v1 = partner_potential(Superpotential(), 1, Grid1D(256, -15.0, 15.0))
+eigenbasis(v1, bound_spectrum(v1, 2).states, 1.0)
+print(json.dumps([ran, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 # small but valid; the interferometer bench needs the full 2048 points
@@ -53,16 +51,15 @@ def test_all_names_the_imports_and_no_module():
         assert not isinstance(getattr(so, name), types.ModuleType), name
 
 
-def test_only_the_eigensolver_loads_scipy(tmp_path):
+def test_runs_without_scipy(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(_CONFIG)
     src = Path(so.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _PROBE, str(cfg)],
-                          capture_output=True, text=True, env=env, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    *scipy_free, solved = loaded
-    assert {step: loaded[step] for step in scipy_free} == {
-        step: [] for step in scipy_free}
-    assert "scipy.linalg" in loaded[solved]
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    ran, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(ran) == sorted(SCENARIO_RUNNERS)
+    assert loaded == []

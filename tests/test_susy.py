@@ -229,6 +229,9 @@ class TestBandLimitedSolver:
         np.testing.assert_allclose(s.energies, reference, rtol=0, atol=1e-10)
         basis = so.eigenbasis(v1, [so.gaussian_packet(grid, -5.0)], math.pi)
         assert basis.error_bound <= susy.ORACLE_TOL
+        # no view of the band's whole eigenvector matrix outlives the solve,
+        # even where the band is the full grid
+        assert basis.vectors.flags.owndata
 
     @pytest.fixture
     def dense_sizes(self, monkeypatch):
