@@ -76,10 +76,8 @@ class TrotterPlan:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Sampled probability densities along an evolution, plus the final state."""
+    """The end of a split-step evolution: its final state."""
 
-    times: np.ndarray
-    densities: np.ndarray
     final_state: WaveFunction
 
 
@@ -181,15 +179,10 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
 
 def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                    trace_stride: int = 1) -> EvolutionTrace:
-    """Run the split-step product and record the sampled density history."""
-    times = []
-    densities = []
-    final = psi
-    for j, state in trotter_states(psi, V, plan, stride=trace_stride):
-        times.append(j * plan.dt)
-        densities.append(np.abs(state.values) ** 2)
-        final = state
-    return EvolutionTrace(np.asarray(times), np.asarray(densities), final)
+    """Run the split-step product and keep its final state (the last sample)."""
+    for _, final in trotter_states(psi, V, plan, stride=trace_stride):
+        pass
+    return EvolutionTrace(final)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,9 @@ from .susy import (
 )
 
 SCENARIO_RUNNERS = {}  # populated at the bottom of the module
+
+# eta-sweep reference samples raised by B+ as one stack; 8 keeps the peak RSS flat
+_REFERENCE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -217,9 +221,6 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
 
     times = []
     dens1, dens2, devs = [], [], []
-    fid_t0 = None
-    fid_final = None
-    peak_dev = 0.0
     # one stream of two rows: psi0 under V1 and B+ psi0 under V2
     paths = trotter_states(
         WaveFunction(grid, _frozen_stack([psi0.values, psi_raised.values])),
@@ -231,13 +232,10 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
         times.append(j * plan.dt)
         dens1.append(np.abs(a.values) ** 2)
         dens2.append(np.abs(b.values) ** 2)
-        dev = np.abs(a.values - b.values) ** 2
-        devs.append(dev)
-        peak_dev = max(peak_dev, float(dev.max()))
-        if j == 0:
+        devs.append(np.abs(a.values - b.values) ** 2)
+        if j == 0:  # the first sample
             fid_t0 = fidelity(a, b)
-        if j == plan.n_steps:
-            fid_final = fidelity(a, b)
+    fid_final = fidelity(a, b)  # the last sample is step n_steps
 
     times = np.asarray(times)
     dens1, dens2, devs = map(np.asarray, (dens1, dens2, devs))
@@ -245,7 +243,7 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
     scalars = (
         _gate_fidelity("fidelity_t0", fid_t0, 1.0 - 1e-12, 1.0, convention),
         _gate_fidelity("fidelity_final", fid_final, 0.9953, 0.9993, convention),
-        _gate_range("peak_deviation", peak_dev, 1e-4, 10.0 ** -1.5),
+        _gate_range("peak_deviation", devs.max(), 1e-4, 10.0 ** -1.5),
     )
     note = ("states normalized per sample before densities and deviations",)
     tables = (
@@ -272,37 +270,33 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     fidelity(eta, t) surface plus the final-time slice and gates the argmax
     on each half-axis.
 
-    Both paths run as one stream: row 0 is psi0 under V1, the reference
-    path raised by B+ at each step, and row i is B+ psi0 under the i-th
-    V_eta.  The stream runs in momentum space, where its samples cost no
-    transform; only row 0 goes back to position for B+, and the fidelities
-    are taken in momentum space (equal to the position-space ones by
-    Parseval).  The potentials are built before any step is taken.
+    Two momentum-space streams, whose samples cost no transform, hold the
+    paths: psi0 under V1 and one row of B+ psi0 per V_eta.  The first runs
+    ahead in blocks of _REFERENCE_BLOCK samples, each raised by B+ in
+    position space as one stack; fidelities are taken in momentum space
+    (equal by Parseval).  The potentials are built before any step is taken.
     """
     grid, W, psi0, v1, plan, psi_raised = _two_path_setup(cfg)
     etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_points)
-    # allocated first, so the family's own array sits above it and is freed from
-    # the top of the heap rather than leaving a hole under the kernel's stacks
-    potentials = np.empty((etas.size + 1, grid.n))
-    potentials[0] = v1.values
     try:
-        potentials[1:] = eta_potential(W, etas, grid).values
+        family = eta_potential(W, etas, grid)
     except ConfigurationError as exc:
         raise ConfigurationError(f"sigma_over_x0: {exc}") from exc
-    potentials.setflags(write=False)
 
     times = plan.dt * np.arange(plan.n_steps + 1)
     surface = np.empty((etas.size, times.size))
+    path_one = trotter_states(to_momentum(psi0), v1, plan, stride=1)
     # the state stack is built in the call, so no caller reference outlives step 0
-    paths = trotter_states(
-        to_momentum(WaveFunction(grid, _frozen_stack(
-            [psi0.values] + [psi_raised.values] * etas.size))),
-        PotentialField(grid, potentials), plan, stride=1)
-    del potentials
+    paths = trotter_states(to_momentum(WaveFunction(
+        grid, _frozen_stack([psi_raised.values] * etas.size))), family, plan, stride=1)
+    del family
     for j, state in paths:
-        path_one = to_position(state.with_values(state.values[0]))
-        reference = to_momentum(normalized(apply_B_dag(path_one, W)))
-        surface[:, j] = fidelity(reference, state)[1:]
+        if j % _REFERENCE_BLOCK == 0:
+            references = None  # the spent block is freed before the next is raised
+            rows = islice(path_one, _REFERENCE_BLOCK)
+            references = to_momentum(normalized(apply_B_dag(to_position(
+                state.with_values(_frozen_stack([s.values for _, s in rows]))), W))).values
+        surface[:, j] = fidelity(state.with_values(references[j % _REFERENCE_BLOCK]), state)
         del state  # freed before the kernel allocates the next sample
 
     final = surface[:, -1]
@@ -501,6 +495,20 @@ def _column_text(column: np.ndarray) -> list:
     return list(map(str, values))
 
 
+def _column_cells(column: np.ndarray):
+    """The column's CSV text on a slice of rows, as a function of the slice.
+
+    A float column with under a quarter as many distinct values as rows is
+    formatted once per value, keyed on its bits so -0.0, 0.0 and NaN stay apart.
+    """
+    if column.dtype.kind == "f":
+        bits, inverse = np.unique(column.view(f"i{column.dtype.itemsize}"), return_inverse=True)
+        if 4 * bits.size < column.size:
+            text = np.array(_column_text(bits.view(column.dtype)), dtype=object)
+            return lambda rows: text[inverse[rows]].tolist()
+    return lambda rows: _column_text(column[rows])
+
+
 def csv_sheets(result: ScenarioResult) -> tuple:
     """The summary of gates and the result's tables, every text cell CSV-safe."""
     scalars = result.scalars
@@ -548,9 +556,10 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
                 fh.write(f"# {note}\n")
             names = table.rows.dtype.names
             fh.write(",".join(names) + "\n")
+            columns = [_column_cells(table.rows[name]) for name in names]
             for start in range(0, len(table.rows), _BLOCK_ROWS):
-                block = table.rows[start:start + _BLOCK_ROWS]
-                cells = zip(*(_column_text(block[name]) for name in names))
+                rows = slice(start, start + _BLOCK_ROWS)
+                cells = zip(*(column(rows) for column in columns))
                 fh.write("".join(",".join(row) + "\n" for row in cells))
         paths.append(path)
     for name, content in result.texts:

@@ -130,6 +130,53 @@ class TestRunnerStructure:
             position[:, j] = so.fidelity(reference, state)[1:]
         np.testing.assert_allclose(surface, position, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("block", [1, 7, 31, 64])
+    def test_eta_sweep_blocks_match_a_per_step_reference(self, small_cfg, block,
+                                                         monkeypatch):
+        # 31 samples: blocks of 7 leave a partial last block, 64 is one partial block
+        monkeypatch.setattr(experiments, "_REFERENCE_BLOCK", block)
+        cfg = dataclasses.replace(small_cfg, eta_points=5)
+        surface = so.run_eta_sweep(cfg).tables[0].rows["fidelity"].reshape(5, -1)
+        run = setup(cfg)
+        W, grid = run.W, run.grid
+        plan = so.TrotterPlan(2.0 * np.pi / cfg.steps_per_period,
+                              cfg.steps_per_period * cfg.evolution_periods)
+        family = so.eta_potential(W, np.linspace(cfg.eta_min, cfg.eta_max, 5), grid)
+        raised = so.WaveFunction(grid, np.vstack([so.apply_B_dag(run.psi0, W).values] * 5))
+        path_one = so.trotter_states(so.to_momentum(run.psi0),
+                                     so.partner_potential(W, 1, grid), plan)
+        per_step = np.empty_like(surface)
+        for (j, one), (_, state) in zip(path_one, so.trotter_states(
+                so.to_momentum(raised), family, plan)):
+            reference = so.to_momentum(so.normalized(so.apply_B_dag(so.to_position(one), W)))
+            per_step[:, j] = so.fidelity(reference, state)
+        assert surface.shape[1] % 7 and surface.shape[1] < 64
+        np.testing.assert_array_equal(surface, per_step)
+
+    def test_eta_sweep_transforms_the_reference_once_per_block(self, small_cfg,
+                                                              monkeypatch):
+        # each momentum stream costs two transforms a step; B+ on the reference
+        # costs four stacked transforms a block of 8 samples, not four per sample
+        block = 8
+        monkeypatch.setattr(experiments, "_REFERENCE_BLOCK", block, raising=False)
+        calls = {}
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                rows = np.asarray(a).size // np.shape(a)[-1]
+                calls[rows] = calls.get(rows, 0) + 1
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        so.run_eta_sweep(small_cfg)
+        steps = small_cfg.steps_per_period * small_cfg.evolution_periods
+        blocks = sum(c for rows, c in calls.items() if 1 < rows < small_cfg.eta_points)
+        # one-row transforms: the reference stream, B+ psi0 and to_momentum(psi0)
+        assert calls[1] <= 2 * steps + 3
+        assert blocks <= 4 * math.ceil((steps + 1) / block)
+
     def test_bdag(self, small_cfg):
         # the bench needs the full grid: its lens chirps are undersampled at 512
         r = so.run_bdag_validation(dataclasses.replace(small_cfg, grid_points=2048))
@@ -293,6 +340,22 @@ class TestEmitCsv:
             "5e-324,42,false,x\n"
             "0.1,-1,false,é\n"
             "1e+22,4611686018427387904,true,\n")
+
+    def test_repeated_special_floats_keep_their_repr(self, tmp_path, monkeypatch):
+        # few distinct values in many rows, across blocks: each is formatted
+        # once per table, keyed on its bits, so signed zeros and NaNs stay apart
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 16)
+        special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                            -2.5e-310, 0.1, 1e22])
+        values = np.tile(special, 9)
+        np.random.default_rng(2).shuffle(values)
+        rows = np.rec.fromarrays([values, np.arange(values.size)], names=["v", "i"])
+        result = so.ScenarioResult(
+            scenario="special", config_hash="0" * 12, tool_version="0.0.0",
+            defaulted_keys=(), scalars=(), tables=(Table("cells", rows),))
+        so.emit_csv(result, tmp_path)
+        lines = (tmp_path / "special_cells.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[5:] == [f"{v!r},{i}" for v, i in zip(values.tolist(), range(values.size))]
 
     @pytest.mark.parametrize("scenario", ["spectrum", "susy-check"])
     def test_header_and_row_count_follow_the_rows(self, small_cfg, tmp_path,

@@ -140,6 +140,30 @@ def test_reductions_on_a_stack_match_rows(grid, psi0):
     assert type(so.fidelity(psi0, ref)) is float
 
 
+@pytest.mark.parametrize("momentum", [False, True])
+def test_reductions_match_the_density_formulas(grid, momentum):
+    # norm is one vecdot pass per row; it agrees with the sum of |psi|^2
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((4, grid.n)) + 1j * rng.standard_normal((4, grid.n))
+    stack = so.WaveFunction(grid, values)
+    if momentum:
+        stack = so.to_momentum(stack)
+    w = grid.weight(stack.representation)
+    ref = stack.with_values(stack.values[0] + 0.5 * stack.values[1])
+    for field in (stack, stack.with_values(stack.values[2])):
+        want = np.sqrt(np.sum(np.abs(field.values) ** 2, axis=-1) * w)
+        np.testing.assert_allclose(so.norm(field), want, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(so.normalized(field).values,
+                                   field.values / np.expand_dims(want, -1),
+                                   rtol=1e-15, atol=0)
+        overlap = np.abs(so.inner(ref, field))
+        want_fid = overlap / (np.sqrt(np.sum(np.abs(ref.values) ** 2) * w) * want)
+        got = so.fidelity(ref, field)
+        np.testing.assert_allclose(got, want_fid, rtol=1e-15, atol=0)
+        assert np.all(np.asarray(got) <= 1.0)
+    assert so.fidelity(ref, ref.with_values(2j * ref.values)) <= 1.0
+
+
 def test_reductions_reject_mismatched_stacks(small_grid):
     a = so.WaveFunction(small_grid, np.ones((2, small_grid.n)))
     b = so.WaveFunction(small_grid, np.ones((3, small_grid.n)))
