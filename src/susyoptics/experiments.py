@@ -233,7 +233,7 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
         dens1.append(np.abs(a.values) ** 2)
         dens2.append(np.abs(b.values) ** 2)
         devs.append(np.abs(a.values - b.values) ** 2)
-        if j == 0:  # the first sample
+        if j == 0:
             fid_t0 = fidelity(a, b)
     fid_final = fidelity(a, b)  # the last sample is step n_steps
 
