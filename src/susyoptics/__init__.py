@@ -5,38 +5,31 @@ superpotential algebra and spectra), evolution (split-step propagation and
 the diagonalization oracle), optics (SI-unit Fresnel bench, plate trains,
 the two-arm raising interferometer), experiments/cli (gated scenario
 runners and the CSV front end).
+
+The package exports the documented API: the names the README's examples
+import, the scenario runners and the error classes of the CLI's exit codes.
+Everything else is imported from its module.
 """
 
 from ._version import __version__
-from .config import ExperimentConfig, config_hash, parse_config, serialize_config
+from .config import parse_config
 from .errors import (
     ConfigurationError,
     ContractError,
     DegenerateStateError,
     NumericalError,
     ParaxialWarning,
-    SamplingError,
     SimulationError,
 )
 from .evolution import (
-    ConvergenceScan,
-    EigenBasis,
-    EvolutionTrace,
     TrotterPlan,
     eigenbasis,
     exact_evolve,
-    fit_loglog_slope,
-    kinetic_step,
-    trotter_convergence_scan,
     trotter_evolve,
     trotter_states,
 )
 from .experiments import (
-    GatedScalar,
-    ScenarioResult,
-    Table,
     emit_csv,
-    run_all,
     run_bdag_validation,
     run_eta_sweep,
     run_spectrum,
@@ -44,51 +37,22 @@ from .experiments import (
     run_trotter_convergence,
 )
 from .grids import (
-    MOMENTUM,
-    POSITION,
-    Grid1D,
     WaveFunction,
     fidelity,
     gaussian_packet,
     inner,
     make_grid,
-    make_random_states,
     norm,
     normalized,
-    sample,
-    spectral_derivative,
     to_momentum,
     to_position,
 )
-from .optics import (
-    AmplitudeModulator,
-    CalibratedInterferometer,
-    FreeSpace,
-    InterferometerSpec,
-    OpticalTrain,
-    ParityFlip,
-    PhasePlate,
-    PhysicalUnits,
-    ThinLens,
-    alpha_passivity_bound,
-    calibrate_interferometer,
-    compile_trotter_train,
-    interferometric_B_dag,
-    map_distance_to_time,
-    map_time_to_distance,
-    simulate_train,
-    spot_size,
-)
+from .optics import compile_trotter_train, simulate_train
 from .susy import (
-    DegeneracyReport,
-    PotentialField,
-    SpectrumResult,
     Superpotential,
     apply_B,
     apply_B_dag,
     bound_spectrum,
-    check_degeneracy,
-    dense_hamiltonian,
     eta_potential,
     partner_potential,
     zero_mode,
@@ -96,28 +60,16 @@ from .susy import (
 
 __all__ = [
     "__version__",
-    "ExperimentConfig", "config_hash", "parse_config", "serialize_config",
+    "parse_config",
     "ConfigurationError", "ContractError", "DegenerateStateError",
-    "NumericalError", "ParaxialWarning", "SamplingError",
-    "SimulationError",
-    "ConvergenceScan", "EigenBasis", "EvolutionTrace", "TrotterPlan",
-    "eigenbasis", "exact_evolve", "fit_loglog_slope", "kinetic_step",
-    "trotter_convergence_scan", "trotter_evolve", "trotter_states",
-    "GatedScalar", "ScenarioResult", "Table", "emit_csv", "run_all",
-    "run_bdag_validation", "run_eta_sweep", "run_spectrum",
+    "NumericalError", "ParaxialWarning", "SimulationError",
+    "TrotterPlan", "eigenbasis", "exact_evolve", "trotter_evolve",
+    "trotter_states",
+    "emit_csv", "run_bdag_validation", "run_eta_sweep", "run_spectrum",
     "run_susy_check", "run_trotter_convergence",
-    "MOMENTUM", "POSITION", "Grid1D", "WaveFunction", "fidelity",
-    "gaussian_packet", "inner", "make_grid", "make_random_states", "norm",
-    "normalized", "sample", "spectral_derivative", "to_momentum",
-    "to_position",
-    "AmplitudeModulator", "CalibratedInterferometer", "FreeSpace",
-    "InterferometerSpec", "OpticalTrain", "ParityFlip", "PhasePlate",
-    "PhysicalUnits", "ThinLens", "alpha_passivity_bound",
-    "calibrate_interferometer", "compile_trotter_train",
-    "interferometric_B_dag", "map_distance_to_time",
-    "map_time_to_distance", "simulate_train", "spot_size",
-    "DegeneracyReport", "PotentialField", "SpectrumResult",
+    "WaveFunction", "fidelity", "gaussian_packet", "inner", "make_grid",
+    "norm", "normalized", "to_momentum", "to_position",
+    "compile_trotter_train", "simulate_train",
     "Superpotential", "apply_B", "apply_B_dag", "bound_spectrum",
-    "check_degeneracy", "dense_hamiltonian", "eta_potential",
-    "partner_potential", "zero_mode",
+    "eta_potential", "partner_potential", "zero_mode",
 ]

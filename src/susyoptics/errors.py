@@ -17,10 +17,6 @@ class DegenerateStateError(ContractError):
     """A zero-norm field was used where a normalizable state is required."""
 
 
-class SamplingError(SimulationError):
-    """A sampled function produced non-finite values on the grid."""
-
-
 class NumericalError(SimulationError):
     """A solver failed to converge or produced unusable output."""
 

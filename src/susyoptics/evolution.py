@@ -43,6 +43,7 @@ from .grids import (
     POSITION,
     Grid1D,
     WaveFunction,
+    _frozen,
     fidelity,
     norm,
 )
@@ -69,10 +70,6 @@ class TrotterPlan:
             raise ConfigurationError(
                 f"order must be one of {ORDERS}, got {self.order!r}")
 
-    @property
-    def total_time(self) -> float:
-        return self.dt * self.n_steps
-
 
 @dataclass(frozen=True)
 class EvolutionTrace:
@@ -91,7 +88,7 @@ def kinetic_step(psi: WaveFunction, tau: float) -> WaveFunction:
         return psi
     g = psi.grid
     vals = np.fft.ifft(np.exp(-0.5j * g.p**2 * tau) * np.fft.fft(psi.values))
-    return psi.with_values(vals)
+    return psi.with_values(_frozen(vals))
 
 
 def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
@@ -172,8 +169,7 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
         if sampled:
             if carry_is_sample:
                 sample = w.copy()
-            sample.setflags(write=False)
-            yield j, WaveFunction(g, sample, representation)
+            yield j, WaveFunction(g, _frozen(sample), representation)
             del sample  # the caller's reference is the only one left
 
 
@@ -232,8 +228,7 @@ def eigenbasis(V: PotentialField, states, t: float) -> EigenBasis:
     every state in `states`, evolved over time t, to 1e-8 of its norm.
     """
     values = _oracle_states(V, states, t)
-    energies, vectors, residuals, band = _band_eigenpairs(V, values=values, t=t)
-    _, bound = _oracle_coefficients(vectors, residuals, values, t, V.label)
+    energies, vectors, residuals, band, bound = _band_eigenpairs(V, values=values, t=t)
     return EigenBasis(V, energies, vectors, residuals, band, bound)
 
 
@@ -256,7 +251,7 @@ def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
     coeff, _ = _oracle_coefficients(q, basis.residuals, values, t, V.label)
     phased = np.exp(-1j * basis.energies * t) * coeff[:, 0]
     # q is real: real products spare the complex copy a mixed product makes
-    return psi.with_values(q @ phased.real + 1j * (q @ phased.imag))
+    return psi.with_values(_frozen(q @ phased.real + 1j * (q @ phased.imag)))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .evolution import (
 )
 from .grids import (
     WaveFunction,
+    _frozen,
     fidelity,
     norm,
     normalized,
@@ -140,13 +141,6 @@ def _two_path_setup(cfg: ExperimentConfig):
     return grid, W, psi0, v1, plan, apply_B_dag(psi0, W)
 
 
-def _frozen_stack(rows) -> np.ndarray:
-    """Rows stacked into one read-only array, which a field shares instead of copying."""
-    stack = np.vstack(rows)
-    stack.setflags(write=False)
-    return stack
-
-
 def _table(name, notes=(), **columns) -> Table:
     """Table whose fields are the equal-length keyword columns, in order."""
     return Table(name, np.rec.fromarrays(list(columns.values()), names=list(columns)),
@@ -223,8 +217,8 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
     dens1, dens2, devs = [], [], []
     # one stream of two rows: psi0 under V1 and B+ psi0 under V2
     paths = trotter_states(
-        WaveFunction(grid, _frozen_stack([psi0.values, psi_raised.values])),
-        PotentialField(grid, _frozen_stack([v1.values, v2.values])),
+        WaveFunction(grid, _frozen(np.vstack([psi0.values, psi_raised.values]))),
+        PotentialField(grid, _frozen(np.vstack([v1.values, v2.values]))),
         plan, stride=cfg.trace_stride)
     for j, state in paths:
         a = normalized(apply_B_dag(state.with_values(state.values[0]), W))
@@ -288,14 +282,14 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     path_one = trotter_states(to_momentum(psi0), v1, plan, stride=1)
     # the state stack is built in the call, so no caller reference outlives step 0
     paths = trotter_states(to_momentum(WaveFunction(
-        grid, _frozen_stack([psi_raised.values] * etas.size))), family, plan, stride=1)
+        grid, _frozen(np.vstack([psi_raised.values] * etas.size)))), family, plan, stride=1)
     del family
     for j, state in paths:
         if j % _REFERENCE_BLOCK == 0:
             references = None  # the spent block is freed before the next is raised
             rows = islice(path_one, _REFERENCE_BLOCK)
             references = to_momentum(normalized(apply_B_dag(to_position(
-                state.with_values(_frozen_stack([s.values for _, s in rows]))), W))).values
+                state.with_values(_frozen(np.vstack([s.values for _, s in rows])))), W))).values
         surface[:, j] = fidelity(state.with_values(references[j % _REFERENCE_BLOCK]), state)
         del state  # freed before the kernel allocates the next sample
 

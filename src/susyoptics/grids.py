@@ -25,12 +25,7 @@ from math import sqrt, tau as two_pi
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DegenerateStateError,
-    SamplingError,
-)
+from .errors import ConfigurationError, ContractError, DegenerateStateError
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -39,6 +34,7 @@ _SQRT_2PI = sqrt(two_pi)
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
+    """values made read-only in place: a fresh array a field then shares, not copies."""
     values.setflags(write=False)
     return values
 
@@ -128,8 +124,7 @@ def _grid_values(values, dtype, n: int, what: str) -> np.ndarray:
             f"expected ({n},) or (m, {n})")
     if (vals.flags.writeable or not vals.flags.owndata
             or not vals.flags.c_contiguous):
-        vals = vals.copy(order="C")
-        vals.setflags(write=False)
+        vals = _frozen(vals.copy(order="C"))
     return vals
 
 
@@ -156,27 +151,6 @@ class WaveFunction:
 
     def with_values(self, values: np.ndarray) -> "WaveFunction":
         return WaveFunction(self.grid, values, self.representation)
-
-
-def sample(grid: Grid1D, f) -> WaveFunction:
-    """Sample a callable on the grid as a position-space wavefunction.
-
-    ``f`` is called once with the full coordinate array and must return a
-    (broadcastable) array of values.  Non-finite samples are rejected with
-    the offending coordinate named.
-    """
-    vals = np.asarray(f(grid.x), dtype=np.complex128)
-    if vals.shape == ():
-        vals = np.full(grid.n, complex(vals))
-    if vals.shape != (grid.n,):
-        raise SamplingError(
-            f"sampled values have shape {vals.shape}, expected ({grid.n},)")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise SamplingError(
-            f"non-finite value {vals[i]} sampled at x = {grid.x[i]}")
-    return WaveFunction(grid, vals, POSITION)
 
 
 def _check_compatible(a: WaveFunction, b: WaveFunction) -> None:
@@ -219,7 +193,7 @@ def normalized(a: WaveFunction) -> WaveFunction:
     n = norm(a)
     if np.any(np.equal(n, 0.0)) or not np.all(np.isfinite(n)):
         raise DegenerateStateError(f"cannot normalize field with norm {n}")
-    return a.with_values(a.values / np.expand_dims(n, -1))
+    return a.with_values(_frozen(a.values / np.expand_dims(n, -1)))
 
 
 def fidelity(a: WaveFunction, b: WaveFunction):
@@ -249,7 +223,7 @@ def to_momentum(psi: WaveFunction) -> WaveFunction:
         raise ContractError("state is already in the momentum representation")
     g = psi.grid
     vals = g._unitary_phase * np.fft.fft(psi.values)
-    return WaveFunction(g, vals, MOMENTUM)
+    return WaveFunction(g, _frozen(vals), MOMENTUM)
 
 
 def to_position(psi: WaveFunction) -> WaveFunction:
@@ -258,7 +232,7 @@ def to_position(psi: WaveFunction) -> WaveFunction:
         raise ContractError("state is already in the position representation")
     g = psi.grid
     vals = (_SQRT_2PI / g.dx) * np.fft.ifft(g._inverse_phase * psi.values)
-    return WaveFunction(g, vals, POSITION)
+    return WaveFunction(g, _frozen(vals), POSITION)
 
 
 def spectral_derivative(psi: WaveFunction) -> WaveFunction:
@@ -271,7 +245,7 @@ def spectral_derivative(psi: WaveFunction) -> WaveFunction:
         raise ContractError("spectral_derivative expects a position-space state")
     g = psi.grid
     vals = np.fft.ifft(1j * g.p * np.fft.fft(psi.values))
-    return psi.with_values(vals)
+    return psi.with_values(_frozen(vals))
 
 
 def gaussian_packet(grid: Grid1D, center: float = 0.0, width: float = 1.0,

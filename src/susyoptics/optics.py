@@ -40,7 +40,7 @@ from .errors import (
     ParaxialWarning,
 )
 from .evolution import kinetic_step
-from .grids import POSITION, Grid1D, WaveFunction, gaussian_packet
+from .grids import POSITION, Grid1D, WaveFunction, _frozen, gaussian_packet
 from .susy import apply_B_dag
 
 PARAXIAL_LIMIT = 1e-2  # warn when (spot/z)^2 exceeds this
@@ -79,17 +79,20 @@ def map_distance_to_time(z_m: float, units: PhysicalUnits) -> float:
 
 
 def spot_size(psi: WaveFunction) -> float:
-    """Half-width (in grid units) of the interval around x=0 holding 99.99% of the mass."""
+    """Half-width (in grid units) of the interval around x=0 holding 99.99% of the mass.
+
+    A stack's spot is that of its widest row.
+    """
     fraction = 0.9999
     weights = np.abs(psi.values) ** 2
-    total = float(weights.sum())
-    if total == 0.0:
+    total = weights.sum(axis=-1, keepdims=True)
+    if np.any(total == 0.0):
         raise DegenerateStateError("spot size of a zero field is undefined")
     order = psi.grid.distance_order
-    mass = np.cumsum(weights[order]) / total
-    idx = int(np.searchsorted(mass, fraction))
-    idx = min(idx, psi.grid.n - 1)
-    return float(np.abs(psi.grid.x[order[idx]]))
+    mass = np.cumsum(weights[..., order], axis=-1) / total
+    # mass never decreases, so this count is searchsorted(mass, fraction) per row
+    idx = np.minimum(np.count_nonzero(mass < fraction, axis=-1), psi.grid.n - 1)
+    return float(np.max(np.abs(psi.grid.x[order[idx]])))
 
 
 # --- optical elements -------------------------------------------------------
@@ -129,7 +132,7 @@ class FreeSpace:
                 f"paraxial ratio rho^2/z^2 = {ratio:.3e} exceeds {PARAXIAL_LIMIT:.0e} "
                 f"(spot {rho_m:.3e} m over z = {self.z_m:.3e} m); treat results with care",
                 ParaxialWarning, stacklevel=2)
-        return out.with_values(out.values * np.exp(1j * units.k * self.z_m))
+        return out.with_values(_frozen(out.values * np.exp(1j * units.k * self.z_m)))
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,10 @@ class ThinLens:
 
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
         x_m = field_.grid.x * units.x0_m
-        return field_.with_values(np.where(
+        return field_.with_values(_frozen(np.where(
             np.abs(x_m) <= self.aperture_m,
             field_.values * np.exp(-0.5j * units.k * x_m**2 / self.f_m),
-            0.0))
+            0.0)))
 
 
 def _profile(values, what: str) -> np.ndarray:
@@ -167,8 +170,7 @@ def _profile(values, what: str) -> np.ndarray:
     vals = np.array(values, dtype=float)
     if vals.ndim != 1 or not np.all(np.isfinite(vals)):
         raise ConfigurationError(f"{what} must be a finite 1-d array")
-    vals.setflags(write=False)
-    return vals
+    return _frozen(vals)
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ class PhasePlate:
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
         if self.phase.shape != (field_.grid.n,):
             raise ContractError("phase plate was tabulated for a different grid")
-        return field_.with_values(field_.values * np.exp(-1j * self.phase))
+        return field_.with_values(_frozen(field_.values * np.exp(-1j * self.phase)))
 
 
 @dataclass(frozen=True)
@@ -219,14 +221,15 @@ class AmplitudeModulator:
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
         if self.profile.shape != (field_.grid.n,):
             raise ContractError("modulator was tabulated for a different grid")
-        return field_.with_values(field_.values * self.profile)
+        return field_.with_values(_frozen(field_.values * self.profile))
 
 
 @dataclass(frozen=True)
 class ParityFlip:
     """Idealized lens-pair image inversion, abstracted to exact parity.
 
-    x -> -x on the periodic grid: an exact involution (index 0 is self-paired).
+    x -> -x on the periodic grid, row by row: an exact involution (index 0
+    is self-paired).
     """
 
     name = "parity_flip"
@@ -236,7 +239,7 @@ class ParityFlip:
         return "-"
 
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
-        return field_.with_values(np.roll(field_.values[::-1], 1))
+        return field_.with_values(_frozen(np.roll(field_.values[..., ::-1], 1, axis=-1)))
 
 
 @dataclass(frozen=True)

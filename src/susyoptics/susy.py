@@ -39,6 +39,7 @@ from .grids import (
     POSITION,
     Grid1D,
     WaveFunction,
+    _frozen,
     _grid_values,
     normalized,
     spectral_derivative,
@@ -102,9 +103,6 @@ class Superpotential:
         bump = self.amplitude * np.exp(-(x * x) / (4.0 * self.sigma**2))
         return root_w * (1.0 / self.x0 - x / (2.0 * self.sigma**2) * bump)
 
-    def __call__(self, x):
-        return self.value(x)
-
 
 @dataclass(frozen=True)
 class PotentialField:
@@ -158,9 +156,8 @@ def eta_potential(W: Superpotential, eta, grid: Grid1D) -> PotentialField:
     vals = 2.0 * eta[..., None] * om * amp * u  # the odd term, built in place
     vals *= g
     vals += 0.5 * om**2 * grid.x**2 + 0.5 * om * amp**2 * g * g
-    vals.setflags(write=False)  # shared by the field, not copied
     label = f"eta({float(eta):g})" if eta.ndim == 0 else f"eta[{eta.size}]"
-    return PotentialField(grid, vals, label=label)
+    return PotentialField(grid, _frozen(vals), label=label)
 
 
 def _apply_ladder(psi: WaveFunction, W, derivative_sign: float) -> WaveFunction:
@@ -168,7 +165,7 @@ def _apply_ladder(psi: WaveFunction, W, derivative_sign: float) -> WaveFunction:
         raise ContractError("ladder operators act on position-space states")
     w = np.asarray(W.value(psi.grid.x), dtype=float)
     dpsi = spectral_derivative(psi).values
-    return psi.with_values((derivative_sign * dpsi + w * psi.values) / _SQRT2)
+    return psi.with_values(_frozen((derivative_sign * dpsi + w * psi.values) / _SQRT2))
 
 
 def apply_B(psi: WaveFunction, W) -> WaveFunction:
@@ -267,8 +264,9 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None,
     `_oracle_coefficients` bound at time t must hold.  Else s is halved;
     s = 1 is the full grid.
 
-    Returns (energies, vectors, residuals, band_points) with unit 2-norm
-    vectors as the columns of an n x r array.
+    Returns (energies, vectors, residuals, band_points, bound) with unit
+    2-norm vectors as the columns of an n x r array; bound is the largest
+    relative oracle bound of the states, None with `k`.
     """
     grid = V.grid
     n = grid.n
@@ -290,9 +288,10 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None,
         hv = _apply_hamiltonian(V, vecs)
         energies = np.einsum("ij,ij->j", vecs, hv)
         resid = np.linalg.norm(hv - vecs * energies, axis=0)
+        bound = None
         if k is None:
             try:
-                _oracle_coefficients(vecs, resid, values, t, V.label)
+                _, bound = _oracle_coefficients(vecs, resid, values, t, V.label)
             except NumericalError as exc:
                 failure = exc
                 continue
@@ -300,7 +299,7 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None,
             failure = NumericalError(f"eigensolver residual {resid.max():.3e} exceeds "
                                      f"{RESIDUAL_TOL:.1e} on {V.label!r}")
             continue
-        return energies, vecs, resid, m
+        return energies, vecs, resid, m, bound
     raise failure
 
 
@@ -335,7 +334,7 @@ def bound_spectrum(V: PotentialField, k: int) -> SpectrumResult:
     grid = V.grid
     if k >= grid.n:
         raise ConfigurationError(f"k = {k} requires a grid larger than {grid.n} points")
-    energies, vecs, resid, band = _band_eigenpairs(V, k=int(k))
+    energies, vecs, resid, band, _ = _band_eigenpairs(V, k=int(k))
     # deterministic sign: largest-magnitude component made positive
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])

@@ -3,6 +3,8 @@ import math
 import pytest
 
 import susyoptics as so
+from susyoptics.grids import make_random_states
+from susyoptics.optics import PhysicalUnits
 
 # The reference scenario: omega = 1, A = sqrt(26), sigma = x0/2, packet at -5.
 OMEGA = 1.0
@@ -44,7 +46,7 @@ def psi0(grid):
 
 @pytest.fixture(scope="session")
 def battery(grid):
-    return so.make_random_states(grid, 5, seed=7, center=-5.0)
+    return make_random_states(grid, 5, seed=7, center=-5.0)
 
 
 # the oracle bases serve the states the tests evolve under each partner, for
@@ -62,4 +64,4 @@ def basis_v2(v2, W, psi0, battery):
 
 @pytest.fixture(scope="session")
 def units():
-    return so.PhysicalUnits(532e-9, 1e-3)
+    return PhysicalUnits(532e-9, 1e-3)

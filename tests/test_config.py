@@ -8,10 +8,17 @@ import pytest
 
 import susyoptics as so
 from susyoptics import ConfigurationError
-from susyoptics.config import CONFIG_KEYS, setup, validate
+from susyoptics.config import (
+    CONFIG_KEYS,
+    ExperimentConfig,
+    config_hash,
+    serialize_config,
+    setup,
+    validate,
+)
 
 FLOAT_KEYS = tuple(k for k in CONFIG_KEYS
-                   if isinstance(getattr(so.ExperimentConfig(), k), float))
+                   if isinstance(getattr(ExperimentConfig(), k), float))
 
 
 def test_defaults(tmp_path):
@@ -119,18 +126,18 @@ def test_packet_center_is_named_without_warnings():
 
 def test_serialize_roundtrip_fixed_point(tmp_path):
     cfg = so.parse_config(None)
-    text = so.serialize_config(cfg)
+    text = serialize_config(cfg)
     path = tmp_path / "canon.cfg"
     path.write_text(text)
     reparsed = so.parse_config(path)
     assert reparsed == cfg
-    assert so.serialize_config(reparsed) == text
+    assert serialize_config(reparsed) == text
     # nothing was defaulted on the reparse: every key is in the file
     assert reparsed.defaulted_keys == ()
 
 
 def test_serialize_covers_every_key():
-    text = so.serialize_config(so.parse_config(None))
+    text = serialize_config(so.parse_config(None))
     keys = {line.split("=")[0].strip() for line in text.splitlines()
             if line and not line.startswith("#")}
     assert keys == set(CONFIG_KEYS)
@@ -138,13 +145,13 @@ def test_serialize_covers_every_key():
 
 def test_config_hash_tracks_content():
     base = so.parse_config(None)
-    assert so.config_hash(base) == so.config_hash(so.parse_config(None))
+    assert config_hash(base) == config_hash(so.parse_config(None))
     bumped = dataclasses.replace(base, omega=2.0)
-    assert so.config_hash(bumped) != so.config_hash(base)
-    assert len(so.config_hash(base)) == 12
+    assert config_hash(bumped) != config_hash(base)
+    assert len(config_hash(base)) == 12
     # provenance bookkeeping does not change identity
     marked = dataclasses.replace(base, defaulted_keys=())
-    assert so.config_hash(marked) == so.config_hash(base)
+    assert config_hash(marked) == config_hash(base)
 
 
 def test_float_formats_preserved(tmp_path):
@@ -152,7 +159,7 @@ def test_float_formats_preserved(tmp_path):
     path.write_text("omega = 0.30000000000000004\n")
     cfg = so.parse_config(path)
     assert cfg.omega == 0.1 + 0.2
-    assert "0.30000000000000004" in so.serialize_config(cfg)
+    assert "0.30000000000000004" in serialize_config(cfg)
 
 
 def _names(problems, key):

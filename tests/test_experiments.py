@@ -12,8 +12,16 @@ import pytest
 
 import susyoptics as so
 from susyoptics import ConfigurationError, cli, experiments, optics
-from susyoptics.config import setup
-from susyoptics.experiments import SCENARIO_RUNNERS, GatedScalar, Table
+from susyoptics.config import config_hash, serialize_config, setup
+from susyoptics.experiments import (
+    SCENARIO_RUNNERS,
+    GatedScalar,
+    ScenarioResult,
+    Table,
+    run_all,
+)
+from susyoptics.grids import make_random_states
+from susyoptics.susy import PotentialField
 
 
 @pytest.fixture(scope="module")
@@ -33,15 +41,15 @@ def small_cfg():
 
 class TestRandomStates:
     def test_deterministic(self, small_grid):
-        a = so.make_random_states(small_grid, 3, seed=11)
-        b = so.make_random_states(small_grid, 3, seed=11)
-        c = so.make_random_states(small_grid, 3, seed=12)
+        a = make_random_states(small_grid, 3, seed=11)
+        b = make_random_states(small_grid, 3, seed=11)
+        c = make_random_states(small_grid, 3, seed=12)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.values, sb.values)
         assert not np.array_equal(a[0].values, c[0].values)
 
     def test_normalized_and_band_limited(self, small_grid):
-        for state in so.make_random_states(small_grid, 4, seed=3):
+        for state in make_random_states(small_grid, 4, seed=3):
             assert so.norm(state) == pytest.approx(1.0, abs=1e-12)
             phi = so.to_momentum(state)
             tail = np.abs(small_grid.p) > 12.0
@@ -49,16 +57,16 @@ class TestRandomStates:
 
     def test_count_validated(self, small_grid):
         with pytest.raises(ConfigurationError):
-            so.make_random_states(small_grid, 0, seed=1)
+            make_random_states(small_grid, 0, seed=1)
         with pytest.raises(ConfigurationError):
-            so.make_random_states(small_grid, 3, seed=-1)
+            make_random_states(small_grid, 3, seed=-1)
 
 
 class TestRunnerStructure:
     def test_spectrum(self, small_cfg):
         r = so.run_spectrum(small_cfg)
         assert r.scenario == "spectrum"
-        assert r.config_hash == so.config_hash(small_cfg)
+        assert r.config_hash == config_hash(small_cfg)
         assert r.tool_version == so.__version__
         assert [t.name for t in r.tables] == ["potentials", "levels"]
         assert [s.name for s in r.scalars] == ["max_paired_gap", "ground_energy_v2"]
@@ -122,7 +130,7 @@ class TestRunnerStructure:
         etas = np.linspace(cfg.eta_min, cfg.eta_max, 9)
         raised = so.apply_B_dag(run.psi0, W)
         stack = so.WaveFunction(grid, np.vstack([run.psi0.values] + [raised.values] * 9))
-        family = so.PotentialField(grid, np.vstack(
+        family = PotentialField(grid, np.vstack(
             [so.partner_potential(W, 1, grid).values, so.eta_potential(W, etas, grid).values]))
         position = np.empty_like(surface)
         for j, state in so.trotter_states(stack, family, plan):
@@ -202,7 +210,7 @@ class TestRunnerStructure:
     def test_bench_run_keeps_the_callers_hash(self, small_cfg):
         # the bench frame is built at omega = 1, but provenance is the caller's
         cfg = dataclasses.replace(small_cfg, omega=2.0)
-        assert so.run_bdag_validation(cfg).config_hash == so.config_hash(cfg)
+        assert so.run_bdag_validation(cfg).config_hash == config_hash(cfg)
 
     def test_bdag_ratio_fails_with_its_reference(self, small_cfg):
         # 64 points undersample the bench; a ratio against the broken
@@ -240,7 +248,7 @@ class TestRunnerStructure:
         assert scalar["oracle_error_bound"].value <= 1e-8
 
     def test_run_all_order(self, small_cfg):
-        results = so.run_all(small_cfg)
+        results = run_all(small_cfg)
         assert [r.scenario for r in results] == sorted(SCENARIO_RUNNERS)
 
 
@@ -266,7 +274,7 @@ class TestEmitCsv:
                          "spectrum_levels.csv"]
         head = (tmp_path / "out" / "spectrum_levels.csv").read_text().splitlines()
         assert head[0] == "# scenario: spectrum"
-        assert head[1] == f"# config_hash: {so.config_hash(small_cfg)}"
+        assert head[1] == f"# config_hash: {config_hash(small_cfg)}"
         assert head[2] == f"# tool_version: {so.__version__}"
         assert head[3].startswith("# defaulted_keys: ")
         assert head[5] == ("# eigensolver: spectral, V1 on 256 and V2 on 256 "
@@ -322,7 +330,7 @@ class TestEmitCsv:
             np.array([True, False, True, True, False, False, True]),
             np.array(["a", "b c", "reference", "battery_0", "x", "é", ""]),
         ], names=["value", "count", "flag", "label"])
-        result = so.ScenarioResult(
+        result = ScenarioResult(
             scenario="golden", config_hash="0" * 12, tool_version="0.0.0",
             defaulted_keys=(), scalars=(), tables=(Table("cells", rows),))
         so.emit_csv(result, tmp_path)
@@ -350,7 +358,7 @@ class TestEmitCsv:
         values = np.tile(special, 9)
         np.random.default_rng(2).shuffle(values)
         rows = np.rec.fromarrays([values, np.arange(values.size)], names=["v", "i"])
-        result = so.ScenarioResult(
+        result = ScenarioResult(
             scenario="special", config_hash="0" * 12, tool_version="0.0.0",
             defaulted_keys=(), scalars=(), tables=(Table("cells", rows),))
         so.emit_csv(result, tmp_path)
@@ -424,7 +432,7 @@ class TestCli:
     def test_exit_two_and_no_file_on_an_unsafe_cell(self, tmp_path, capsys,
                                                      monkeypatch):
         rows = np.rec.fromarrays([np.array(["a,b"])], names=["label"])
-        result = so.ScenarioResult(
+        result = ScenarioResult(
             scenario="spectrum", config_hash="0" * 12,
             tool_version=so.__version__, defaulted_keys=(),
             scalars=(GatedScalar("probe", 1.0, "value <= 2.0", True),),
@@ -449,7 +457,7 @@ class TestCli:
         monkeypatch.setitem(cli.SCENARIO_RUNNERS, "trotter-convergence",
                             unsafe_runner)
         cfg_file = tmp_path / "small.cfg"
-        cfg_file.write_text(so.serialize_config(small_cfg))
+        cfg_file.write_text(serialize_config(small_cfg))
         out = tmp_path / "r"
         code = cli.main(["all", "--config", str(cfg_file), "--out", str(out)])
         assert code == 2
@@ -501,7 +509,7 @@ class TestCli:
             assert key in named
 
     @pytest.mark.parametrize("error", [so.ContractError, so.DegenerateStateError,
-                                       so.SamplingError])
+                                       so.SimulationError])
     def test_exit_three_on_other_simulation_errors(self, tmp_path, capsys,
                                                    monkeypatch, error):
         def failing_runner(cfg):
@@ -515,14 +523,14 @@ class TestCli:
     def test_all_prints_scenarios_in_run_all_order(self, small_cfg, tmp_path,
                                                    capsys):
         cfg_file = tmp_path / "small.cfg"
-        cfg_file.write_text(so.serialize_config(small_cfg))
+        cfg_file.write_text(serialize_config(small_cfg))
         code = cli.main(["all", "--config", str(cfg_file),
                          "--out", str(tmp_path / "r")])
         assert code in (0, 1)
         printed = [line.split("] ", 1)[1].split("/", 1)[0]
                    for line in capsys.readouterr().out.splitlines()
                    if line.startswith("[")]
-        expected = [r.scenario for r in so.run_all(small_cfg)]
+        expected = [r.scenario for r in run_all(small_cfg)]
         assert list(dict.fromkeys(printed)) == expected
 
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys):
@@ -534,7 +542,7 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_strict_flips_warned_run(self, tmp_path, capsys, monkeypatch):
-        result = so.ScenarioResult(
+        result = ScenarioResult(
             scenario="spectrum", config_hash="0" * 12,
             tool_version=so.__version__, defaulted_keys=(),
             scalars=(GatedScalar("probe", 1.0, "value <= 2.0", True),),

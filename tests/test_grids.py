@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import susyoptics as so
-from susyoptics import ConfigurationError, ContractError, DegenerateStateError, SamplingError
+from susyoptics import ConfigurationError, ContractError, DegenerateStateError
+from susyoptics.grids import MOMENTUM, spectral_derivative
+from susyoptics.susy import PotentialField
 
 
 def test_grid_geometry():
@@ -79,7 +81,7 @@ def test_wavefunction_contract(small_grid):
 
 @pytest.mark.parametrize("make", [
     lambda g, v: so.WaveFunction(g, v),
-    lambda g, v: so.PotentialField(g, v.real),
+    lambda g, v: PotentialField(g, v.real),
 ])
 def test_stack_shape_contract(small_grid, make):
     n = small_grid.n
@@ -173,23 +175,6 @@ def test_reductions_reject_mismatched_stacks(small_grid):
         so.fidelity(a, b.with_values(np.zeros((2, small_grid.n))))
 
 
-def test_sample_names_bad_point(small_grid):
-    psi = so.sample(small_grid, lambda x: np.exp(-x * x))
-    assert psi.values.shape == (small_grid.n,)
-
-    def bad(x):
-        return np.where(np.abs(x + 3.0) < 1e-9, np.nan, 1.0)
-
-    with pytest.raises(SamplingError) as err:
-        so.sample(small_grid, bad)
-    assert "-3" in str(err.value)
-
-
-def test_sample_scalar_broadcast(small_grid):
-    psi = so.sample(small_grid, lambda x: 1.0)
-    assert np.all(psi.values == 1.0)
-
-
 def test_gaussian_packet_normalized(grid):
     psi = so.gaussian_packet(grid, center=-5.0, width=1.0, momentum=2.0)
     assert so.norm(psi) == pytest.approx(1.0, abs=1e-12)
@@ -227,7 +212,7 @@ def test_gaussian_packet_width_limits(grid):
 
 def test_momentum_roundtrip_and_parseval(grid, psi0):
     phi = so.to_momentum(psi0)
-    assert phi.representation == so.MOMENTUM
+    assert phi.representation == MOMENTUM
     assert so.norm(phi) == pytest.approx(so.norm(psi0), abs=1e-12)
     back = so.to_position(phi)
     np.testing.assert_allclose(back.values, psi0.values, atol=1e-12)
@@ -296,7 +281,7 @@ def test_fidelity_zero_state_rejected(small_grid):
 
 def test_spectral_derivative_gaussian(grid):
     psi = so.gaussian_packet(grid, width=1.5)
-    d = so.spectral_derivative(psi)
+    d = spectral_derivative(psi)
     expected = -(grid.x / 1.5**2) * psi.values
     np.testing.assert_allclose(d.values, expected, atol=1e-10)
 
@@ -305,5 +290,5 @@ def test_spectral_derivative_plane_wave_exact(small_grid):
     # a lattice momentum is differentiated exactly
     k = 5 * small_grid.dp
     psi = so.WaveFunction(small_grid, np.exp(1j * k * small_grid.x))
-    d = so.spectral_derivative(psi)
+    d = spectral_derivative(psi)
     np.testing.assert_allclose(d.values, 1j * k * psi.values, atol=1e-11)

@@ -12,46 +12,63 @@ from susyoptics import (
     DegenerateStateError,
     ParaxialWarning,
 )
+from susyoptics.evolution import kinetic_step
+from susyoptics.optics import (
+    AmplitudeModulator,
+    FreeSpace,
+    InterferometerSpec,
+    OpticalTrain,
+    ParityFlip,
+    PhasePlate,
+    PhysicalUnits,
+    ThinLens,
+    alpha_passivity_bound,
+    calibrate_interferometer,
+    interferometric_B_dag,
+    map_distance_to_time,
+    map_time_to_distance,
+    spot_size,
+)
 
 
 def test_physical_units(units):
     assert units.k == pytest.approx(2.0 * math.pi / 532e-9)
     with pytest.raises(ConfigurationError):
-        so.PhysicalUnits(0.0, 1e-3)
+        PhysicalUnits(0.0, 1e-3)
     with pytest.raises(ConfigurationError):
-        so.PhysicalUnits(532e-9, -1.0)
+        PhysicalUnits(532e-9, -1.0)
 
 
 def test_time_distance_map(units):
     dt = 2.0 * math.pi / 60.0
-    z = so.map_time_to_distance(dt, units)
+    z = map_time_to_distance(dt, units)
     assert 1.2365 <= z <= 1.2375
-    assert so.map_distance_to_time(z, units) == pytest.approx(dt, rel=1e-15)
+    assert map_distance_to_time(z, units) == pytest.approx(dt, rel=1e-15)
     # the map is linear in dt
-    assert so.map_time_to_distance(2 * dt, units) == pytest.approx(2 * z, rel=1e-15)
+    assert map_time_to_distance(2 * dt, units) == pytest.approx(2 * z, rel=1e-15)
 
 
 class TestSpotSize:
     def test_centered_gaussian(self, grid):
         # 99.99% mass of exp(-x^2) lies within |x| <= 2.751
-        rho = so.spot_size(so.gaussian_packet(grid))
+        rho = spot_size(so.gaussian_packet(grid))
         assert rho == pytest.approx(2.751, abs=0.02)
 
     def test_displaced_gaussian(self, grid, psi0):
         # off-center packet: the excluded mass is all in the far tail, so the
         # one-sided normal quantile 3.719 sigma applies (sigma = 1/sqrt(2))
-        rho = so.spot_size(psi0)
+        rho = spot_size(psi0)
         assert rho == pytest.approx(5.0 + 2.630, abs=0.05)
 
     def test_validation(self, grid):
         zero = so.WaveFunction(grid, np.zeros(grid.n))
         with pytest.raises(DegenerateStateError):
-            so.spot_size(zero)
+            spot_size(zero)
 
 
 class TestFresnel:
     def test_zero_distance_identity(self, psi0, units):
-        out = so.FreeSpace(0.0).apply(psi0, units)
+        out = FreeSpace(0.0).apply(psi0, units)
         np.testing.assert_array_equal(out.values, psi0.values)
 
     def test_matches_kinetic_step_with_carrier_phase(self, W, psi0, units):
@@ -59,41 +76,41 @@ class TestFresnel:
             tau = z / (units.k * units.x0_m**2)
             carrier = np.exp(1j * units.k * z)
             for field_ in (psi0, so.apply_B_dag(psi0, W)):
-                out = so.FreeSpace(z).apply(field_, units)
-                expected = so.kinetic_step(field_, tau)
+                out = FreeSpace(z).apply(field_, units)
+                expected = kinetic_step(field_, tau)
                 np.testing.assert_array_equal(out.values, expected.values * carrier)
 
     def test_warns_outside_paraxial_regime(self, psi0, units):
         with pytest.warns(ParaxialWarning):
-            so.FreeSpace(0.01).apply(psi0, units)
+            FreeSpace(0.01).apply(psi0, units)
 
     def test_silent_in_regime(self, psi0, units):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            so.FreeSpace(0.8).apply(psi0, units)
+            FreeSpace(0.8).apply(psi0, units)
 
     def test_contract(self, psi0, units):
         with pytest.raises(ConfigurationError):
-            so.FreeSpace(-0.1)
+            FreeSpace(-0.1)
         with pytest.raises(ContractError):
-            so.FreeSpace(0.1).apply(so.to_momentum(psi0), units)
+            FreeSpace(0.1).apply(so.to_momentum(psi0), units)
 
 
 def test_lens_is_aperture_limited_phase(grid, psi0, units):
-    out = so.ThinLens(0.8, 5e-3).apply(psi0, units)
+    out = ThinLens(0.8, 5e-3).apply(psi0, units)
     inside = np.abs(grid.x) * units.x0_m <= 5e-3
     np.testing.assert_allclose(np.abs(out.values[inside]),
                                np.abs(psi0.values[inside]), atol=1e-14)
     assert np.all(out.values[~inside] == 0.0)
     with pytest.raises(ConfigurationError):
-        so.ThinLens(0.0, 5e-3)
+        ThinLens(0.0, 5e-3)
     with pytest.raises(ConfigurationError):
-        so.ThinLens(0.8, 0.0)
+        ThinLens(0.8, 0.0)
 
 
 def test_parity_flip_involution(grid, psi0, units):
-    once = so.ParityFlip().apply(psi0, units)
-    twice = so.ParityFlip().apply(once, units)
+    once = ParityFlip().apply(psi0, units)
+    twice = ParityFlip().apply(once, units)
     np.testing.assert_array_equal(twice.values, psi0.values)
     x_mean = np.sum(grid.x * np.abs(psi0.values) ** 2) * grid.dx
     x_flip = np.sum(grid.x * np.abs(once.values) ** 2) * grid.dx
@@ -103,47 +120,66 @@ def test_parity_flip_involution(grid, psi0, units):
 class TestElements:
     def test_validation(self, grid):
         with pytest.raises(ConfigurationError):
-            so.FreeSpace(-1.0)
+            FreeSpace(-1.0)
         with pytest.raises(ConfigurationError):
-            so.ThinLens(0.0)
+            ThinLens(0.0)
         with pytest.raises(ConfigurationError):
-            so.AmplitudeModulator(np.full(grid.n, 1.5))
+            AmplitudeModulator(np.full(grid.n, 1.5))
 
     def test_phase_plate(self, grid, psi0, units):
-        plate = so.PhasePlate(np.full(grid.n, 0.5))
+        plate = PhasePlate(np.full(grid.n, 0.5))
         out = plate.apply(psi0, units)
         np.testing.assert_allclose(out.values, np.exp(-0.5j) * psi0.values,
                                    atol=1e-14)
 
     def test_amplitude_modulator(self, grid, psi0, units):
         profile = np.exp(-grid.x**2)
-        mod = so.AmplitudeModulator(profile)
+        mod = AmplitudeModulator(profile)
         out = mod.apply(psi0, units)
         np.testing.assert_allclose(out.values, profile * psi0.values, atol=1e-14)
 
     def test_wrong_grid_rejected(self, grid, small_grid, units):
-        plate = so.PhasePlate(np.zeros(small_grid.n))
+        plate = PhasePlate(np.zeros(small_grid.n))
         with pytest.raises(ContractError):
             plate.apply(so.gaussian_packet(grid), units)
 
     def test_unknown_element_rejected(self, units):
         # a train accepts only objects with the element interface
         with pytest.raises(ContractError):
-            so.OpticalTrain((so.FreeSpace(0.8), object()), units)
+            OpticalTrain((FreeSpace(0.8), object()), units)
 
     def test_lengths(self):
-        assert so.FreeSpace(0.8).length_m == 0.8
-        for thin in (so.ThinLens(0.8), so.PhasePlate(np.zeros(4)),
-                     so.AmplitudeModulator(np.zeros(4)), so.ParityFlip()):
+        assert FreeSpace(0.8).length_m == 0.8
+        for thin in (ThinLens(0.8), PhasePlate(np.zeros(4)),
+                     AmplitudeModulator(np.zeros(4)), ParityFlip()):
             assert thin.length_m == 0.0
+
+
+def test_elements_act_on_a_stack_row_by_row(W, grid, psi0, battery, units):
+    rows = [psi0, *battery[:2]]
+    stack = so.WaveFunction(grid, np.vstack([r.values for r in rows]))
+    assert spot_size(stack) == max(spot_size(r) for r in rows)
+    tuned = calibrate_interferometer(InterferometerSpec(W, 0.8, 10e-3), grid, units)
+    elements = (FreeSpace(0.8), ThinLens(0.8, 10e-3), PhasePlate(0.1 * grid.x**2),
+                AmplitudeModulator(np.exp(-grid.x**2 / 50.0)), ParityFlip())
+    trains = (OpticalTrain(elements, units), tuned.derivative_arm,
+              tuned.multiplication_arm)
+    for train in trains:
+        for element in train.elements:
+            out = element.apply(stack, units).values
+            for i, row in enumerate(rows):
+                np.testing.assert_array_equal(out[i], element.apply(row, units).values)
+        out = so.simulate_train(stack, train).values
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(out[i], so.simulate_train(row, train).values)
 
 
 class TestOpticalTrain:
     def _train(self, units):
-        return so.OpticalTrain((so.FreeSpace(0.8),
-                                so.ThinLens(0.8, 1e-2),
-                                so.FreeSpace(0.8),
-                                so.ParityFlip()), units)
+        return OpticalTrain((FreeSpace(0.8),
+                                ThinLens(0.8, 1e-2),
+                                FreeSpace(0.8),
+                                ParityFlip()), units)
 
     def test_total_length(self, units):
         assert self._train(units).total_length_m == pytest.approx(1.6)
@@ -170,11 +206,11 @@ class TestOpticalTrain:
 
     def test_layout_text_golden(self, units):
         # one element of each type, with an aperture-limited and a clear lens
-        train = so.OpticalTrain((
-            so.FreeSpace(0.8), so.ThinLens(0.8, 5e-3), so.FreeSpace(0.25),
-            so.PhasePlate(np.array([0.0, 0.5, -1.25, 2.0])),
-            so.AmplitudeModulator(np.array([0.5, -0.75, 1.0, 0.0])),
-            so.ThinLens(0.5), so.ParityFlip()), units)
+        train = OpticalTrain((
+            FreeSpace(0.8), ThinLens(0.8, 5e-3), FreeSpace(0.25),
+            PhasePlate(np.array([0.0, 0.5, -1.25, 2.0])),
+            AmplitudeModulator(np.array([0.5, -0.75, 1.0, 0.0])),
+            ThinLens(0.5), ParityFlip()), units)
         assert train.to_layout_text().splitlines() == [
             "# optical train layout",
             "# wavelength_m: 5.32e-07",
@@ -202,11 +238,11 @@ class TestCompiledTrain:
         assert kinds[0::2] == ["FreeSpace"] * 31
         assert kinds[1::2] == ["PhasePlate"] * 30
         # gaps: half, 29 full, half; plates carry V dt
-        z_full = so.map_time_to_distance(dt, units)
+        z_full = map_time_to_distance(dt, units)
         assert train.elements[0].z_m == pytest.approx(z_full / 2.0, rel=1e-12)
         assert train.elements[2].z_m == pytest.approx(z_full, rel=1e-12)
         assert train.total_length_m == pytest.approx(
-            so.map_time_to_distance(plan.total_time, units), rel=1e-12)
+            map_time_to_distance(plan.dt * plan.n_steps, units), rel=1e-12)
         np.testing.assert_allclose(train.elements[1].phase, v2.values * dt,
                                    atol=1e-14)
 
@@ -232,53 +268,53 @@ class TestCompiledTrain:
 
 class TestInterferometer:
     def test_passivity_bound_value(self, W, grid, units):
-        spec = so.InterferometerSpec(W, 0.8, 10e-3)
+        spec = InterferometerSpec(W, 0.8, 10e-3)
         tau_f = 0.8 / (units.k * units.x0_m**2)
         reach = np.max(np.abs(grid.x)[np.abs(grid.x) * units.x0_m <= 10e-3])
         expected = tau_f / reach
-        assert so.alpha_passivity_bound(spec, grid, units) == pytest.approx(
+        assert alpha_passivity_bound(spec, grid, units) == pytest.approx(
             expected, rel=1e-12)
 
     def test_passivity_bound_limited_by_superpotential(self, grid, units):
         tall = so.Superpotential(1.0, 200.0)
-        spec = so.InterferometerSpec(tall, 0.8, 10e-3)
-        assert so.alpha_passivity_bound(spec, grid, units) == pytest.approx(
+        spec = InterferometerSpec(tall, 0.8, 10e-3)
+        assert alpha_passivity_bound(spec, grid, units) == pytest.approx(
             1.0 / 200.0, rel=1e-12)
 
     def test_calibration_pins_gain_and_phase(self, W, grid, units):
-        spec = so.InterferometerSpec(W, 0.8, 10e-3)
-        tuned = so.calibrate_interferometer(spec, grid, units)
+        spec = InterferometerSpec(W, 0.8, 10e-3)
+        tuned = calibrate_interferometer(spec, grid, units)
         assert tuned.spec == spec and tuned.grid == grid
-        assert tuned.alpha == 0.95 * so.alpha_passivity_bound(spec, grid, units)
+        assert tuned.alpha == 0.95 * alpha_passivity_bound(spec, grid, units)
         assert math.isfinite(tuned.phase)
-        again = so.calibrate_interferometer(spec, grid, units)
+        again = calibrate_interferometer(spec, grid, units)
         assert again.phase == tuned.phase
         with pytest.raises(dataclasses.FrozenInstanceError):
             tuned.phase = 0.0
 
     @pytest.mark.parametrize("parity_mode", ["ideal", "fresnel"])
     def test_synthesizes_raising_operator(self, W, grid, psi0, units, parity_mode):
-        spec = so.InterferometerSpec(W, 0.8, 10e-3, parity_mode=parity_mode)
-        tuned = so.calibrate_interferometer(spec, grid, units)
-        approx = so.interferometric_B_dag(psi0, tuned)
+        spec = InterferometerSpec(W, 0.8, 10e-3, parity_mode=parity_mode)
+        tuned = calibrate_interferometer(spec, grid, units)
+        approx = interferometric_B_dag(psi0, tuned)
         target = so.apply_B_dag(psi0, W)
         err = (so.norm(target.with_values(approx.values - target.values))
                / so.norm(target))
         assert err < 1e-5
 
     def test_contract(self, W, grid, psi0, units):
-        tuned = so.calibrate_interferometer(so.InterferometerSpec(W, 0.8, 10e-3),
+        tuned = calibrate_interferometer(InterferometerSpec(W, 0.8, 10e-3),
                                             grid, units)
         with pytest.raises(ContractError):
-            so.interferometric_B_dag(so.to_momentum(psi0), tuned)
+            interferometric_B_dag(so.to_momentum(psi0), tuned)
         # same point count over another box: the masks would fit but mean nothing
         wider = so.make_grid(grid.n, 2 * grid.x_min, 2 * grid.x_max)
         with pytest.raises(ContractError):
-            so.interferometric_B_dag(so.gaussian_packet(wider), tuned)
+            interferometric_B_dag(so.gaussian_packet(wider), tuned)
 
     def test_arm_trains_structure(self, W, grid, units):
-        spec = so.InterferometerSpec(W, 0.8, 10e-3)
-        tuned = so.calibrate_interferometer(spec, grid, units)
+        spec = InterferometerSpec(W, 0.8, 10e-3)
+        tuned = calibrate_interferometer(spec, grid, units)
         lower, upper = tuned.derivative_arm, tuned.multiplication_arm
         lower_kinds = [type(e).__name__ for e in lower.elements]
         upper_kinds = [type(e).__name__ for e in upper.elements]
@@ -287,8 +323,8 @@ class TestInterferometer:
         assert lower_kinds.count("AmplitudeModulator") == 1
         assert upper_kinds == ["ParityFlip", "AmplitudeModulator", "ParityFlip"]
         # fresnel mode replaces each ideal flip with a two-lens relay
-        full = so.calibrate_interferometer(
-            so.InterferometerSpec(W, 0.8, 10e-3, parity_mode="fresnel"), grid, units)
+        full = calibrate_interferometer(
+            InterferometerSpec(W, 0.8, 10e-3, parity_mode="fresnel"), grid, units)
         lower_f, upper_f = full.derivative_arm, full.multiplication_arm
         assert [type(e).__name__ for e in upper_f.elements].count("ThinLens") == 4
         assert lower_f.total_length_m > lower.total_length_m

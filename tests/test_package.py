@@ -3,13 +3,17 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import susyoptics as so
+from susyoptics import errors
 from susyoptics.experiments import SCENARIO_RUNNERS
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 # Runs in a fresh interpreter in which every scipy import fails, and prints
 # the scenarios it ran and the scipy modules loaded.
@@ -23,9 +27,10 @@ class NoScipy:
 
 sys.meta_path.insert(0, NoScipy())
 import susyoptics.cli
-from susyoptics import (Grid1D, Superpotential, bound_spectrum, eigenbasis,
-                        partner_potential, run_all)
+from susyoptics import Superpotential, bound_spectrum, eigenbasis, partner_potential
 from susyoptics.config import parse_config
+from susyoptics.experiments import run_all
+from susyoptics.grids import Grid1D
 ran = [result.scenario for result in run_all(parse_config(sys.argv[1]))]
 v1 = partner_potential(Superpotential(), 1, Grid1D(256, -15.0, 15.0))
 eigenbasis(v1, bound_spectrum(v1, 2).states, 1.0)
@@ -49,6 +54,22 @@ def test_all_names_the_imports_and_no_module():
     assert sorted(so.__all__) == sorted(imported)
     for name in so.__all__:
         assert not isinstance(getattr(so, name), types.ModuleType), name
+
+
+def test_all_is_the_documented_api():
+    """__all__ is what the README imports, the acceptance suite calls and the exit codes raise."""
+    readme = (_ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    documented = {alias.name for block in blocks for node in ast.walk(ast.parse(block))
+                  if isinstance(node, ast.ImportFrom) and node.module == "susyoptics"
+                  for alias in node.names}
+    acceptance = ast.parse((_ROOT / "tests" / "test_acceptance.py").read_text())
+    exercised = {node.attr for node in ast.walk(acceptance)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "so"}
+    error_classes = {name for name, obj in vars(errors).items()
+                     if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert set(so.__all__) == documented | exercised | error_classes | {"__version__"}
 
 
 def test_runs_without_scipy(tmp_path):

@@ -7,17 +7,20 @@ from scipy.special import erf
 
 import susyoptics as so
 from susyoptics import ConfigurationError, ContractError, NumericalError, susy
+from susyoptics.evolution import kinetic_step
+from susyoptics.grids import Grid1D, spectral_derivative
+from susyoptics.susy import PotentialField, check_degeneracy, dense_hamiltonian
 
 from conftest import AMPLITUDE
 
 
 def test_superpotential_values(W):
     # W(0) = A, and sigma defaults to x0/2
-    assert W(0.0) == pytest.approx(AMPLITUDE)
+    assert W.value(0.0) == pytest.approx(AMPLITUDE)
     assert W.x0 == pytest.approx(1.0)
     assert so.Superpotential(1.0, AMPLITUDE).sigma == pytest.approx(0.5)
     # far from the barrier the linear trap dominates
-    assert W(10.0) == pytest.approx(10.0, abs=1e-12)
+    assert W.value(10.0) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_superpotential_derivative_matches_fd(W):
@@ -70,10 +73,10 @@ def test_eta_family_requires_matched_widths(grid):
 
 def test_potential_field_contract(small_grid):
     with pytest.raises(ContractError):
-        so.PotentialField(small_grid, np.zeros(small_grid.n - 2))
+        PotentialField(small_grid, np.zeros(small_grid.n - 2))
     with pytest.raises(ContractError):
-        so.PotentialField(small_grid, np.full(small_grid.n, np.nan))
-    field = so.PotentialField(small_grid, np.zeros(small_grid.n))
+        PotentialField(small_grid, np.full(small_grid.n, np.nan))
+    field = PotentialField(small_grid, np.zeros(small_grid.n))
     with pytest.raises(ValueError):
         field.values[0] = 1.0
 
@@ -96,7 +99,7 @@ class TestLadderOperators:
     def test_factorization_reproduces_hamiltonians(self, grid, W, v1, v2, battery):
         # B B+ acts as kinetic + V1, B+ B as kinetic + V2, on smooth states
         psi = battery[0]
-        kinetic = so.spectral_derivative(so.spectral_derivative(psi))
+        kinetic = spectral_derivative(spectral_derivative(psi))
         for apply_outer, apply_inner, v in ((so.apply_B, so.apply_B_dag, v1),
                                             (so.apply_B_dag, so.apply_B, v2)):
             lhs = apply_outer(apply_inner(psi, W), W)
@@ -162,7 +165,7 @@ class TestBandLimitedSolver:
     @pytest.fixture(scope="class")
     def full_grid_pairs(self, v2):
         # the s = 1 solve: the full-grid matrix itself
-        return sla.eigh(so.dense_hamiltonian(v2), subset_by_index=(0, 39))
+        return sla.eigh(dense_hamiltonian(v2), subset_by_index=(0, 39))
 
     @pytest.fixture(scope="class")
     def band_basis(self, v2, W, psi0):
@@ -211,7 +214,7 @@ class TestBandLimitedSolver:
     def test_stiff_trap_widens_the_band(self, grid, v1):
         # oscillator length 1/sqrt(40) is not resolved by the default band
         omega = 40.0
-        stiff = so.PotentialField(grid, 0.5 * omega**2 * grid.x**2, label="stiff")
+        stiff = PotentialField(grid, 0.5 * omega**2 * grid.x**2, label="stiff")
         s = so.bound_spectrum(stiff, 8)
         assert s.band_points > so.bound_spectrum(v1, 8).band_points
         np.testing.assert_allclose(s.energies, omega * (np.arange(8) + 0.5),
@@ -225,7 +228,7 @@ class TestBandLimitedSolver:
         s = so.bound_spectrum(v1, 8)
         assert n % s.band_points == 0
         assert (s.band_points == n) == (n % 2 == 1)
-        reference = sla.eigh(so.dense_hamiltonian(v1), subset_by_index=(0, 7))[0]
+        reference = sla.eigh(dense_hamiltonian(v1), subset_by_index=(0, 7))[0]
         np.testing.assert_allclose(s.energies, reference, rtol=0, atol=1e-10)
         basis = so.eigenbasis(v1, [so.gaussian_packet(grid, -5.0)], math.pi)
         assert basis.error_bound <= susy.ORACLE_TOL
@@ -257,7 +260,7 @@ class TestBandLimitedSolver:
 
     @pytest.fixture(scope="class")
     def full_grid_v1_pairs(self, v1):
-        return sla.eigh(so.dense_hamiltonian(v1), subset_by_index=(0, 255))
+        return sla.eigh(dense_hamiltonian(v1), subset_by_index=(0, 255))
 
     def test_error_bound_holds_against_a_full_grid_solve(self, v1, psi0, battery,
                                                           basis_v1, full_grid_v1_pairs):
@@ -277,13 +280,13 @@ class TestBandLimitedSolver:
     def test_fast_packet_widens_the_band(self, grid, dense_sizes):
         # on a flat box a fast packet lies above the low pairs of the coarse
         # bands, so it needs a wider band and more pairs; one H per band
-        flat = so.PotentialField(grid, np.zeros(grid.n), label="flat")
+        flat = PotentialField(grid, np.zeros(grid.n), label="flat")
         packet = so.gaussian_packet(grid, center=-5.0, momentum=16.0)
         basis = so.eigenbasis(flat, [packet], 0.2)
         assert basis.vectors.shape[1] > 128 and basis.band_points < grid.n
         assert len(dense_sizes) == len(set(dense_sizes))
         exact = so.exact_evolve(packet, flat, 0.2, basis=basis)
-        np.testing.assert_allclose(exact.values, so.kinetic_step(packet, 0.2).values,
+        np.testing.assert_allclose(exact.values, kinetic_step(packet, 0.2).values,
                                    rtol=0, atol=1e-12)
 
     def test_fixture_bases_stay_on_a_coarse_band(self, basis_v1, basis_v2):
@@ -309,21 +312,21 @@ class TestBandLimitedSolver:
 
 
 def test_hamiltonian_matrices_are_symmetric(v1):
-    dense = so.dense_hamiltonian(v1)
+    dense = dense_hamiltonian(v1)
     np.testing.assert_array_equal(dense, dense.T)
 
 
 @pytest.mark.parametrize("n", [256, 255])
 def test_dense_hamiltonian_is_the_symmetrized_circulant(W, n):
-    v = so.partner_potential(W, 1, so.Grid1D(n, -15.0, 15.0))
+    v = so.partner_potential(W, 1, Grid1D(n, -15.0, 15.0))
     h = sla.circulant(np.real(np.fft.ifft(0.5 * v.grid.p**2))) + np.diag(v.values)
-    np.testing.assert_array_equal(so.dense_hamiltonian(v), 0.5 * (h + h.T))
+    np.testing.assert_array_equal(dense_hamiltonian(v), 0.5 * (h + h.T))
 
 
 def test_check_degeneracy_pairs_partner_levels(v1, v2):
     s1 = so.bound_spectrum(v1, 8)
     s2 = so.bound_spectrum(v2, 9)
-    report = so.check_degeneracy(s1, s2)
+    report = check_degeneracy(s1, s2)
     assert report.pair_count == 8
     assert report.max_gap <= 1e-6
     assert report.max_gap == float(np.max(np.abs(s1.energies - s2.energies[1:])))
@@ -331,11 +334,11 @@ def test_check_degeneracy_pairs_partner_levels(v1, v2):
 
 
 def test_check_degeneracy_grid_mismatch(v1, small_grid):
-    flat = so.PotentialField(small_grid, np.zeros(small_grid.n), label="flat")
+    flat = PotentialField(small_grid, np.zeros(small_grid.n), label="flat")
     other = so.bound_spectrum(flat, 3)
     mine = so.bound_spectrum(v1, 3)
     with pytest.raises(ContractError):
-        so.check_degeneracy(mine, other)
+        check_degeneracy(mine, other)
 
 
 class TestHarmonicLimit:
