@@ -17,18 +17,18 @@ stack (m, n) under one shared (n,) potential or one (m, n) row per state,
 in position or momentum space.  Each step is one batched transform pair
 along the grid axis, and a stack reproduces m separate runs bit for bit.
 A momentum-space sample is the transformed state the step already holds,
-times a phase; a second-order position-space sample costs one more inverse
-transform.  The carry is updated in place and each sample is one fresh
-array, so the kernel holds three stacks: the potential phases, the carry
-and the sample it is producing.
+times a phase; a position-space sample costs one more inverse transform.
+The carry is updated in place and each sample is one fresh array, so the
+kernel holds three stacks: the potential phases, the carry and the sample
+it is producing.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
-split-step factors approximate.  The Fourier band the states occupy is
-diagonalized (`susy.bound_spectrum`'s solver) and the lowest quarter of its
-pairs kept; a state is evolved only if an a-posteriori bound on the error of
-its evolved expansion is within 1e-8 of its norm, so the comparison
-isolates the Trotter error with no spatial-discretization floor.
+split-step factors approximate.  `susy._bands` solves the occupied Fourier
+bands coarsest first, keeping each one's lowest quarter of pairs; the first
+band whose a-posteriori bound on each evolved state's error is within
+ORACLE_TOL of its norm serves (a rule only this module knows), so the
+comparison isolates the Trotter error with no spatial-discretization floor.
 """
 
 from __future__ import annotations
@@ -47,9 +47,12 @@ from .grids import (
     fidelity,
     norm,
 )
-from .susy import PotentialField, _band_eigenpairs, _oracle_coefficients
+from .susy import PotentialField, _bands
 
 ORDERS = ("first", "second")
+
+# the oracle's bound on an evolved state's error, relative to its norm
+ORACLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,6 @@ class TrotterPlan:
         if self.order not in ORDERS:
             raise ConfigurationError(
                 f"order must be one of {ORDERS}, got {self.order!r}")
-
-
-@dataclass(frozen=True)
-class EvolutionTrace:
-    """The end of a split-step evolution: its final state."""
-
-    final_state: WaveFunction
 
 
 def kinetic_step(psi: WaveFunction, tau: float) -> WaveFunction:
@@ -107,15 +103,16 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
 
     The loop carries w, the position-space state just before the next
     potential kick: psi itself for first order, K(dt/2) psi for second
-    order.  Each step forms s = F(P w) and advances w to F^-1(s K(dt)).
-    The sample is s K_out, with K_out = K(dt) for first order and K(dt/2)
-    for second, taken to position as F^-1(s K_out) (in first order that is
-    the next w) or to momentum as s (K_out u), where u is the phase of
-    `to_momentum`.  Every step costs one transform pair (the last skips the
-    advance unless the sample is w itself).  Setting up w costs a transform
-    pair for second-order position input and one inverse transform for
-    momentum input.  A second-order position sample costs one more inverse
-    transform; a momentum sample costs none.  w is updated in place.
+    order.  Step j forms s = F(P w) and, while j < n, advances w to
+    F^-1(s K(dt)).  The sample is s K_out, with K_out = K(dt) for first
+    order and K(dt/2) for second, taken to position as F^-1(s K_out) or to
+    momentum as s (K_out u), where u is the phase of `to_momentum`.  Each
+    step costs one transform pair, the last only its forward transform.
+    Setting up w costs a transform pair for second-order position input and
+    one inverse transform for momentum input.  A position sample costs one
+    more inverse transform (before step n in first order it repeats the
+    advance's; no scenario takes such a sample); a momentum sample costs
+    none.  w is updated in place.
     """
     if psi.grid != V.grid:
         raise ContractError("state and potential live on different grids")
@@ -136,17 +133,14 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     kin = np.exp(-1j * p2 * dt)
     first = plan.order == "first"
     kin_out = kin if first else np.exp(-1j * p2 * (0.5 * dt))
-    carry_is_sample = first and not momentum
-    if carry_is_sample:
-        w = psi.values.copy()
+    if momentum:
+        u = g._unitary_phase
+        w = psi.values / u  # F(psi) in numpy's unnormalized convention
     else:
-        if momentum:
-            u = g._unitary_phase
-            w = psi.values / u  # F(psi) in numpy's unnormalized convention
-        else:
-            w = np.fft.fft(psi.values)
-        if not first:
-            w *= kin_out
+        w = psi.values.copy() if first else np.fft.fft(psi.values)
+    if not first:
+        w *= kin_out
+    if momentum or not first:  # w is still in momentum space
         np.fft.ifft(w, out=w)
     if momentum:
         kin_out = kin_out * u  # a sample s K_out u is in to_momentum's convention
@@ -156,29 +150,24 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     np.exp(vphase, out=vphase)
     del V
     for j in range(1, n + 1):
-        sampled = j % stride == 0 or j == n
         np.multiply(w, vphase, out=w)
         np.fft.fft(w, out=w)  # w holds s until it is advanced
-        if sampled and not carry_is_sample:
+        if j % stride == 0 or j == n:
             sample = np.multiply(w, kin_out)
             if not momentum:
                 np.fft.ifft(sample, out=sample)
-        if carry_is_sample or j < n:
-            np.multiply(w, kin, out=w)
-            np.fft.ifft(w, out=w)
-        if sampled:
-            if carry_is_sample:
-                sample = w.copy()
             yield j, WaveFunction(g, _frozen(sample), representation)
             del sample  # the caller's reference is the only one left
+        if j < n:
+            np.multiply(w, kin, out=w)
+            np.fft.ifft(w, out=w)
 
 
-def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
-                   trace_stride: int = 1) -> EvolutionTrace:
-    """Run the split-step product and keep its final state (the last sample)."""
-    for _, final in trotter_states(psi, V, plan, stride=trace_stride):
+def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan) -> WaveFunction:
+    """Run the split-step product and return its final state (the last sample)."""
+    for _, final in trotter_states(psi, V, plan, stride=plan.n_steps or 1):
         pass
-    return EvolutionTrace(final)
+    return final
 
 
 @dataclass(frozen=True)
@@ -203,6 +192,35 @@ class EigenBasis:
         return self.potential.grid
 
 
+def _oracle_coefficients(vecs: np.ndarray, residuals: np.ndarray,
+                         values: np.ndarray, t: float, label: str):
+    """Coefficients c = Q^T psi of each row of `values`, certified for time t.
+
+    With E_j the Rayleigh quotients of the columns q_j of Q and r_j their
+    residuals ||H q_j - E_j q_j||, Duhamel's formula bounds the error of the
+    evolved expansion for any Q, orthonormal or not:
+
+        ||exp(-iHt) psi - Q exp(-iEt) c|| <= ||psi - Q c|| + |t| sum_j |c_j| r_j.
+
+    Returns c (r x m) and the largest such bound relative to ||psi||, and
+    raises NumericalError above ORACLE_TOL.  Each state enters as two real
+    columns, so Q is never copied to complex.
+    """
+    m = values.shape[0]
+    parts = np.concatenate((values.real, values.imag)).T
+    c = vecs.T @ parts
+    lost = np.linalg.norm(parts - vecs @ c, axis=0)
+    coeff = c[:, :m] + 1j * c[:, m:]
+    drift = abs(t) * (residuals @ np.abs(coeff))
+    bound = float(np.max((np.hypot(lost[:m], lost[m:]) + drift)
+                         / np.linalg.norm(values, axis=1)))
+    if not bound <= ORACLE_TOL:
+        raise NumericalError(
+            f"eigenpairs of {label!r} leave a state uncaptured: its error bound "
+            f"at |t| = {abs(t):g} is {bound:.3e} (limit {ORACLE_TOL:.1e})")
+    return coeff, bound
+
+
 def _oracle_states(V: PotentialField, states, t: float) -> np.ndarray:
     """The (m, n) values of single position-space states the oracle may evolve to t."""
     if not np.isfinite(t):
@@ -225,11 +243,17 @@ def eigenbasis(V: PotentialField, states, t: float) -> EigenBasis:
     """Diagonalize once for the given states; reuse across times up to |t|.
 
     The basis is that of the coarsest band whose pairs bound the error of
-    every state in `states`, evolved over time t, to 1e-8 of its norm.
+    every state in `states`, evolved over time t, to ORACLE_TOL of its norm;
+    when no band does, the full grid's NumericalError is raised.
     """
     values = _oracle_states(V, states, t)
-    energies, vectors, residuals, band, bound = _band_eigenpairs(V, values=values, t=t)
-    return EigenBasis(V, energies, vectors, residuals, band, bound)
+    for energies, vectors, residuals, band in _bands(V):
+        try:
+            _, bound = _oracle_coefficients(vectors, residuals, values, t, V.label)
+            return EigenBasis(V, energies, vectors, residuals, band, bound)
+        except NumericalError as exc:
+            failure = exc
+    raise failure
 
 
 def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
@@ -239,7 +263,7 @@ def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
     Step-size free; accuracy is limited only by the spatial discretization.
     Negative t runs the evolution backwards (used by reversal checks).  A
     basis built for another potential raises ContractError, and a state
-    whose error bound at this t exceeds 1e-8 raises NumericalError.
+    whose error bound at this t exceeds ORACLE_TOL raises NumericalError.
     """
     values = _oracle_states(V, [psi], t)
     if basis is None:
@@ -267,7 +291,6 @@ class ConvergenceScan:
     rel_l2_error: np.ndarray
     infidelity: np.ndarray
     order: str
-    total_time: float
 
 
 def trotter_convergence_scan(psi: WaveFunction, V: PotentialField, t: float,
@@ -286,10 +309,10 @@ def trotter_convergence_scan(psi: WaveFunction, V: PotentialField, t: float,
     infids = np.empty(steps.size)
     for i, n in enumerate(steps):
         plan = TrotterPlan(t / int(n), int(n), order=order)
-        final = trotter_evolve(psi, V, plan, trace_stride=int(n)).final_state
+        final = trotter_evolve(psi, V, plan)
         errors[i] = norm(final.with_values(final.values - reference.values)) / ref_norm
         infids[i] = 1.0 - fidelity(final, reference)
-    return ConvergenceScan(steps, errors, infids, order, float(t))
+    return ConvergenceScan(steps, errors, infids, order)
 
 
 def fit_loglog_slope(ns, errors) -> float:

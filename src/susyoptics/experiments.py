@@ -65,6 +65,10 @@ SCENARIO_RUNNERS = {}  # populated at the bottom of the module
 # eta-sweep reference samples raised by B+ as one stack; 8 keeps the peak RSS flat
 _REFERENCE_BLOCK = 8
 
+# fidelity windows are modulus-convention: the configured convention maps the
+# value and its window through one exponent (monotone, so verdicts agree)
+_FIDELITY_POWER = {"modulus": 1, "modulus_squared": 2}
+
 
 @dataclass(frozen=True)
 class GatedScalar:
@@ -100,32 +104,16 @@ class ScenarioResult:
         return all(s.passed for s in self.scalars)
 
 
-def _gate_range(name, value, lo, hi) -> GatedScalar:
+def _gate(name, value, lo=-math.inf, hi=math.inf) -> GatedScalar:
+    """`value` gated on the window [lo, hi]; the text leaves out an infinite end."""
     value = float(value)
-    return GatedScalar(name, value, f"{lo!r} <= value <= {hi!r}",
-                       bool(lo <= value <= hi))
-
-
-def _gate_below(name, value, bound) -> GatedScalar:
-    value = float(value)
-    return GatedScalar(name, value, f"value <= {bound!r}", bool(value <= bound))
-
-
-def _gate_abs_below(name, value, bound) -> GatedScalar:
-    value = float(value)
-    return GatedScalar(name, value, f"|value| <= {bound!r}", bool(abs(value) <= bound))
-
-
-def _gate_fidelity(name, fid_modulus, lo, hi, convention) -> GatedScalar:
-    """Gate a fidelity given in modulus convention, reporting per config.
-
-    The gate windows are modulus-convention; under modulus_squared both
-    the value and the window map through x -> x^2 (monotone, so the verdict
-    is identical).
-    """
-    if convention == "modulus_squared":
-        return _gate_range(name, fid_modulus**2, lo**2, hi**2)
-    return _gate_range(name, fid_modulus, lo, hi)
+    if lo == -math.inf:
+        text = f"value <= {hi!r}"
+    elif hi == math.inf:
+        text = f"value >= {lo!r}"
+    else:
+        text = f"{lo!r} <= value <= {hi!r}"
+    return GatedScalar(name, value, text, bool(lo <= value <= hi))
 
 
 # --- scenario building blocks -------------------------------------------------
@@ -185,8 +173,9 @@ def run_spectrum(cfg: ExperimentConfig) -> ScenarioResult:
     report = check_degeneracy(s1, s2)
 
     scalars = (
-        _gate_below("max_paired_gap", report.max_gap, tol),
-        _gate_abs_below("ground_energy_v2", report.unpaired_ground, tol),
+        _gate("max_paired_gap", report.max_gap, hi=tol),
+        GatedScalar("ground_energy_v2", report.unpaired_ground, f"|value| <= {tol!r}",
+                    bool(abs(report.unpaired_ground) <= tol)),
     )
     potentials = _table("potentials", x=grid.x, V1=v1.values, V2=v2.values)
     m = report.pair_count
@@ -233,11 +222,11 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
 
     times = np.asarray(times)
     dens1, dens2, devs = map(np.asarray, (dens1, dens2, devs))
-    convention = cfg.fidelity_convention
+    e = _FIDELITY_POWER[cfg.fidelity_convention]
     scalars = (
-        _gate_fidelity("fidelity_t0", fid_t0, 1.0 - 1e-12, 1.0, convention),
-        _gate_fidelity("fidelity_final", fid_final, 0.9953, 0.9993, convention),
-        _gate_range("peak_deviation", devs.max(), 1e-4, 10.0 ** -1.5),
+        _gate("fidelity_t0", fid_t0**e, (1.0 - 1e-12)**e, 1.0**e),
+        _gate("fidelity_final", fid_final**e, 0.9953**e, 0.9993**e),
+        _gate("peak_deviation", devs.max(), 1e-4, 10.0 ** -1.5),
     )
     note = ("states normalized per sample before densities and deviations",)
     tables = (
@@ -300,16 +289,15 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     best_pos = float(etas[pos][np.argmax(final[pos])])
     best_neg = float(etas[neg][np.argmax(final[neg])])
     peak = float(final.max())
-    convention = cfg.fidelity_convention
-    if convention == "modulus_squared":
-        surface = surface**2
+    e = _FIDELITY_POWER[cfg.fidelity_convention]
+    surface = surface**e
 
     scalars = (
         GatedScalar("argmax_eta_positive", best_pos,
                     f"|value - 1| <= {step!r}", bool(abs(best_pos - 1.0) <= step + 1e-12)),
         GatedScalar("argmax_eta_negative", best_neg,
                     f"|value + 1| <= {step!r}", bool(abs(best_neg + 1.0) <= step + 1e-12)),
-        _gate_fidelity("peak_fidelity", peak, 0.995, 1.0, convention),
+        _gate("peak_fidelity", peak**e, 0.995**e, 1.0**e),
     )
     tables = (
         _long_table("fidelity_surface", eta=etas, t=times, fidelity=surface),
@@ -365,18 +353,17 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
 
     fom_ref = cfg.focal_length_m**2 / aperture_m**2
     fom_red = cfg.reduced_focal_length_m**2 / aperture_m**2
-    ref_gate = _gate_below("rel_l2_reference", rel_ref, 1e-5)
+    ref_gate = _gate("rel_l2_reference", rel_ref, hi=1e-5)
     # the ratio is relative to the reference error, so it only means
     # something when that reference passed its own gate
     ratio = worst_batt / rel_ref
     scalars = (
         ref_gate,
-        _gate_below("max_pointwise_reference", max_ref, 1e-5),
-        _gate_below("infidelity_reference", infid_ref, 1e-8),
-        _gate_below("rel_l2_reduced", rel_red, 1e-3),
-        GatedScalar("fom_reference", float(fom_ref), "value >= 2500.0",
-                    bool(fom_ref >= 2500.0)),
-        _gate_range("fom_reduced", fom_red, 2000.0, 3000.0),
+        _gate("max_pointwise_reference", max_ref, hi=1e-5),
+        _gate("infidelity_reference", infid_ref, hi=1e-8),
+        _gate("rel_l2_reduced", rel_red, hi=1e-3),
+        _gate("fom_reference", fom_ref, lo=2500.0),
+        _gate("fom_reduced", fom_red, 2000.0, 3000.0),
         GatedScalar("battery_error_ratio", ratio,
                     "value <= 10.0 and rel_l2_reference passed",
                     bool(ratio <= 10.0 and ref_gate.passed)),
@@ -431,22 +418,22 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     plan30 = TrotterPlan(dt_ref, 30)
     train = compile_trotter_train(plan30, v2, units)
     train_final = simulate_train(psi_raised, train)
-    trot_final = trotter_evolve(psi_raised, v2, plan30, trace_stride=30).final_state
+    trot_final = trotter_evolve(psi_raised, v2, plan30)
     mu = np.vdot(train_final.values, trot_final.values)
     aligned = train_final.values * (mu / abs(mu))
     train_dev = float(np.max(np.abs(aligned - trot_final.values))
                       / np.max(np.abs(trot_final.values)))
 
-    convention = cfg.fidelity_convention
+    e = _FIDELITY_POWER[cfg.fidelity_convention]
     scalars = (
-        _gate_fidelity("fidelity_n30", fid30, 0.9993, 1.0, convention),
-        _gate_range("slope_second", slope2, -2.4, -1.6),
-        _gate_range("slope_first", slope1, -1.3, -0.7),
-        _gate_range("l2_error_ratio_n30_n60", ratio, 3.0, 5.0),
-        _gate_range("z_reference_m", z_ref, 1.2365, 1.2375),
-        _gate_below("unit_roundtrip_error", roundtrip, 1e-12),
-        _gate_below("train_deviation", train_dev, 1e-10),
-        _gate_below("oracle_error_bound", basis.error_bound, 1e-8),
+        _gate("fidelity_n30", fid30**e, 0.9993**e, 1.0**e),
+        _gate("slope_second", slope2, -2.4, -1.6),
+        _gate("slope_first", slope1, -1.3, -0.7),
+        _gate("l2_error_ratio_n30_n60", ratio, 3.0, 5.0),
+        _gate("z_reference_m", z_ref, 1.2365, 1.2375),
+        _gate("unit_roundtrip_error", roundtrip, hi=1e-12),
+        _gate("train_deviation", train_dev, hi=1e-10),
+        _gate("oracle_error_bound", basis.error_bound, hi=1e-8),
     )
     note = ("slope fits use rel_l2_error; infidelity falls twice as fast",)
     tables = tuple(

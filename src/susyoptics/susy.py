@@ -19,12 +19,12 @@ limit); this is the discretization the split-step propagator and the
 ladder operators share, which is why partner degeneracy holds at the 1e-6
 level, where a central-difference stencil would add O(dx^2) dispersion
 error (~1e-4 on the default grid).  The low states occupy a narrow Fourier
-band, so a coarser grid over the same box is solved whole (numpy's `eigh`;
-the module needs nothing else) and the eigenvectors of its lowest pairs are
-interpolated back; the band widens until they pass a full-grid check (the
-full grid is the last resort).  For `bound_spectrum` that is each pair's
-residual; for the propagation oracle `evolution.eigenbasis` it is one bound
-on the error of each evolved state.
+band, so one loop (`_bands`) solves a coarser grid over the same box whole
+(numpy's `eigh`; the module needs nothing else), interpolates the
+eigenvectors of its lowest pairs back and widens the band up to the full
+grid.  Each consumer takes the first band that passes its own full-grid
+check: `bound_spectrum` each pair's residual, the propagation oracle
+`evolution.eigenbasis` one bound on the error of each evolved state.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ _SQRT2 = math.sqrt(2.0)
 # discretization-corrupted top of the spectrum
 MAX_BOUND_LEVELS = 16
 
-# the full-grid residual ||H v - E v|| each `bound_spectrum` pair must meet,
-# and the oracle's bound on an evolved state's error, relative to its norm
+# the full-grid residual ||H v - E v|| each `bound_spectrum` pair must meet
 RESIDUAL_TOL = 1e-8
-ORACLE_TOL = 1e-8
 
 # an oracle basis keeps the lowest 1/BASIS_SHARE of a band's pairs: the top
 # pairs of a coarse band lose orthogonality once interpolated
@@ -221,52 +219,20 @@ def _apply_hamiltonian(V: PotentialField, vecs: np.ndarray) -> np.ndarray:
             + V.values[:, None] * vecs)
 
 
-def _oracle_coefficients(vecs: np.ndarray, residuals: np.ndarray,
-                         values: np.ndarray, t: float, label: str):
-    """Coefficients c = Q^T psi of each row of `values`, certified for time t.
+def _bands(V: PotentialField, k: int | None = None):
+    """Lowest eigenpairs of `dense_hamiltonian(V)` from each occupied Fourier band.
 
-    With E_j the Rayleigh quotients of the columns q_j of Q and r_j their
-    residuals ||H q_j - E_j q_j||, Duhamel's formula bounds the error of the
-    evolved expansion for any Q, orthonormal or not:
-
-        ||exp(-iHt) psi - Q exp(-iEt) c|| <= ||psi - Q c|| + |t| sum_j |c_j| r_j.
-
-    Returns c (r x m) and the largest such bound relative to ||psi||, and
-    raises NumericalError above ORACLE_TOL.  Each state enters as two real
-    columns, so Q is never copied to complex.
-    """
-    m = values.shape[0]
-    parts = np.concatenate((values.real, values.imag)).T
-    c = vecs.T @ parts
-    lost = np.linalg.norm(parts - vecs @ c, axis=0)
-    coeff = c[:, :m] + 1j * c[:, m:]
-    drift = abs(t) * (residuals @ np.abs(coeff))
-    bound = float(np.max((np.hypot(lost[:m], lost[m:]) + drift)
-                         / np.linalg.norm(values, axis=1)))
-    if not bound <= ORACLE_TOL:
-        raise NumericalError(
-            f"eigenpairs of {label!r} leave a state uncaptured: its error bound "
-            f"at |t| = {abs(t):g} is {bound:.3e} (limit {ORACLE_TOL:.1e})")
-    return coeff, bound
-
-
-def _band_eigenpairs(V: PotentialField, k: int | None = None,
-                     values: np.ndarray | None = None, t: float = 0.0):
-    """Lowest eigenpairs of `dense_hamiltonian(V)` from the occupied Fourier band.
-
-    The band is that of a coarser grid over the same box: V is sampled at
+    A band is that of a coarser grid over the same box: V is sampled at
     every s-th point (s a power of two dividing n), the whole band is solved
     there, and the eigenvectors of its r lowest pairs are carried back by
-    trigonometric interpolation.  On the full grid each pair then gets its
-    Rayleigh-quotient energy and the matrix-free residual ||H v - E v||.
-    With `k`, r = k and every residual must be within RESIDUAL_TOL; with the
-    state rows `values`, r is 1/BASIS_SHARE of the band, and every state's
-    `_oracle_coefficients` bound at time t must hold.  Else s is halved;
-    s = 1 is the full grid.
+    trigonometric interpolation; r = k, or 1/BASIS_SHARE of the band without
+    k.  On the full grid each pair then gets its Rayleigh-quotient energy
+    and the matrix-free residual ||H v - E v||.
 
-    Returns (energies, vectors, residuals, band_points, bound) with unit
-    2-norm vectors as the columns of an n x r array; bound is the largest
-    relative oracle bound of the states, None with `k`.
+    Yields (energies, vectors, residuals, band_points) with unit 2-norm
+    vectors as the columns of an n x r array, coarsest band first: s is
+    halved down to 1, the full grid.  The caller keeps the first band that
+    passes its own check.
     """
     grid = V.grid
     n = grid.n
@@ -288,19 +254,7 @@ def _band_eigenpairs(V: PotentialField, k: int | None = None,
         hv = _apply_hamiltonian(V, vecs)
         energies = np.einsum("ij,ij->j", vecs, hv)
         resid = np.linalg.norm(hv - vecs * energies, axis=0)
-        bound = None
-        if k is None:
-            try:
-                _, bound = _oracle_coefficients(vecs, resid, values, t, V.label)
-            except NumericalError as exc:
-                failure = exc
-                continue
-        elif not resid.max() <= RESIDUAL_TOL:
-            failure = NumericalError(f"eigensolver residual {resid.max():.3e} exceeds "
-                                     f"{RESIDUAL_TOL:.1e} on {V.label!r}")
-            continue
-        return energies, vecs, resid, m, bound
-    raise failure
+        yield energies, vecs, resid, m
 
 
 @dataclass(frozen=True)
@@ -334,7 +288,12 @@ def bound_spectrum(V: PotentialField, k: int) -> SpectrumResult:
     grid = V.grid
     if k >= grid.n:
         raise ConfigurationError(f"k = {k} requires a grid larger than {grid.n} points")
-    energies, vecs, resid, band, _ = _band_eigenpairs(V, k=int(k))
+    for energies, vecs, resid, band in _bands(V, int(k)):
+        if resid.max() <= RESIDUAL_TOL:
+            break
+    else:
+        raise NumericalError(f"eigensolver residual {resid.max():.3e} exceeds "
+                             f"{RESIDUAL_TOL:.1e} on {V.label!r}")
     # deterministic sign: largest-magnitude component made positive
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])

@@ -11,7 +11,12 @@ from susyoptics import (
     NumericalError,
     susy,
 )
-from susyoptics.evolution import fit_loglog_slope, kinetic_step, trotter_convergence_scan
+from susyoptics.evolution import (
+    ORDERS,
+    fit_loglog_slope,
+    kinetic_step,
+    trotter_convergence_scan,
+)
 from susyoptics.grids import MOMENTUM, spectral_derivative
 from susyoptics.susy import PotentialField
 
@@ -67,13 +72,15 @@ class TestTrotterStates:
         assert indices == list(range(13))
 
     def test_stride_sampling_consistent(self, v2, psi0):
-        # samples must not depend on how often you look
-        plan = so.TrotterPlan(0.05, 12)
-        dense = dict(so.trotter_states(psi0, v2, plan, stride=1))
-        sparse = dict(so.trotter_states(psi0, v2, plan, stride=5))
-        assert sorted(sparse) == [0, 5, 10, 12]
-        for j, state in sparse.items():
-            np.testing.assert_allclose(state.values, dense[j].values, atol=1e-13)
+        # samples must not depend on how often you look, to the bit
+        for order in ORDERS:
+            for psi in (psi0, so.to_momentum(psi0)):
+                plan = so.TrotterPlan(0.05, 12, order=order)
+                dense = dict(so.trotter_states(psi, v2, plan, stride=1))
+                sparse = dict(so.trotter_states(psi, v2, plan, stride=5))
+                assert sorted(sparse) == [0, 5, 10, 12]
+                for j, state in sparse.items():
+                    np.testing.assert_array_equal(state.values, dense[j].values)
 
     @pytest.mark.parametrize("order", ["first", "second"])
     def test_matches_step_composition(self, v2, psi0, order):
@@ -121,7 +128,7 @@ class TestTrotterStates:
     @pytest.mark.parametrize("order", ["first", "second"])
     def test_unitarity(self, v2, psi0, order):
         plan = so.TrotterPlan(0.1, 50, order=order)
-        final = so.trotter_evolve(psi0, v2, plan, trace_stride=50).final_state
+        final = so.trotter_evolve(psi0, v2, plan)
         assert so.norm(final) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -222,13 +229,16 @@ class TestStackedKernel:
 
 
 def test_trotter_evolve_keeps_the_last_sample(v2, psi0):
-    plan = so.TrotterPlan(0.05, 12)
-    for stride in (1, 5, 12):
-        trace = so.trotter_evolve(psi0, v2, plan, trace_stride=stride)
-        *_, (j, last) = so.trotter_states(psi0, v2, plan, stride=stride)
-        assert j == plan.n_steps
-        np.testing.assert_array_equal(trace.final_state.values, last.values)
-        assert trace.final_state.representation == last.representation
+    # the final state of a stride-1 stream, to the bit, in either order and space
+    for order in ORDERS:
+        for psi in (psi0, so.to_momentum(psi0)):
+            plan = so.TrotterPlan(0.05, 12, order=order)
+            final = so.trotter_evolve(psi, v2, plan)
+            *_, (j, last) = so.trotter_states(psi, v2, plan, stride=1)
+            assert j == plan.n_steps
+            np.testing.assert_array_equal(final.values, last.values)
+            assert final.representation == last.representation
+    assert so.trotter_evolve(psi0, v2, so.TrotterPlan(0.05, 0)) is psi0
 
 
 class TestExactEvolve:
@@ -322,7 +332,7 @@ def test_trotter_approaches_oracle(v2, psi0, W, basis_v2):
     t = math.pi
     exact = so.exact_evolve(raised, v2, t, basis=basis_v2)
     plan = so.TrotterPlan(t / 30.0, 30)
-    approx = so.trotter_evolve(raised, v2, plan, trace_stride=30).final_state
+    approx = so.trotter_evolve(raised, v2, plan)
     assert 0.9993 <= so.fidelity(approx, exact) <= 1.0
 
 

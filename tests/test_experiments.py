@@ -252,6 +252,51 @@ class TestRunnerStructure:
         assert [r.scenario for r in results] == sorted(SCENARIO_RUNNERS)
 
 
+# every (scenario, metric, gate) of run_all(small_cfg): gate texts are CSV cells
+GATE_TEXTS = [
+    ("bdag-check", "rel_l2_reference", "value <= 1e-05"),
+    ("bdag-check", "max_pointwise_reference", "value <= 1e-05"),
+    ("bdag-check", "infidelity_reference", "value <= 1e-08"),
+    ("bdag-check", "rel_l2_reduced", "value <= 0.001"),
+    ("bdag-check", "fom_reference", "value >= 2500.0"),
+    ("bdag-check", "fom_reduced", "2000.0 <= value <= 3000.0"),
+    ("bdag-check", "battery_error_ratio", "value <= 10.0 and rel_l2_reference passed"),
+    ("eta-sweep", "argmax_eta_positive", "|value - 1| <= 0.10000000000000009"),
+    ("eta-sweep", "argmax_eta_negative", "|value + 1| <= 0.10000000000000009"),
+    ("eta-sweep", "peak_fidelity", "0.995 <= value <= 1.0"),
+    ("spectrum", "max_paired_gap", "value <= 1e-06"),
+    ("spectrum", "ground_energy_v2", "|value| <= 1e-06"),
+    ("susy-check", "fidelity_t0", "0.999999999999 <= value <= 1.0"),
+    ("susy-check", "fidelity_final", "0.9953 <= value <= 0.9993"),
+    ("susy-check", "peak_deviation", "0.0001 <= value <= 0.03162277660168379"),
+    ("trotter-convergence", "fidelity_n30", "0.9993 <= value <= 1.0"),
+    ("trotter-convergence", "slope_second", "-2.4 <= value <= -1.6"),
+    ("trotter-convergence", "slope_first", "-1.3 <= value <= -0.7"),
+    ("trotter-convergence", "l2_error_ratio_n30_n60", "3.0 <= value <= 5.0"),
+    ("trotter-convergence", "z_reference_m", "1.2365 <= value <= 1.2375"),
+    ("trotter-convergence", "unit_roundtrip_error", "value <= 1e-12"),
+    ("trotter-convergence", "train_deviation", "value <= 1e-10"),
+    ("trotter-convergence", "oracle_error_bound", "value <= 1e-08"),
+]
+
+# the fidelity windows squared, as fidelity_convention = modulus_squared prints them
+SQUARED_GATE_TEXTS = {
+    ("eta-sweep", "peak_fidelity"): "0.990025 <= value <= 1.0",
+    ("susy-check", "fidelity_t0"): "0.999999999998 <= value <= 1.0",
+    ("susy-check", "fidelity_final"): "0.9906220899999999 <= value <= 0.99860049",
+    ("trotter-convergence", "fidelity_n30"): "0.99860049 <= value <= 1.0",
+}
+
+
+@pytest.mark.parametrize("convention", ["modulus", "modulus_squared"])
+def test_gate_texts_are_pinned(small_cfg, convention):
+    squared = {} if convention == "modulus" else SQUARED_GATE_TEXTS
+    cfg = dataclasses.replace(small_cfg, fidelity_convention=convention)
+    got = [(r.scenario, s.name, s.gate) for r in run_all(cfg) for s in r.scalars]
+    assert got == [(scenario, metric, squared.get((scenario, metric), gate))
+                   for scenario, metric, gate in GATE_TEXTS]
+
+
 def test_convention_squares_values_not_verdicts(small_cfg):
     squared_cfg = dataclasses.replace(small_cfg,
                                       fidelity_convention="modulus_squared")
@@ -261,8 +306,10 @@ def test_convention_squares_values_not_verdicts(small_cfg):
         assert squared[name].value == pytest.approx(plain[name].value ** 2,
                                                     rel=1e-12)
         assert squared[name].passed == plain[name].passed
+        assert squared[name].gate == SQUARED_GATE_TEXTS["susy-check", name]
     # non-fidelity metrics are untouched
     assert squared["peak_deviation"].value == plain["peak_deviation"].value
+    assert squared["peak_deviation"].gate == plain["peak_deviation"].gate
 
 
 class TestEmitCsv:

@@ -6,7 +6,7 @@ from scipy import linalg as sla
 from scipy.special import erf
 
 import susyoptics as so
-from susyoptics import ConfigurationError, ContractError, NumericalError, susy
+from susyoptics import ConfigurationError, ContractError, NumericalError, evolution, susy
 from susyoptics.evolution import kinetic_step
 from susyoptics.grids import Grid1D, spectral_derivative
 from susyoptics.susy import PotentialField, check_degeneracy, dense_hamiltonian
@@ -153,7 +153,9 @@ class TestBoundSpectrum:
         with pytest.raises(ContractError, match="takes one potential"):
             so.bound_spectrum(stack, 2)
 
-    def test_residual_gate_raises(self, v1, monkeypatch):
+    def test_residual_gate_raises(self, W, monkeypatch):
+        # every band fails, down to the full grid; 256 points keep that cheap
+        v1 = so.partner_potential(W, 1, so.make_grid(256, -15.0, 15.0))
         monkeypatch.setattr(susy, "RESIDUAL_TOL", 1e-16)
         with pytest.raises(NumericalError):
             so.bound_spectrum(v1, 4)
@@ -195,7 +197,7 @@ class TestBandLimitedSolver:
         q = band_basis.vectors
         assert q.shape[0] == band_basis.grid.n and q.shape[1] < q.shape[0]
         np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
-        assert band_basis.error_bound <= susy.ORACLE_TOL
+        assert band_basis.error_bound <= evolution.ORACLE_TOL
 
     @pytest.mark.parametrize("m, n", [(64, 256), (63, 189)])
     def test_interpolation_is_trigonometric(self, m, n):
@@ -231,7 +233,7 @@ class TestBandLimitedSolver:
         reference = sla.eigh(dense_hamiltonian(v1), subset_by_index=(0, 7))[0]
         np.testing.assert_allclose(s.energies, reference, rtol=0, atol=1e-10)
         basis = so.eigenbasis(v1, [so.gaussian_packet(grid, -5.0)], math.pi)
-        assert basis.error_bound <= susy.ORACLE_TOL
+        assert basis.error_bound <= evolution.ORACLE_TOL
         # no view of the band's whole eigenvector matrix outlives the solve,
         # even where the band is the full grid
         assert basis.vectors.flags.owndata
