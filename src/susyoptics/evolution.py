@@ -14,8 +14,11 @@ and slope fits should use the state-error one.
 
 `trotter_states` is the one split-step kernel, for one state (n,) or a
 stack (m, n) under one shared (n,) potential or one (m, n) row per state,
-in position or momentum space.  Each step is one batched transform pair
-along the grid axis, and a stack reproduces m separate runs bit for bit.
+in position or momentum space.  Each step is one transform pair along the
+grid axis per row block: a large stack is cut into contiguous blocks, one
+per usable CPU, that advance on separate threads, and a small one is a
+single block.  A stack reproduces m separate runs bit for bit, on any
+number of cores.
 A momentum-space sample is the transformed state the step already holds,
 times a phase; a position-space sample costs one more inverse transform.
 The carry is updated in place and each sample is one fresh array, so the
@@ -33,6 +36,10 @@ comparison isolates the Trotter error with no spatial-discretization floor.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +60,9 @@ ORDERS = ("first", "second")
 
 # the oracle's bound on an evolved state's error, relative to its norm
 ORACLE_TOL = 1e-8
+
+# a split stack's row blocks are at least this tall; smaller ones lose to the hand-off
+_MIN_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,79 @@ def kinetic_step(psi: WaveFunction, tau: float) -> WaveFunction:
     return psi.with_values(_frozen(vals))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _row_blocks(rows: int) -> list:
+    """Contiguous row slices, one per usable CPU, none under _MIN_BLOCK_ROWS rows."""
+    count = min(_usable_cpus(), rows // _MIN_BLOCK_ROWS)
+    if count < 2:
+        return [slice(None)]
+    return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+
+
+_tasks = queue.SimpleQueue()  # (context, fn, args, done queue) for the workers
+_workers = []
+_workers_lock = threading.Lock()
+
+
+def _serve():
+    while True:
+        context, fn, args, done = _tasks.get()
+        try:
+            context.run(fn, *args)
+            error = None
+        except BaseException as exc:
+            error = exc
+        del context, fn, args  # dropped before the caller hears: no stream outlives its run
+        done.put(error)
+        del done, error
+
+
+def _forget_workers():
+    """In a forked child: the workers did not survive the fork, so start afresh."""
+    global _tasks, _workers_lock
+    _tasks = queue.SimpleQueue()
+    _workers_lock = threading.Lock()
+    _workers.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _run_blocks(fn, blocks, *args):
+    """fn(block, *args) for every block of rows, the first on this thread.
+
+    The rest run on the workers, each in a copy of this thread's context, so
+    numpy's error state (a context variable) holds there too.  Returns once
+    every block is done, and then raises the first block's error, if any.
+    """
+    if len(blocks) == 1:
+        fn(blocks[0], *args)
+        return
+    with _workers_lock:
+        while len(_workers) < len(blocks) - 1:
+            worker = threading.Thread(target=_serve, daemon=True,
+                                      name=f"susyoptics-rows-{len(_workers) + 1}")
+            worker.start()
+            _workers.append(worker)
+    done = queue.SimpleQueue()
+    for block in blocks[1:]:
+        _tasks.put((contextvars.copy_context(), fn, (block, *args), done))
+    try:
+        fn(blocks[0], *args)
+    finally:
+        errors = [done.get() for _ in blocks[1:]]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                    stride: int = 1):
     """Yield (step_index, state) at step 0 and every `stride` steps (plus the last).
@@ -103,16 +186,29 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
 
     The loop carries w, the position-space state just before the next
     potential kick: psi itself for first order, K(dt/2) psi for second
-    order.  Step j forms s = F(P w) and, while j < n, advances w to
-    F^-1(s K(dt)).  The sample is s K_out, with K_out = K(dt) for first
-    order and K(dt/2) for second, taken to position as F^-1(s K_out) or to
-    momentum as s (K_out u), where u is the phase of `to_momentum`.  Each
-    step costs one transform pair, the last only its forward transform.
-    Setting up w costs a transform pair for second-order position input and
-    one inverse transform for momentum input.  A position sample costs one
-    more inverse transform (before step n in first order it repeats the
-    advance's; no scenario takes such a sample); a momentum sample costs
-    none.  w is updated in place.
+    order.  Step j forms s = F(P w), takes the sample s K_out if one is due,
+    and, while j < n, advances w to F^-1(s K(dt)).  K_out is K(dt) for first
+    order and K(dt/2) for second; the sample goes to position as
+    F^-1(s K_out) or to momentum as s (K_out u), where u is the phase of
+    `to_momentum`.  Each step costs one transform pair per row block, the
+    last only its forward transform.  Setting up w costs a transform pair
+    for second-order position input and one inverse transform for momentum
+    input.  A position sample costs one more inverse transform (before step
+    n in first order it repeats the advance's; no scenario takes such a
+    sample); a momentum sample costs none.  w is updated in place.
+
+    A stack of 16 or more rows is cut into contiguous row blocks of at least
+    _MIN_BLOCK_ROWS = 8 rows, at most one per usable CPU, and each step runs
+    the whole step body on every block at once: this thread takes the first
+    block and daemon workers the rest.  The step returns only when every
+    block is done, so nothing is pending while a sample is out.  Rows never
+    mix, so every sample is the same to the bit on any number of cores.
+    Smaller stacks and single states run on this thread alone.
+
+    At the paper's design step T/60 the product scatters norm into every
+    mode the grid has, so its results carry a grid component: over three
+    periods the final state moves by 3.5e-5 from 256 to 512 points and by
+    2.8e-6 from 1024 to 2048, where the oracle's moves by under 1e-12.
     """
     if psi.grid != V.grid:
         raise ContractError("state and potential live on different grids")
@@ -149,18 +245,29 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     vphase *= dt
     np.exp(vphase, out=vphase)
     del V
-    for j in range(1, n + 1):
-        np.multiply(w, vphase, out=w)
-        np.fft.fft(w, out=w)  # w holds s until it is advanced
-        if j % stride == 0 or j == n:
-            sample = np.multiply(w, kin_out)
+    blocks = [(rows, w[rows], vphase if vphase.ndim == 1 else vphase[rows])
+              for rows in _row_blocks(len(w) if w.ndim == 2 else 1)]
+
+    def step(block, j, sample):
+        """Step j on one block of rows of w, writing those rows of the sample if one is due."""
+        rows, wb, vb = block
+        np.multiply(wb, vb, out=wb)
+        np.fft.fft(wb, out=wb)  # wb holds s until it is advanced
+        if sample is not None:
+            out = sample[rows]
+            np.multiply(wb, kin_out, out=out)
             if not momentum:
-                np.fft.ifft(sample, out=sample)
+                np.fft.ifft(out, out=out)
+        if j < n:
+            np.multiply(wb, kin, out=wb)
+            np.fft.ifft(wb, out=wb)
+
+    for j in range(1, n + 1):
+        sample = np.empty_like(w) if j % stride == 0 or j == n else None
+        _run_blocks(step, blocks, j, sample)
+        if sample is not None:
             yield j, WaveFunction(g, _frozen(sample), representation)
             del sample  # the caller's reference is the only one left
-        if j < n:
-            np.multiply(w, kin, out=w)
-            np.fft.ifft(w, out=w)
 
 
 def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan) -> WaveFunction:

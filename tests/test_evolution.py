@@ -1,4 +1,10 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ from susyoptics import (
     ContractError,
     DegenerateStateError,
     NumericalError,
+    evolution,
     susy,
 )
 from susyoptics.evolution import (
@@ -336,6 +343,24 @@ def test_trotter_approaches_oracle(v2, psi0, W, basis_v2):
     assert 0.9993 <= so.fidelity(approx, exact) <= 1.0
 
 
+def test_design_step_carries_a_grid_component(W):
+    # T/60 scatters norm into every mode the grid has, so its final state moves
+    # from 256 to 512 points (3.5e-5 measured) where the oracle's and a T/480
+    # product's stay put to rounding (1.3e-13 and 7.8e-14)
+    period = 2.0 * np.pi
+    finals = []
+    for n in (256, 512):
+        grid = so.make_grid(n, -15.0, 15.0)
+        v1 = so.partner_potential(W, 1, grid)
+        psi = so.gaussian_packet(grid, center=-5.0)
+        finals.append([so.trotter_evolve(psi, v1, so.TrotterPlan(period / k, 3 * k)).values
+                       for k in (60, 480)] + [so.exact_evolve(psi, v1, 3 * period).values])
+    design, fine, oracle = (np.max(np.abs(b[::2] - a)) for a, b in zip(*finals))
+    assert design > 1e-5
+    assert fine < 1e-11
+    assert oracle < 1e-11
+
+
 class TestConvergenceScan:
     def test_columns_and_monotonicity(self, v2, psi0, basis_v2):
         scan = trotter_convergence_scan(psi0, v2, math.pi, (8, 16, 32, 64),
@@ -370,3 +395,186 @@ class TestSlopeFit:
     def test_too_few_points(self):
         with pytest.raises(NumericalError):
             fit_loglog_slope([10, 20], [0.1, 0.025])
+
+
+class TestRowBlocks:
+    """A large stack runs in row blocks on several threads, with the same bits."""
+
+    ROWS = 25  # three blocks of 8, 8 and 9 rows on three CPUs
+
+    @pytest.fixture
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 3)
+        assert len(evolution._row_blocks(self.ROWS)) == 3
+
+    @staticmethod
+    def _pairs(W, n, stacked_potential):
+        grid = so.make_grid(n, -12.0, 12.0)
+        states = [so.gaussian_packet(grid, -5.0), so.gaussian_packet(grid, -3.0, momentum=1.5),
+                  so.gaussian_packet(grid, 2.0, width=0.7, momentum=-1.0)]
+        potentials = [so.partner_potential(W, 1, grid), so.partner_potential(W, 2, grid),
+                      *(so.eta_potential(W, eta, grid) for eta in (-1.0, 0.5, 1.5))]
+        if not stacked_potential:
+            potentials = potentials[1:2]
+        # rows a block away from each other hold different pairs
+        return grid, [(i % len(states), i % len(potentials))
+                      for i in range(TestRowBlocks.ROWS)], states, potentials
+
+    @pytest.mark.parametrize("n", [2048, 513])
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("momentum", [False, True])
+    @pytest.mark.parametrize("stacked_potential", [False, True])
+    def test_rows_equal_their_solo_runs_bitwise(self, W, three_cpus, n, order, momentum,
+                                                stacked_potential):
+        grid, pairs, states, potentials = self._pairs(W, n, stacked_potential)
+        if momentum:
+            states = [so.to_momentum(s) for s in states]
+        stack = so.WaveFunction(grid, np.vstack([states[s].values for s, _ in pairs]),
+                                states[0].representation)
+        V = (PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
+             if stacked_potential else potentials[0])
+        steps = 20
+        plan = so.TrotterPlan(0.05, steps, order=order)
+        # samples do not depend on the stride, so one solo run serves all three
+        alone = {pair: dict(so.trotter_states(states[pair[0]], potentials[pair[1]], plan))
+                 for pair in set(pairs)}
+        for stride in (1, 7, steps):
+            stacked = dict(so.trotter_states(stack, V, plan, stride=stride))
+            assert sorted(stacked) == sorted({*range(0, steps + 1, stride), steps})
+            for j, sample in stacked.items():
+                assert sample.representation == stack.representation
+                for row, pair in enumerate(pairs):
+                    np.testing.assert_array_equal(sample.values[row], alone[pair][j].values)
+
+    def test_small_stacks_start_no_thread(self, v2, psi0, monkeypatch):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(evolution, "_workers", [])
+        before = threading.active_count()
+        plan = so.TrotterPlan(0.05, 5)
+        two = so.WaveFunction(psi0.grid, np.vstack([psi0.values] * 2))
+        for psi in (psi0, two):
+            so.trotter_evolve(psi, v2, plan)
+        assert threading.active_count() == before
+        assert evolution._workers == []
+
+    def test_idle_workers_hold_no_task(self, v2, psi0, three_cpus):
+        # a kept task would keep a finished stream's carry and phases alive
+        stack = so.WaveFunction(psi0.grid, np.vstack([psi0.values] * self.ROWS))
+        so.trotter_evolve(stack, v2, so.TrotterPlan(0.05, 3))
+        frames = sys._current_frames()
+        for worker in evolution._workers:
+            frame = frames[worker.ident]
+            while frame.f_code is not evolution._serve.__code__:
+                frame = frame.f_back
+            assert not {"context", "fn", "args"} & frame.f_locals.keys()
+
+    def test_concurrent_callers_share_the_workers(self, v2, psi0, monkeypatch):
+        # more blocks than cores, from several threads at once, with frequent
+        # thread switches: a completion delivered to the wrong step shows here
+        grid = psi0.grid
+        stack = so.WaveFunction(grid, np.vstack(
+            [so.gaussian_packet(grid, -6.0 + 0.25 * i).values for i in range(33)]))
+        plan = so.TrotterPlan(0.05, 6)
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 1)
+        serial = so.trotter_evolve(stack, v2, plan)
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 4)  # blocks of 8, 8, 8, 9
+        results = []
+
+        def caller():
+            for _ in range(5):
+                results.append(so.trotter_evolve(stack, v2, plan).values)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(results) == 15
+        for values in results:
+            np.testing.assert_array_equal(values, serial.values)
+
+    @staticmethod
+    def _serial_and_split(v2, psi0, monkeypatch):
+        stack = so.WaveFunction(psi0.grid, np.vstack([psi0.values] * 17))
+        plan = so.TrotterPlan(0.05, 6)
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_usable_cpus", lambda: 1)
+            serial = so.trotter_evolve(stack, v2, plan)
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        return stack, plan, serial  # split 8 rows here and 9 on a worker
+
+    @pytest.mark.parametrize("failing_rows", [8, 9])
+    def test_a_block_error_reaches_the_caller_after_every_block(
+            self, v2, psi0, monkeypatch, failing_rows):
+        stack, plan, serial = self._serial_and_split(v2, psi0, monkeypatch)
+
+        class BlockError(Exception):
+            pass
+
+        finished = []
+        fft = np.fft.fft
+
+        def failing(a, *args, **kwargs):
+            rows = np.shape(a)[0]
+            if rows == failing_rows:
+                raise BlockError(rows)
+            if rows < 17:  # the other block, not the set-up transform of the stack
+                time.sleep(0.1)  # still running when the failing block raises
+                finished.append(rows)
+            return fft(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "fft", failing)
+            with pytest.raises(BlockError):
+                so.trotter_evolve(stack, v2, plan)
+            assert finished == [17 - failing_rows]
+        assert evolution._tasks.empty()
+        np.testing.assert_array_equal(so.trotter_evolve(stack, v2, plan).values,
+                                      serial.values)
+
+    def test_workers_run_in_the_callers_context(self, v2, psi0, monkeypatch):
+        stack, plan, serial = self._serial_and_split(v2, psi0, monkeypatch)
+        seen = {}
+        fft = np.fft.fft
+
+        def overflowing(a, *args, **kwargs):
+            seen[threading.get_ident()] = np.geterr()["over"]
+            if threading.current_thread() is not threading.main_thread():
+                np.float64(1e308) * np.float64(10.0)
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", overflowing)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(so.trotter_evolve(stack, v2, plan).values,
+                                          serial.values)
+        assert len(seen) > 1 and set(seen.values()) == {"ignore"}
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            so.trotter_evolve(stack, v2, plan)
+        # the worker's RuntimeWarning fails the run, as the filterwarnings setting asks
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            so.trotter_evolve(stack, v2, plan)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_workers(self, v2, psi0, monkeypatch):
+        stack, plan, serial = self._serial_and_split(v2, psi0, monkeypatch)
+        so.trotter_evolve(stack, v2, plan)
+        assert evolution._workers  # the parent's workers are running
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)  # a child waiting on its parent's workers dies, not hangs
+                child = so.trotter_evolve(stack, v2, plan)
+                code = 0 if np.array_equal(child.values, serial.values) else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0

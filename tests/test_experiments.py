@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import susyoptics as so
-from susyoptics import ConfigurationError, cli, experiments, optics
+from susyoptics import ConfigurationError, cli, evolution, experiments, optics
 from susyoptics.config import config_hash, serialize_config, setup
 from susyoptics.experiments import (
     SCENARIO_RUNNERS,
@@ -167,12 +167,13 @@ class TestRunnerStructure:
         # costs four stacked transforms a block of 8 samples, not four per sample
         block = 8
         monkeypatch.setattr(experiments, "_REFERENCE_BLOCK", block, raising=False)
-        calls = {}
+        # two row blocks of the family stack, 20 and 21 rows, on any machine
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        rows = []  # rows of each transform; append is atomic across threads
 
         def counted(fn):
             def wrapper(a, *args, **kwargs):
-                rows = np.asarray(a).size // np.shape(a)[-1]
-                calls[rows] = calls.get(rows, 0) + 1
+                rows.append(np.asarray(a).size // np.shape(a)[-1])
                 return fn(a, *args, **kwargs)
             return wrapper
 
@@ -180,9 +181,11 @@ class TestRunnerStructure:
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         so.run_eta_sweep(small_cfg)
         steps = small_cfg.steps_per_period * small_cfg.evolution_periods
-        blocks = sum(c for rows, c in calls.items() if 1 < rows < small_cfg.eta_points)
+        # the family: to_momentum and the kernel's set-up, then two a step but the last
+        assert sum(r for r in rows if r > block) == (2 * steps + 1) * small_cfg.eta_points
         # one-row transforms: the reference stream, B+ psi0 and to_momentum(psi0)
-        assert calls[1] <= 2 * steps + 3
+        assert rows.count(1) <= 2 * steps + 3
+        blocks = sum(1 for r in rows if 1 < r <= block)
         assert blocks <= 4 * math.ceil((steps + 1) / block)
 
     def test_bdag(self, small_cfg):
@@ -412,6 +415,35 @@ class TestEmitCsv:
         lines = (tmp_path / "special_cells.csv").read_text(encoding="utf-8").splitlines()
         assert lines[5:] == [f"{v!r},{i}" for v, i in zip(values.tolist(), range(values.size))]
 
+    def test_deduplicated_text_equals_row_by_row_text(self, monkeypatch):
+        # a column is sorted whole only when its leading rows repeat; either
+        # way each slice's text is what formatting it row by row gives
+        monkeypatch.setattr(experiments, "_LEAD_ROWS", 64)
+        plain = experiments._column_text
+        formatted = []  # sizes of the arrays formatted when the cells are set up
+
+        def counted(column):
+            formatted.append(column.size)
+            return plain(column)
+
+        monkeypatch.setattr(experiments, "_column_text", counted)
+        special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, 5e-324, 0.1, 1e22])
+        rows = 4096
+        columns = {
+            # (column, its distinct values if they are formatted once each)
+            "runs": (np.repeat(special, rows // special.size), special.size),
+            "cycle": (np.tile(np.linspace(-1.0, 1.0, 16), rows // 16), 16),
+            # repeats only past the leading rows: never sorted whole
+            "late_cycle": (np.tile(np.linspace(-1.0, 1.0, 512), rows // 512), None),
+            "distinct": (np.random.default_rng(3).random(rows), None),
+        }
+        for name, (column, distinct) in columns.items():
+            formatted.clear()
+            cells = experiments._column_cells(column)
+            assert formatted == ([distinct] if distinct else []), name
+            for part in (slice(0, 100), slice(1000, 3000), slice(4000, None)):
+                assert cells(part) == plain(column[part])
+
     @pytest.mark.parametrize("scenario", ["spectrum", "susy-check"])
     def test_header_and_row_count_follow_the_rows(self, small_cfg, tmp_path,
                                                   scenario):
@@ -465,6 +497,39 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("configuration error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_eta_sweep_csvs_do_not_depend_on_the_core_count(self, small_cfg, tmp_path):
+        # the 41-row family stack runs in row blocks on every usable CPU, and
+        # on one thread in a child pinned to one CPU
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(serialize_config(small_cfg))
+        src = Path(so.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        child = ("import os, sys\n"
+                 "if sys.argv[1] == 'pinned':\n"
+                 "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                 "from susyoptics import cli, evolution\n"
+                 "code = cli.main(['eta-sweep', '--config', sys.argv[2], '--out', 'out'])\n"
+                 "print('blocks', len(evolution._row_blocks(41)), file=sys.stderr)\n"
+                 "sys.exit(code)\n")
+        blocks, codes = {}, set()
+        for mode in ("pinned", "free"):
+            # the same relative --out, which the config hash in every file covers
+            (tmp_path / mode).mkdir()
+            proc = subprocess.run([sys.executable, "-c", child, mode, str(cfg)],
+                                  cwd=tmp_path / mode, capture_output=True, text=True,
+                                  env=env)
+            codes.add(proc.returncode)  # 1: the small grid fails the peak gate
+            blocks[mode] = int(proc.stderr.split()[-1])
+        assert codes in ({0}, {1})
+        assert blocks == {"pinned": 1, "free": min(len(os.sched_getaffinity(0)), 5)}
+        free, pinned = (tmp_path / mode / "out" for mode in ("free", "pinned"))
+        names = sorted(p.name for p in free.iterdir())
+        assert names == sorted(p.name for p in pinned.iterdir())
+        for name in names:
+            assert (free / name).read_bytes() == (pinned / name).read_bytes()
 
     def test_exit_two_on_configuration_error_from_a_runner(self, tmp_path, capsys,
                                                            monkeypatch):
