@@ -16,9 +16,9 @@ and slope fits should use the state-error one.
 stack (m, n) under one shared (n,) potential or one (m, n) row per state,
 in position or momentum space.  Each step is one transform pair along the
 grid axis per row block: a large stack is cut into contiguous blocks, one
-per usable CPU, that advance on separate threads, and a small one is a
-single block.  A stack reproduces m separate runs bit for bit, on any
-number of cores.
+per usable CPU, that advance on threads the stream owns and that end with
+it (a forked child starts its own), and a small one is a single block.  A
+stack reproduces m separate runs bit for bit, on any number of cores.
 A momentum-space sample is the transformed state the step already holds,
 times a phase; a position-space sample costs one more inverse transform.
 The carry is updated in place and each sample is one fresh array, so the
@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +86,8 @@ def kinetic_step(psi: WaveFunction, tau: float) -> WaveFunction:
     """Free evolution for time tau: multiply by exp(-i p^2 tau / 2) in momentum space."""
     if psi.representation != POSITION:
         raise ContractError("kinetic_step expects a position-space state")
-    if tau < 0:
-        raise ContractError(f"kinetic_step propagates forward only, got tau = {tau}")
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ContractError(f"kinetic_step propagates forward for a finite tau, got {tau}")
     if tau == 0:
         return psi
     g = psi.grid
@@ -112,62 +110,26 @@ def _row_blocks(rows: int) -> list:
     return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-_tasks = queue.SimpleQueue()  # (context, fn, args, done queue) for the workers
-_workers = []
-_workers_lock = threading.Lock()
-
-
-def _serve():
-    while True:
-        context, fn, args, done = _tasks.get()
-        try:
-            context.run(fn, *args)
-            error = None
-        except BaseException as exc:
-            error = exc
-        del context, fn, args  # dropped before the caller hears: no stream outlives its run
-        done.put(error)
-        del done, error
-
-
-def _forget_workers():
-    """In a forked child: the workers did not survive the fork, so start afresh."""
-    global _tasks, _workers_lock
-    _tasks = queue.SimpleQueue()
-    _workers_lock = threading.Lock()
-    _workers.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _run_blocks(fn, blocks, *args):
+def _run_blocks(workers, fn, blocks, *args):
     """fn(block, *args) for every block of rows, the first on this thread.
 
-    The rest run on the workers, each in a copy of this thread's context, so
-    numpy's error state (a context variable) holds there too.  Returns once
-    every block is done, and then raises the first block's error, if any.
+    The rest run on `workers` (None for a single block), each in a copy of
+    this thread's context, so numpy's error state (a context variable) holds
+    there too.  Returns once every block is done, and then raises the first
+    block's error, if any.
     """
-    if len(blocks) == 1:
+    if workers is None:
         fn(blocks[0], *args)
         return
-    with _workers_lock:
-        while len(_workers) < len(blocks) - 1:
-            worker = threading.Thread(target=_serve, daemon=True,
-                                      name=f"susyoptics-rows-{len(_workers) + 1}")
-            worker.start()
-            _workers.append(worker)
-    done = queue.SimpleQueue()
-    for block in blocks[1:]:
-        _tasks.put((contextvars.copy_context(), fn, (block, *args), done))
+    futures = [workers.submit(contextvars.copy_context().run, fn, block, *args)
+               for block in blocks[1:]]
     try:
         fn(blocks[0], *args)
     finally:
-        errors = [done.get() for _ in blocks[1:]]
-    for error in errors:
-        if error is not None:
-            raise error
+        for future in futures:
+            future.exception()
+    for future in futures:
+        future.result()
 
 
 def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
@@ -200,10 +162,12 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     A stack of 16 or more rows is cut into contiguous row blocks of at least
     _MIN_BLOCK_ROWS = 8 rows, at most one per usable CPU, and each step runs
     the whole step body on every block at once: this thread takes the first
-    block and daemon workers the rest.  The step returns only when every
-    block is done, so nothing is pending while a sample is out.  Rows never
-    mix, so every sample is the same to the bit on any number of cores.
-    Smaller stacks and single states run on this thread alone.
+    block and the stream's own worker threads the rest.  They start at the
+    first step (again in a forked child that steps the stream) and end with
+    the stream: exhausted, closed or failed.  The step returns only when
+    every block is done, so nothing is pending while a sample is out.  Rows
+    never mix, so every sample is the same to the bit on any number of
+    cores.  Smaller stacks and single states run on this thread alone.
 
     At the paper's design step T/60 the product scatters norm into every
     mode the grid has, so its results carry a grid component: over three
@@ -262,12 +226,21 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
             np.multiply(wb, kin, out=wb)
             np.fft.ifft(wb, out=wb)
 
-    for j in range(1, n + 1):
-        sample = np.empty_like(w) if j % stride == 0 or j == n else None
-        _run_blocks(step, blocks, j, sample)
-        if sample is not None:
-            yield j, WaveFunction(g, _frozen(sample), representation)
-            del sample  # the caller's reference is the only one left
+    workers = owner = None
+    try:
+        for j in range(1, n + 1):
+            if len(blocks) > 1 and owner != os.getpid():  # a forked child starts its own
+                from concurrent.futures import ThreadPoolExecutor
+                workers = ThreadPoolExecutor(len(blocks) - 1, "susyoptics-rows")
+                owner = os.getpid()
+            sample = np.empty_like(w) if j % stride == 0 or j == n else None
+            _run_blocks(workers, step, blocks, j, sample)
+            if sample is not None:
+                yield j, WaveFunction(g, _frozen(sample), representation)
+                del sample  # the caller's reference is the only one left
+    finally:
+        if workers is not None:
+            workers.shutdown()
 
 
 def trotter_evolve(psi: WaveFunction, V: PotentialField, plan: TrotterPlan) -> WaveFunction:

@@ -64,6 +64,12 @@ def test_kinetic_step_contract(grid, psi0):
     np.testing.assert_array_equal(same.values, psi0.values)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_kinetic_step_rejects_a_non_finite_tau(psi0, tau):
+    with pytest.raises(ContractError, match="finite"):
+        kinetic_step(psi0, tau)
+
+
 class TestTrotterStates:
     def test_zero_step_plan_yields_initial(self, v2, psi0):
         plan = so.TrotterPlan(0.1, 0)
@@ -446,27 +452,44 @@ class TestRowBlocks:
                 for row, pair in enumerate(pairs):
                     np.testing.assert_array_equal(sample.values[row], alone[pair][j].values)
 
+    @staticmethod
+    def _row_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("susyoptics-rows")]
+
     def test_small_stacks_start_no_thread(self, v2, psi0, monkeypatch):
         monkeypatch.setattr(evolution, "_usable_cpus", lambda: 64)
-        monkeypatch.setattr(evolution, "_workers", [])
         before = threading.active_count()
         plan = so.TrotterPlan(0.05, 5)
         two = so.WaveFunction(psi0.grid, np.vstack([psi0.values] * 2))
         for psi in (psi0, two):
             so.trotter_evolve(psi, v2, plan)
         assert threading.active_count() == before
-        assert evolution._workers == []
 
-    def test_idle_workers_hold_no_task(self, v2, psi0, three_cpus):
-        # a kept task would keep a finished stream's carry and phases alive
+    def test_no_thread_outlives_its_stream(self, v2, psi0, three_cpus, monkeypatch):
+        # a thread kept past its stream would be a process-wide pool again
         stack = so.WaveFunction(psi0.grid, np.vstack([psi0.values] * self.ROWS))
-        so.trotter_evolve(stack, v2, so.TrotterPlan(0.05, 3))
-        frames = sys._current_frames()
-        for worker in evolution._workers:
-            frame = frames[worker.ident]
-            while frame.f_code is not evolution._serve.__code__:
-                frame = frame.f_back
-            assert not {"context", "fn", "args"} & frame.f_locals.keys()
+        plan = so.TrotterPlan(0.05, 3)
+        before = threading.active_count()
+        so.trotter_evolve(stack, v2, plan)  # exhausted
+        assert not self._row_threads() and threading.active_count() == before
+        states = so.trotter_states(stack, v2, plan)
+        next(states)
+        next(states)  # suspended after the first step's sample
+        assert len(self._row_threads()) == 2
+        states.close()
+        assert not self._row_threads() and threading.active_count() == before
+        fft = np.fft.fft
+
+        def failing(a, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("a worker's block")
+            return fft(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "fft", failing)
+            with pytest.raises(ArithmeticError):
+                so.trotter_evolve(stack, v2, plan)
+        assert not self._row_threads() and threading.active_count() == before
 
     def test_concurrent_callers_share_the_workers(self, v2, psi0, monkeypatch):
         # more blocks than cores, from several threads at once, with frequent
@@ -534,7 +557,7 @@ class TestRowBlocks:
             with pytest.raises(BlockError):
                 so.trotter_evolve(stack, v2, plan)
             assert finished == [17 - failing_rows]
-        assert evolution._tasks.empty()
+        assert not self._row_threads()
         np.testing.assert_array_equal(so.trotter_evolve(stack, v2, plan).values,
                                       serial.values)
 
@@ -563,8 +586,10 @@ class TestRowBlocks:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_workers(self, v2, psi0, monkeypatch):
         stack, plan, serial = self._serial_and_split(v2, psi0, monkeypatch)
-        so.trotter_evolve(stack, v2, plan)
-        assert evolution._workers  # the parent's workers are running
+        states = so.trotter_states(stack, v2, plan)
+        next(states)
+        next(states)  # suspended after the first step's sample
+        assert self._row_threads()  # the parent's workers are running
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
             pid = os.fork()
@@ -572,9 +597,16 @@ class TestRowBlocks:
             code = 1
             try:
                 signal.alarm(30)  # a child waiting on its parent's workers dies, not hangs
-                child = so.trotter_evolve(stack, v2, plan)
-                code = 0 if np.array_equal(child.values, serial.values) else 2
+                fresh = so.trotter_evolve(stack, v2, plan)
+                for _, finished in states:
+                    pass
+                code = 0 if (np.array_equal(fresh.values, serial.values)
+                             and np.array_equal(finished.values, serial.values)) else 2
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+        for _, finished in states:
+            pass
+        np.testing.assert_array_equal(finished.values, serial.values)
+        assert not self._row_threads()

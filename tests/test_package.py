@@ -16,7 +16,8 @@ from susyoptics.experiments import SCENARIO_RUNNERS
 _ROOT = Path(__file__).resolve().parents[1]
 
 # Runs in a fresh interpreter in which every scipy import fails, and prints
-# the scenarios it ran and the scipy modules loaded.
+# the scenarios it ran, whether they loaded concurrent.futures (only a split
+# stack needs it) and the scipy modules loaded.
 _PROBE = """\
 import json, sys
 
@@ -32,12 +33,14 @@ from susyoptics.config import parse_config
 from susyoptics.experiments import run_all
 from susyoptics.grids import Grid1D
 ran = [result.scenario for result in run_all(parse_config(sys.argv[1]))]
+futures = "concurrent.futures" in sys.modules
 v1 = partner_potential(Superpotential(), 1, Grid1D(256, -15.0, 15.0))
 eigenbasis(v1, bound_spectrum(v1, 2).states, 1.0)
-print(json.dumps([ran, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([ran, futures, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
-# small but valid; the interferometer bench needs the full 2048 points
+# small but valid; the interferometer bench needs the full 2048 points, and
+# 9 eta points are too few rows to split a stack on any number of cores
 _CONFIG = """\
 steps_per_period = 30
 evolution_periods = 1
@@ -81,6 +84,7 @@ def test_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _PROBE, str(cfg)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    ran, loaded = json.loads(proc.stdout.splitlines()[-1])
+    ran, futures, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert sorted(ran) == sorted(SCENARIO_RUNNERS)
+    assert not futures
     assert loaded == []
