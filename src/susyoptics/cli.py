@@ -3,8 +3,9 @@
 Exit codes: 0 all gates passed, 1 at least one gate failed (or a warning was
 raised under --strict), 2 configuration problem (in the config file, an
 override, found by a runner, or a table cell CSV cannot hold, in which case
-no file of any result is written), 3 any other simulation error: a
-numerical failure or a broken contract.
+no file of any result is written), 3 any other simulation error (a
+numerical failure or a broken contract) or an allocation that does not fit
+in memory.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=_SCENARIO_HELP[name])
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value config file (defaults used when omitted)")
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="output directory (default from config: results)")
+        p.add_argument("--out", default="results", metavar="DIR",
+                       help="output directory (default: results)")
         p.add_argument("--grid-points", type=int, default=None, metavar="N",
                        help="override the number of grid points")
         p.add_argument("--strict", action="store_true",
@@ -57,14 +58,11 @@ def resolve_exit(all_passed: bool, warned: bool, strict: bool) -> int:
 
 
 def _apply_overrides(cfg, args):
-    overrides = {"scenario": args.scenario}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.grid_points is not None:
-        overrides["grid_points"] = args.grid_points
+    if args.grid_points is None:
+        return cfg
     return dataclasses.replace(
-        cfg, defaulted_keys=tuple(k for k in cfg.defaulted_keys
-                                  if k not in overrides), **overrides)
+        cfg, grid_points=args.grid_points,
+        defaulted_keys=tuple(k for k in cfg.defaulted_keys if k != "grid_points"))
 
 
 def main(argv=None) -> int:
@@ -73,19 +71,19 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(parse_config(args.config), args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if cfg.scenario == "all":
+            if args.scenario == "all":
                 results = run_all(cfg)
             else:
-                results = (SCENARIO_RUNNERS[cfg.scenario](cfg),)
+                results = (SCENARIO_RUNNERS[args.scenario](cfg),)
         for result in results:  # any unsafe cell stops the run before a file opens
             csv_sheets(result)
-        written = [path for result in results
-                   for path in emit_csv(result, cfg.out_dir)]
+        written = [path for result in results for path in emit_csv(result, args.out)]
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except SimulationError as exc:
+    except (SimulationError, MemoryError) as exc:
         kind = ("numerical failure" if isinstance(exc, NumericalError)
+                else "out of memory" if isinstance(exc, MemoryError)
                 else type(exc).__name__)
         print(f"{kind}: {exc}", file=sys.stderr)
         return 3
@@ -97,7 +95,7 @@ def main(argv=None) -> int:
                   f"  ({s.gate})")
     for w in caught:
         print(f"[WARN] {w.category.__name__}: {w.message}", file=sys.stderr)
-    print(f"wrote {len(written)} files to {cfg.out_dir}")
+    print(f"wrote {len(written)} files to {args.out}")
 
     all_passed = all(r.passed for r in results)
     return resolve_exit(all_passed, bool(caught), args.strict)

@@ -38,9 +38,6 @@ FIDELITY_CONVENTIONS = ("modulus", "modulus_squared")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # scenario selection and bookkeeping
-    scenario: str = "all"
-    out_dir: str = "results"
     # superpotential (natural units, lengths in x0 = 1/sqrt(omega))
     omega: float = 1.0
     barrier_amplitude: float = math.sqrt(26.0)
@@ -103,8 +100,6 @@ def _eta_grid_holds(cfg: ExperimentConfig, target: float) -> bool:
 def _rule_problems(cfg: ExperimentConfig) -> list:
     """The rules no domain object owns, each message led by its keys."""
     p = []
-    if cfg.scenario not in SCENARIOS:
-        p.append(f"scenario: must be one of {SCENARIOS}, got {cfg.scenario!r}")
     for key in ("steps_per_period", "evolution_periods", "trace_stride"):
         if getattr(cfg, key) < 1:
             p.append(f"{key}: must be >= 1, got {getattr(cfg, key)}")
@@ -277,8 +272,8 @@ def _format_value(key: str, value) -> str:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form: every key, declaration order, full float precision.
 
-    parse(serialize(cfg)) reproduces cfg exactly, so the serialized form
-    (and the hash below) is a faithful identity for a run.
+    parse(serialize(cfg)) reproduces cfg exactly, so the serialized form (and
+    the hash below) identifies a run's physics, whatever its scenario or --out.
     """
     lines = [f"{key} = {_format_value(key, getattr(cfg, key))}" for key in CONFIG_KEYS]
     return "\n".join(lines) + "\n"

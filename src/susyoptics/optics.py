@@ -61,6 +61,13 @@ class PhysicalUnits:
         if not (np.isfinite(self.x0_m) and self.x0_m > 0):
             raise ConfigurationError(
                 f"characteristic length must be positive, got {self.x0_m}")
+        try:  # the distance per unit time, in the form the time maps use
+            scale = self.k * self.x0_m**2
+        except OverflowError:
+            scale = math.inf
+        if not (math.isfinite(scale) and scale > 0):
+            raise ConfigurationError(
+                f"k x0^2 must be a finite positive float, got {scale} m")
 
     @property
     def k(self) -> float:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ FLOAT_KEYS = tuple(k for k in CONFIG_KEYS
 
 def test_defaults(tmp_path):
     cfg = so.parse_config(None)
-    assert cfg.scenario == "all"
     assert cfg.grid_points == 2048
     assert cfg.steps_per_period == 60
     assert cfg.convergence_steps == (15, 30, 60, 120, 240)
@@ -77,7 +77,7 @@ def test_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize("override,fragment", [
-    (dict(scenario="spectral"), "scenario"),
+    (dict(steps_per_period=0), "steps_per_period"),
     (dict(grid_points=1), "grid_points"),
     (dict(omega=-2.0), "omega"),
     (dict(x_min_x0=5.0, x_max_x0=-5.0), "domain"),
@@ -152,6 +152,14 @@ def test_config_hash_tracks_content():
     # provenance bookkeeping does not change identity
     marked = dataclasses.replace(base, defaulted_keys=())
     assert config_hash(marked) == config_hash(base)
+
+
+def test_readme_table_lists_every_key():
+    # the backticked names of the first column of README's configuration table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n| key ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    documented = [key for row in table for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert documented == list(CONFIG_KEYS)
 
 
 def test_float_formats_preserved(tmp_path):

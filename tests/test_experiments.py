@@ -484,6 +484,16 @@ class TestCli:
                          "--out", str(tmp_path / "r")])
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["scenario = spectrum", "out_dir = elsewhere"])
+    def test_exit_two_on_a_run_choice_in_the_config(self, tmp_path, capsys, line):
+        # the scenario and the output directory come from the command line only
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"omega = 1.0\n{line}\n")
+        code = cli.main(["all", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}:2: unknown key {line.split()[0]!r}\n")
+
     def test_exit_two_when_a_runner_rejects_the_config(self, tmp_path):
         # 8 points space the grid wider than the packet, which setup rejects
         # before any runner starts
@@ -516,7 +526,6 @@ class TestCli:
                  "sys.exit(code)\n")
         blocks, codes = {}, set()
         for mode in ("pinned", "free"):
-            # the same relative --out, which the config hash in every file covers
             (tmp_path / mode).mkdir()
             proc = subprocess.run([sys.executable, "-c", child, mode, str(cfg)],
                                   cwd=tmp_path / mode, capture_output=True, text=True,
@@ -607,6 +616,9 @@ class TestCli:
         ("grid_points = 1\nomega = -1.0\nx0_mm = 0.0\nparity_mode = mirror\n"
          "battery_size = 0\n",
          ["grid_points", "omega", "x0_mm", "parity_mode", "battery_size"]),
+        # k x0^2 overflows, or underflows to zero
+        ("x0_mm = 1e300\n", ["wavelength_nm", "x0_mm"]),
+        ("x0_mm = 1e-300\n", ["wavelength_nm", "x0_mm"]),
     ])
     def test_exit_two_names_each_bad_key(self, tmp_path, capsys, text, keys):
         cfg = tmp_path / "bad.cfg"
@@ -631,6 +643,32 @@ class TestCli:
         code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
         assert code == 3
         assert capsys.readouterr().err == f"{error.__name__}: probe\n"
+
+    def test_exit_three_when_an_allocation_does_not_fit(self, tmp_path, capsys):
+        # the first grid array would take 8 PB, so numpy fails before allocating
+        code = cli.main(["spectrum", "--grid-points", "1000000000000000",
+                         "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    def test_same_physics_writes_the_same_bytes_anywhere(self, small_cfg, tmp_path,
+                                                         capsys):
+        # every file of `all --out A` equals that of its own scenario's run into B/<name>
+        cfg_file = tmp_path / "small.cfg"
+        cfg_file.write_text(serialize_config(small_cfg))
+        cli.main(["all", "--config", str(cfg_file), "--out", str(tmp_path / "A")])
+        singles = {}
+        for name in SCENARIO_RUNNERS:
+            out = tmp_path / "B" / name
+            cli.main([name, "--config", str(cfg_file), "--out", str(out)])
+            singles.update((p.name, p) for p in out.iterdir())
+        capsys.readouterr()
+        together = {p.name: p for p in (tmp_path / "A").iterdir()}
+        assert len(together) == 20 and sorted(together) == sorted(singles)
+        for name, path in together.items():
+            assert path.read_bytes() == singles[name].read_bytes(), name
 
     def test_all_prints_scenarios_in_run_all_order(self, small_cfg, tmp_path,
                                                    capsys):
