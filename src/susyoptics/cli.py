@@ -3,9 +3,9 @@
 Exit codes: 0 all gates passed, 1 at least one gate failed (or a warning was
 raised under --strict), 2 configuration problem (in the config file, an
 override, found by a runner, or a table cell CSV cannot hold, in which case
-no file of any result is written), 3 any other simulation error (a
-numerical failure or a broken contract) or an allocation that does not fit
-in memory.
+no file of any result is written) or an --out directory that cannot be
+created or written, 3 any other simulation error (a numerical failure or a
+broken contract) or an allocation that does not fit in memory.
 """
 
 from __future__ import annotations
@@ -87,6 +87,9 @@ def main(argv=None) -> int:
                 else type(exc).__name__)
         print(f"{kind}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # creating or writing --out (parse_config maps its own)
+        print(f"cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
+        return 2
 
     for result in results:
         for s in result.scalars:

@@ -370,7 +370,6 @@ class ConvergenceScan:
     steps: np.ndarray
     rel_l2_error: np.ndarray
     infidelity: np.ndarray
-    order: str
 
 
 def trotter_convergence_scan(psi: WaveFunction, V: PotentialField, t: float,
@@ -392,7 +391,7 @@ def trotter_convergence_scan(psi: WaveFunction, V: PotentialField, t: float,
         final = trotter_evolve(psi, V, plan)
         errors[i] = norm(final.with_values(final.values - reference.values)) / ref_norm
         infids[i] = 1.0 - fidelity(final, reference)
-    return ConvergenceScan(steps, errors, infids, order)
+    return ConvergenceScan(steps, errors, infids)
 
 
 def fit_loglog_slope(ns, errors) -> float:

@@ -133,7 +133,10 @@ class FreeSpace:
             return field_
         out = kinetic_step(field_, map_distance_to_time(self.z_m, units))
         rho_m = spot_size(field_) * units.x0_m
-        ratio = (rho_m / self.z_m) ** 2
+        try:
+            ratio = (rho_m / self.z_m) ** 2
+        except OverflowError:  # a spot over 1e154 gap lengths: far past the limit
+            ratio = math.inf
         if ratio > PARAXIAL_LIMIT:
             warnings.warn(
                 f"paraxial ratio rho^2/z^2 = {ratio:.3e} exceeds {PARAXIAL_LIMIT:.0e} "

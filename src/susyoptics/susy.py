@@ -264,12 +264,10 @@ class SpectrumResult:
     band_points is the size of the grid the pairs were diagonalized on.
     """
 
-    grid: Grid1D
     energies: np.ndarray
     states: tuple
     residuals: np.ndarray
     band_points: int
-    label: str = ""
 
 
 def bound_spectrum(V: PotentialField, k: int) -> SpectrumResult:
@@ -299,32 +297,7 @@ def bound_spectrum(V: PotentialField, k: int) -> SpectrumResult:
     vecs = vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])
     states = tuple(
         WaveFunction(grid, vecs[:, j] / math.sqrt(grid.dx)) for j in range(k))
-    return SpectrumResult(grid, energies, states, resid, band, V.label)
-
-
-@dataclass(frozen=True)
-class DegeneracyReport:
-    """Offset pairing of two partner spectra: E1_n against E2_(n+1)."""
-
-    pair_count: int
-    gaps: np.ndarray
-    unpaired_ground: float
-
-    @property
-    def max_gap(self) -> float:
-        return float(self.gaps.max()) if self.pair_count else 0.0
-
-
-def check_degeneracy(s1: SpectrumResult, s2: SpectrumResult) -> DegeneracyReport:
-    """Pair E1_n with E2_(n+1), leaving the ground state of spectrum 2 alone.
-
-    The gaps and the unpaired ground energy are reported, not gated here.
-    """
-    if s1.grid != s2.grid:
-        raise ContractError("spectra were computed on different grids")
-    m = max(min(len(s1.energies), len(s2.energies) - 1), 0)
-    gaps = np.abs(s1.energies[:m] - s2.energies[1:m + 1])
-    return DegeneracyReport(m, gaps, float(s2.energies[0]))
+    return SpectrumResult(energies, states, resid, band)
 
 
 def zero_mode(W: Superpotential, grid: Grid1D) -> WaveFunction:

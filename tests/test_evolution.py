@@ -371,7 +371,6 @@ class TestConvergenceScan:
     def test_columns_and_monotonicity(self, v2, psi0, basis_v2):
         scan = trotter_convergence_scan(psi0, v2, math.pi, (8, 16, 32, 64),
                                            basis=basis_v2)
-        assert scan.order == "second"
         assert np.all(scan.rel_l2_error > 0)
         assert np.all(np.diff(scan.rel_l2_error) < 0)
         # overlap error is quadratic in the state error, so it sits below
@@ -491,7 +490,7 @@ class TestRowBlocks:
                 so.trotter_evolve(stack, v2, plan)
         assert not self._row_threads() and threading.active_count() == before
 
-    def test_concurrent_callers_share_the_workers(self, v2, psi0, monkeypatch):
+    def test_concurrent_streams_each_keep_their_own_workers(self, v2, psi0, monkeypatch):
         # more blocks than cores, from several threads at once, with frequent
         # thread switches: a completion delivered to the wrong step shows here
         grid = psi0.grid

@@ -683,6 +683,42 @@ class TestCli:
         expected = [r.scenario for r in run_all(small_cfg)]
         assert list(dict.fromkeys(printed)) == expected
 
+    @pytest.mark.parametrize("scenario,line", [
+        ("trotter-convergence", "wavelength_nm = 1e300"),
+        ("bdag-check", "focal_length_m = 1e-160"),
+        ("bdag-check", "reduced_focal_length_m = 1e-160"),
+    ])
+    def test_a_vanishing_gap_warns_and_the_gates_decide(self, tmp_path, capsys,
+                                                         scenario, line):
+        # each gap is so short against the spot that (spot/z)^2 overflows a float
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text(f"grid_points = 512\n{line}\n")
+        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert code in (0, 1)
+        assert "[WARN] ParaxialWarning: paraxial ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["focal_length_m", "reduced_focal_length_m"])
+    def test_a_focal_length_of_1e_300_leaves_no_gain(self, tmp_path, capsys, key):
+        # the passivity bound puts alpha near 1e-302, so the calibration has no signal
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text(f"grid_points = 512\n{key} = 1e-300\n")
+        code = cli.main(["bdag-check", "--config", str(cfg),
+                         "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert capsys.readouterr().err == ("numerical failure: calibration "
+                                           "reference produces no derivative-arm signal\n")
+
+    def test_exit_two_when_out_cannot_be_created(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "r"
+        code = cli.main(["bdag-check", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"cannot write to --out {str(out)!r}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys):
         cfg = tmp_path / "sat.cfg"
         cfg.write_text("grid_points = 128\nconvergence_steps = 1,2,4\n")

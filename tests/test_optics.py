@@ -84,6 +84,12 @@ class TestFresnel:
         with pytest.warns(ParaxialWarning):
             FreeSpace(0.01).apply(psi0, units)
 
+    def test_ratio_saturates_on_a_vanishing_gap(self, psi0, units):
+        # (spot/z)^2 overflows a float here; it must read as inf, not raise
+        with pytest.warns(ParaxialWarning, match="= inf exceeds"):
+            out = FreeSpace(1e-300).apply(psi0, units)
+        assert np.all(np.isfinite(out.values))
+
     def test_silent_in_regime(self, psi0, units):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

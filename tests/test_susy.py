@@ -9,7 +9,7 @@ import susyoptics as so
 from susyoptics import ConfigurationError, ContractError, NumericalError, evolution, susy
 from susyoptics.evolution import kinetic_step
 from susyoptics.grids import Grid1D, spectral_derivative
-from susyoptics.susy import PotentialField, check_degeneracy, dense_hamiltonian
+from susyoptics.susy import PotentialField, dense_hamiltonian
 
 from conftest import AMPLITUDE
 
@@ -137,7 +137,7 @@ class TestBoundSpectrum:
     def test_states_orthonormal(self, v1):
         s = so.bound_spectrum(v1, 6)
         vecs = np.stack([st.values for st in s.states])
-        gram = (vecs.conj() @ vecs.T).real * s.grid.dx
+        gram = (vecs.conj() @ vecs.T).real * v1.grid.dx
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
         assert np.all(np.diff(s.energies) > 0)
         assert np.all(s.residuals < 1e-8)
@@ -323,24 +323,6 @@ def test_dense_hamiltonian_is_the_symmetrized_circulant(W, n):
     v = so.partner_potential(W, 1, Grid1D(n, -15.0, 15.0))
     h = sla.circulant(np.real(np.fft.ifft(0.5 * v.grid.p**2))) + np.diag(v.values)
     np.testing.assert_array_equal(dense_hamiltonian(v), 0.5 * (h + h.T))
-
-
-def test_check_degeneracy_pairs_partner_levels(v1, v2):
-    s1 = so.bound_spectrum(v1, 8)
-    s2 = so.bound_spectrum(v2, 9)
-    report = check_degeneracy(s1, s2)
-    assert report.pair_count == 8
-    assert report.max_gap <= 1e-6
-    assert report.max_gap == float(np.max(np.abs(s1.energies - s2.energies[1:])))
-    assert abs(report.unpaired_ground) <= 1e-6
-
-
-def test_check_degeneracy_grid_mismatch(v1, small_grid):
-    flat = PotentialField(small_grid, np.zeros(small_grid.n), label="flat")
-    other = so.bound_spectrum(flat, 3)
-    mine = so.bound_spectrum(v1, 3)
-    with pytest.raises(ContractError):
-        check_degeneracy(mine, other)
 
 
 class TestHarmonicLimit:
