@@ -5,7 +5,8 @@ raised under --strict), 2 configuration problem (in the config file, an
 override, found by a runner, or a table cell CSV cannot hold, in which case
 no file of any result is written) or an --out directory that cannot be
 created or written, 3 any other simulation error (a numerical failure or a
-broken contract) or an allocation that does not fit in memory.
+broken contract) or an allocation that does not fit in memory.  The warnings
+a run raised go to stderr first, before the error line of a run that fails.
 """
 
 from __future__ import annotations
@@ -50,11 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_exit(all_passed: bool, warned: bool, strict: bool) -> int:
-    if not all_passed:
-        return 1
-    if warned and strict:
-        return 1
-    return 0
+    return int(not all_passed or (warned and strict))
 
 
 def _apply_overrides(cfg, args):
@@ -67,6 +64,7 @@ def _apply_overrides(cfg, args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    caught, failure = [], None
     try:
         cfg = _apply_overrides(parse_config(args.config), args)
         with warnings.catch_warnings(record=True) as caught:
@@ -79,26 +77,25 @@ def main(argv=None) -> int:
             csv_sheets(result)
         written = [path for result in results for path in emit_csv(result, args.out)]
     except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        failure = 2, f"configuration error: {exc}"
     except (SimulationError, MemoryError) as exc:
         kind = ("numerical failure" if isinstance(exc, NumericalError)
                 else "out of memory" if isinstance(exc, MemoryError)
                 else type(exc).__name__)
-        print(f"{kind}: {exc}", file=sys.stderr)
-        return 3
+        failure = 3, f"{kind}: {exc}"
     except OSError as exc:  # creating or writing --out (parse_config maps its own)
-        print(f"cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
-        return 2
+        failure = 2, f"cannot write to --out {args.out!r}: {exc}"
 
+    for w in caught:  # a run that fails prints them before its error line
+        print(f"[WARN] {w.category.__name__}: {w.message}", file=sys.stderr)
+    if failure:
+        print(failure[1], file=sys.stderr)
+        return failure[0]
     for result in results:
         for s in result.scalars:
             verdict = "PASS" if s.passed else "FAIL"
             print(f"[{verdict}] {result.scenario}/{s.name} = {s.value!r}"
                   f"  ({s.gate})")
-    for w in caught:
-        print(f"[WARN] {w.category.__name__}: {w.message}", file=sys.stderr)
     print(f"wrote {len(written)} files to {args.out}")
 
-    all_passed = all(r.passed for r in results)
-    return resolve_exit(all_passed, bool(caught), args.strict)
+    return resolve_exit(all(r.passed for r in results), bool(caught), args.strict)

@@ -82,19 +82,6 @@ class TrotterPlan:
                 f"order must be one of {ORDERS}, got {self.order!r}")
 
 
-def kinetic_step(psi: WaveFunction, tau: float) -> WaveFunction:
-    """Free evolution for time tau: multiply by exp(-i p^2 tau / 2) in momentum space."""
-    if psi.representation != POSITION:
-        raise ContractError("kinetic_step expects a position-space state")
-    if not (np.isfinite(tau) and tau >= 0):
-        raise ContractError(f"kinetic_step propagates forward for a finite tau, got {tau}")
-    if tau == 0:
-        return psi
-    g = psi.grid
-    vals = np.fft.ifft(np.exp(-0.5j * g.p**2 * tau) * np.fft.fft(psi.values))
-    return psi.with_values(_frozen(vals))
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))

@@ -44,6 +44,7 @@ from .grids import (
 )
 from .optics import (
     PhysicalUnits,
+    alpha_passivity_bound,
     calibrate_interferometer,
     compile_trotter_train,
     interferometric_B_dag,
@@ -331,11 +332,16 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
     grid, W, psi0, units = run.grid, run.W, run.psi0, run.units
     aperture_m = run.spec.aperture_m
 
-    bench_ref = calibrate_interferometer(run.spec, grid, units)
-    bench_red = calibrate_interferometer(run.reduced_spec, grid, units)
+    benches = []
+    for key, spec in (("focal_length_m", run.spec), ("reduced_focal_length_m", run.reduced_spec)):
+        try:  # the gain is checked first, so its error names the focal length's key
+            alpha_passivity_bound(spec, grid, units)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{key} = {spec.focal_length_m!r}: {exc}") from exc
+        benches.append(calibrate_interferometer(spec, grid, units))
     # one case per row: reference, reduced, then the battery at the reference focus
     n_batt = len(run.battery)
-    benches = [bench_ref, bench_red] + [bench_ref] * n_batt
+    benches += benches[:1] * n_batt
     cases = [_bdag_errors(psi, bench, W)
              for psi, bench in zip([psi0, psi0, *run.battery], benches)]
     approx, target = cases[0][:2]
@@ -373,8 +379,8 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
         f_m=[bench.spec.focal_length_m for bench in benches],
         rel_l2=errs[:, 0], max_pointwise=errs[:, 1], infidelity=errs[:, 2])
     texts = (
-        ("arm_derivative_layout", bench_ref.derivative_arm.to_layout_text()),
-        ("arm_multiplication_layout", bench_ref.multiplication_arm.to_layout_text()),
+        ("arm_derivative_layout", benches[0].derivative_arm.to_layout_text()),
+        ("arm_multiplication_layout", benches[0].multiplication_arm.to_layout_text()),
     )
     return _result(cfg, "bdag-check", scalars, (profile_table, errors), texts)
 
@@ -529,18 +535,15 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
     sheets = csv_sheets(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    provenance = [
-        f"# scenario: {result.scenario}",
-        f"# config_hash: {result.config_hash}",
-        f"# tool_version: {result.tool_version}",
-        "# defaulted_keys: " + (",".join(result.defaulted_keys) or "(none)"),
-    ]
+    provenance = (f"# scenario: {result.scenario}\n"
+                  f"# config_hash: {result.config_hash}\n"
+                  f"# tool_version: {result.tool_version}\n"
+                  f"# defaulted_keys: {','.join(result.defaulted_keys) or '(none)'}\n")
     paths = []
     for table in sheets:
         path = out / f"{result.scenario}_{table.name}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in provenance:
-                fh.write(line + "\n")
+            fh.write(provenance)
             for note in table.notes:
                 fh.write(f"# {note}\n")
             names = table.rows.dtype.names
@@ -554,8 +557,7 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
     for name, content in result.texts:
         path = out / f"{result.scenario}_{name}.txt"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in provenance:
-                fh.write(line + "\n")
+            fh.write(provenance)
             fh.write(content)
         paths.append(path)
     return paths

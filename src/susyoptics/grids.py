@@ -1,4 +1,4 @@
-"""Uniform 1D grids, sampled wavefunctions, and the unitary Fourier transform.
+"""Uniform 1D grids, sampled wavefunctions, the unitary Fourier transform and multipliers.
 
 Everything downstream (operator algebra, split-step evolution, the optical
 bench) works on a periodic uniform grid.  Positions are measured in units of
@@ -235,17 +235,16 @@ def to_position(psi: WaveFunction) -> WaveFunction:
     return WaveFunction(g, _frozen(vals), POSITION)
 
 
-def spectral_derivative(psi: WaveFunction) -> WaveFunction:
-    """d/dx via multiplication by i*p in momentum space.
+def fourier_multiply(psi: WaveFunction, symbol) -> WaveFunction:
+    """F^-1(symbol * F psi): a position-space state under a Fourier multiplier.
 
-    Exponentially accurate for states that decay inside the domain; this is
-    what makes B and B-dagger faithful to their continuum definitions.
+    symbol is sampled on ``psi.grid.p``: i*p is d/dx, exponentially accurate
+    for states that decay inside the domain, and exp(-i p^2 tau / 2) is free
+    evolution for a time tau.  A stack's rows are each transformed alone.
     """
     if psi.representation != POSITION:
-        raise ContractError("spectral_derivative expects a position-space state")
-    g = psi.grid
-    vals = np.fft.ifft(1j * g.p * np.fft.fft(psi.values))
-    return psi.with_values(_frozen(vals))
+        raise ContractError("fourier_multiply expects a position-space state")
+    return psi.with_values(_frozen(np.fft.ifft(symbol * np.fft.fft(psi.values))))
 
 
 def gaussian_packet(grid: Grid1D, center: float = 0.0, width: float = 1.0,

@@ -39,8 +39,7 @@ from .errors import (
     NumericalError,
     ParaxialWarning,
 )
-from .evolution import kinetic_step
-from .grids import POSITION, Grid1D, WaveFunction, _frozen, gaussian_packet
+from .grids import POSITION, Grid1D, WaveFunction, _frozen, fourier_multiply, gaussian_packet
 from .susy import apply_B_dag
 
 PARAXIAL_LIMIT = 1e-2  # warn when (spot/z)^2 exceeds this
@@ -108,10 +107,11 @@ def spot_size(psi: WaveFunction) -> float:
 class FreeSpace:
     """Paraxial free-space gap of z meters.
 
-    Acts as the free-particle kernel for the mapped time z/(k x0^2), times
-    the plane-wave phase e^{ikz}.  Warns (ParaxialWarning) when the
-    parabolic-wavefront condition looks strained for the current spot size:
-    (rho/z)^2 > 1e-2.  z = 0 is the identity.
+    Acts as the free-particle Fourier multiplier for the mapped time
+    z/(k x0^2), times the plane-wave phase e^{ikz}; a time that overflows is
+    a ContractError.  Warns (ParaxialWarning) when the parabolic-wavefront
+    condition looks strained for the current spot size: (rho/z)^2 > 1e-2.
+    z = 0 is the identity.
     """
 
     z_m: float
@@ -131,12 +131,12 @@ class FreeSpace:
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
         if self.z_m == 0.0:
             return field_
-        out = kinetic_step(field_, map_distance_to_time(self.z_m, units))
+        tau = map_distance_to_time(self.z_m, units)
+        if not math.isfinite(tau):
+            raise ContractError(f"free-space gap maps to a non-finite time {tau}")
+        out = fourier_multiply(field_, np.exp(-0.5j * field_.grid.p**2 * tau))
         rho_m = spot_size(field_) * units.x0_m
-        try:
-            ratio = (rho_m / self.z_m) ** 2
-        except OverflowError:  # a spot over 1e154 gap lengths: far past the limit
-            ratio = math.inf
+        ratio = (rho_m / self.z_m) * (rho_m / self.z_m)  # overflows to inf, where ** raises
         if ratio > PARAXIAL_LIMIT:
             warnings.warn(
                 f"paraxial ratio rho^2/z^2 = {ratio:.3e} exceeds {PARAXIAL_LIMIT:.0e} "
@@ -353,7 +353,8 @@ def alpha_passivity_bound(spec: InterferometerSpec, grid: Grid1D,
 
     The derivative arm needs |alpha x / tau_f| <= 1 across the aperture
     (tau_f = f/(k x0^2) is the mapped time of one focal length); the
-    multiplication arm needs |alpha W| <= 1 there.
+    multiplication arm needs |alpha W| <= 1 there.  A gain of 95% of the bound
+    must be a float whose rounding unit is normal, at least about 1e-292.
     """
     a_grid = spec.aperture_m / units.x0_m
     tau_f = map_distance_to_time(spec.focal_length_m, units)
@@ -370,6 +371,9 @@ def alpha_passivity_bound(spec: InterferometerSpec, grid: Grid1D,
         bounds.append(1.0 / w_max)
     if not bounds:
         raise ConfigurationError("degenerate aperture: no passivity constraint")
+    alpha = 0.95 * min(bounds)  # the arm fields scale with it: keep their rounding unit normal
+    if not np.finfo(float).tiny <= alpha * np.finfo(float).eps < np.inf:
+        raise ConfigurationError(f"interferometer gain {alpha!r} lies outside [1e-292, inf)")
     return min(bounds)
 
 
@@ -465,7 +469,9 @@ def calibrate_interferometer(spec: InterferometerSpec, grid: Grid1D,
     target = math.sqrt(2.0) * alpha * apply_B_dag(
         reference, spec.superpotential).values - upper
     overlap = np.vdot(lower, target)
-    if abs(overlap) < 1e-300:
+    # at the rounding of an n-term sum the overlap's phase is noise
+    scale = np.linalg.norm(lower) * np.linalg.norm(target)
+    if abs(overlap) <= grid.n * np.finfo(float).eps * scale:
         raise NumericalError(
             "calibration reference produces no derivative-arm signal")
     return CalibratedInterferometer(spec, grid, alpha, *arms,

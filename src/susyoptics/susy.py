@@ -36,13 +36,12 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, NumericalError
 from .grids import (
-    POSITION,
     Grid1D,
     WaveFunction,
     _frozen,
     _grid_values,
+    fourier_multiply,
     normalized,
-    spectral_derivative,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -159,10 +158,8 @@ def eta_potential(W: Superpotential, eta, grid: Grid1D) -> PotentialField:
 
 
 def _apply_ladder(psi: WaveFunction, W, derivative_sign: float) -> WaveFunction:
-    if psi.representation != POSITION:
-        raise ContractError("ladder operators act on position-space states")
+    dpsi = fourier_multiply(psi, 1j * psi.grid.p).values
     w = np.asarray(W.value(psi.grid.x), dtype=float)
-    dpsi = spectral_derivative(psi).values
     return psi.with_values(_frozen((derivative_sign * dpsi + w * psi.values) / _SQRT2))
 
 

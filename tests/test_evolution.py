@@ -21,10 +21,9 @@ from susyoptics import (
 from susyoptics.evolution import (
     ORDERS,
     fit_loglog_slope,
-    kinetic_step,
     trotter_convergence_scan,
 )
-from susyoptics.grids import MOMENTUM, spectral_derivative
+from susyoptics.grids import MOMENTUM, fourier_multiply
 from susyoptics.susy import PotentialField
 
 
@@ -46,28 +45,9 @@ class TestTrotterPlan:
             so.TrotterPlan(**kwargs)
 
 
-def test_kinetic_step_spreads_gaussian(grid):
-    # free evolution of a unit gaussian has the textbook width law
-    tau = 0.7
-    out = kinetic_step(so.gaussian_packet(grid), tau)
-    expected = (np.pi ** -0.25 / np.sqrt(1.0 + 1j * tau)
-                * np.exp(-grid.x ** 2 / (2.0 * (1.0 + 1j * tau))))
-    np.testing.assert_allclose(out.values, expected, atol=1e-12)
-
-
-def test_kinetic_step_contract(grid, psi0):
-    with pytest.raises(ContractError):
-        kinetic_step(psi0, -0.1)
-    with pytest.raises(ContractError):
-        kinetic_step(so.to_momentum(psi0), 0.1)
-    same = kinetic_step(psi0, 0.0)
-    np.testing.assert_array_equal(same.values, psi0.values)
-
-
-@pytest.mark.parametrize("tau", [math.nan, math.inf])
-def test_kinetic_step_rejects_a_non_finite_tau(psi0, tau):
-    with pytest.raises(ContractError, match="finite"):
-        kinetic_step(psi0, tau)
+def free(psi, tau):
+    """Free evolution for a time tau: the kinetic multiplier exp(-i p^2 tau / 2)."""
+    return fourier_multiply(psi, np.exp(-0.5j * psi.grid.p**2 * tau))
 
 
 class TestTrotterStates:
@@ -107,10 +87,10 @@ class TestTrotterStates:
         for _ in range(n):
             state = expected[-1]
             if order == "first":
-                state = kinetic_step(kick(state), dt)
+                state = free(kick(state), dt)
             else:
-                state = kinetic_step(state, 0.5 * dt)
-                state = kinetic_step(kick(state), 0.5 * dt)
+                state = free(state, 0.5 * dt)
+                state = free(kick(state), 0.5 * dt)
             expected.append(state)
         plan = so.TrotterPlan(dt, n, order=order)
         for stride in (1, 7, n):
@@ -255,10 +235,10 @@ def test_trotter_evolve_keeps_the_last_sample(v2, psi0):
 
 
 class TestExactEvolve:
-    def test_free_particle_matches_kinetic_step(self, grid, psi0):
+    def test_free_particle_matches_the_free_multiplier(self, grid, psi0):
         flat = PotentialField(grid, np.zeros(grid.n), label="flat")
         a = so.exact_evolve(psi0, flat, 0.9)
-        b = kinetic_step(psi0, 0.9)
+        b = free(psi0, 0.9)
         assert so.fidelity(a, b) > 1.0 - 1e-10
         np.testing.assert_allclose(a.values, b.values, atol=1e-9)
 
@@ -269,7 +249,8 @@ class TestExactEvolve:
 
     def test_energy_conserved(self, v2, psi0, basis_v2):
         def energy(state):
-            d2 = spectral_derivative(spectral_derivative(state))
+            ip = 1j * state.grid.p
+            d2 = fourier_multiply(fourier_multiply(state, ip), ip)
             h = -0.5 * d2.values + v2.values * state.values
             return so.inner(state, state.with_values(h)).real
 

@@ -699,14 +699,30 @@ class TestCli:
 
     @pytest.mark.parametrize("key", ["focal_length_m", "reduced_focal_length_m"])
     def test_a_focal_length_of_1e_300_leaves_no_gain(self, tmp_path, capsys, key):
-        # the passivity bound puts alpha near 1e-302, so the calibration has no signal
+        # the passivity bound puts alpha near 8e-303, below 1e-292, before any arm runs
         cfg = tmp_path / "gap.cfg"
         cfg.write_text(f"grid_points = 512\n{key} = 1e-300\n")
         code = cli.main(["bdag-check", "--config", str(cfg),
                          "--out", str(tmp_path / "r")])
-        assert code == 3
-        assert capsys.readouterr().err == ("numerical failure: calibration "
-                                           "reference produces no derivative-arm signal\n")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"configuration error: {key} = 1e-300: interferometer gain ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("error,code,line", [
+        (so.NumericalError, 3, "numerical failure: probe"),
+        (ConfigurationError, 2, "configuration error: probe"),
+    ])
+    def test_a_run_that_warns_then_fails_prints_its_warnings_first(
+            self, tmp_path, capsys, monkeypatch, error, code, line):
+        def warning_runner(cfg):
+            warnings.warn("strained", so.ParaxialWarning)
+            raise error("probe")
+
+        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", warning_runner)
+        assert cli.main(["spectrum", "--out", str(tmp_path / "r")]) == code
+        assert capsys.readouterr().err == f"[WARN] ParaxialWarning: strained\n{line}\n"
 
     def test_exit_two_when_out_cannot_be_created(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -5,7 +5,7 @@ import pytest
 
 import susyoptics as so
 from susyoptics import ConfigurationError, ContractError, DegenerateStateError
-from susyoptics.grids import MOMENTUM, spectral_derivative
+from susyoptics.grids import MOMENTUM, fourier_multiply
 from susyoptics.susy import PotentialField
 
 
@@ -279,16 +279,43 @@ def test_fidelity_zero_state_rejected(small_grid):
         so.normalized(zero)
 
 
-def test_spectral_derivative_gaussian(grid):
+def test_fourier_multiply_derivative_gaussian(grid):
     psi = so.gaussian_packet(grid, width=1.5)
-    d = spectral_derivative(psi)
+    d = fourier_multiply(psi, 1j * grid.p)
     expected = -(grid.x / 1.5**2) * psi.values
     np.testing.assert_allclose(d.values, expected, atol=1e-10)
 
 
-def test_spectral_derivative_plane_wave_exact(small_grid):
+def test_fourier_multiply_derivative_plane_wave_exact(small_grid):
     # a lattice momentum is differentiated exactly
     k = 5 * small_grid.dp
     psi = so.WaveFunction(small_grid, np.exp(1j * k * small_grid.x))
-    d = spectral_derivative(psi)
+    d = fourier_multiply(psi, 1j * small_grid.p)
     np.testing.assert_allclose(d.values, 1j * k * psi.values, atol=1e-11)
+
+
+def test_fourier_multiply_free_gaussian_spreads(grid):
+    # free evolution of a unit gaussian has the textbook width law
+    tau = 0.7
+    out = fourier_multiply(so.gaussian_packet(grid), np.exp(-0.5j * grid.p**2 * tau))
+    expected = (np.pi ** -0.25 / np.sqrt(1.0 + 1j * tau)
+                * np.exp(-grid.x ** 2 / (2.0 * (1.0 + 1j * tau))))
+    np.testing.assert_allclose(out.values, expected, atol=1e-12)
+
+
+def test_fourier_multiply_rejects_momentum_input(small_grid):
+    with pytest.raises(ContractError, match="position-space"):
+        fourier_multiply(so.to_momentum(so.gaussian_packet(small_grid)), small_grid.p)
+
+
+@pytest.mark.parametrize("n", [512, 513])
+def test_fourier_multiply_stack_rows_match_solo_runs(n):
+    # each row of a stack is transformed as it would be alone, to the bit
+    g = so.make_grid(n, -12.0, 12.0)
+    stack = so.WaveFunction(g, np.stack(
+        [so.gaussian_packet(g, c, momentum=q).values for c, q in ((-3, 0), (0, 2), (4, -5))]))
+    for symbol in (1j * g.p, np.exp(-0.5j * g.p**2 * 0.3)):
+        out = fourier_multiply(stack, symbol).values
+        for row, psi in zip(out, stack.values):
+            np.testing.assert_array_equal(
+                row, fourier_multiply(so.WaveFunction(g, psi), symbol).values)

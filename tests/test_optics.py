@@ -11,8 +11,8 @@ from susyoptics import (
     ContractError,
     DegenerateStateError,
     ParaxialWarning,
+    optics,
 )
-from susyoptics.evolution import kinetic_step
 from susyoptics.optics import (
     AmplitudeModulator,
     FreeSpace,
@@ -71,14 +71,25 @@ class TestFresnel:
         out = FreeSpace(0.0).apply(psi0, units)
         np.testing.assert_array_equal(out.values, psi0.values)
 
-    def test_matches_kinetic_step_with_carrier_phase(self, W, psi0, units):
-        for z in (0.4, 0.8, 1.2368):
-            tau = z / (units.k * units.x0_m**2)
-            carrier = np.exp(1j * units.k * z)
-            for field_ in (psi0, so.apply_B_dag(psi0, W)):
-                out = FreeSpace(z).apply(field_, units)
-                expected = kinetic_step(field_, tau)
-                np.testing.assert_array_equal(out.values, expected.values * carrier)
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_spreads_a_gaussian_in_closed_form(self, units, n):
+        # a unit gaussian at c, freely evolved for t = z/(k x0^2), times e^{ikz}
+        grid = so.make_grid(n, -15.0, 15.0)
+        for z in (0.4, 1.2368, 6.0):  # t up to 0.5: no tail wraps round the box
+            t = z / (units.k * units.x0_m**2)
+            for c in (0.0, -5.0):
+                out = FreeSpace(z).apply(so.gaussian_packet(grid, c), units)
+                expected = (np.pi ** -0.25 / np.sqrt(1.0 + 1j * t)
+                            * np.exp(-(grid.x - c) ** 2 / (2.0 * (1.0 + 1j * t)))
+                            * np.exp(1j * units.k * z))
+                np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-13)
+
+    def test_rejects_a_gap_whose_time_overflows(self, psi0):
+        # k x0^2 is a finite positive float, but z/(k x0^2) overflows to inf
+        tiny = PhysicalUnits(1e300, 1e-5)
+        assert math.isinf(map_distance_to_time(1.0, tiny))
+        with pytest.raises(ContractError, match="non-finite time"):
+            FreeSpace(1.0).apply(psi0, tiny)
 
     def test_warns_outside_paraxial_regime(self, psi0, units):
         with pytest.warns(ParaxialWarning):
@@ -286,6 +297,31 @@ class TestInterferometer:
         spec = InterferometerSpec(tall, 0.8, 10e-3)
         assert alpha_passivity_bound(spec, grid, units) == pytest.approx(
             1.0 / 200.0, rel=1e-12)
+
+    def test_a_gain_without_full_precision_is_a_configuration_error(self, W, grid, units):
+        # 95% of the bound must keep the arm fields' rounding unit normal: >= ~1e-292
+        assert alpha_passivity_bound(InterferometerSpec(W, 1e-160, 10e-3), grid, units) > 0
+        with pytest.raises(ConfigurationError, match="interferometer gain"):
+            alpha_passivity_bound(InterferometerSpec(W, 1e-300, 10e-3), grid, units)
+
+    @pytest.mark.parametrize("scale", [1e-300, 0.0])
+    def test_the_signal_floor_is_relative_to_the_arms(self, W, grid, units, monkeypatch,
+                                                      scale):
+        # a derivative arm scaled by 1e-300 keeps its phase; one of zeros has none
+        spec = InterferometerSpec(W, 0.8, 10e-3)
+        phase = calibrate_interferometer(spec, grid, units).phase
+        arm_outputs = optics._arm_outputs
+
+        def scaled(*args):
+            lower, upper = arm_outputs(*args)
+            return [scale * lower, upper]
+
+        monkeypatch.setattr(optics, "_arm_outputs", scaled)
+        if scale:
+            assert calibrate_interferometer(spec, grid, units).phase == pytest.approx(phase)
+        else:
+            with pytest.raises(so.NumericalError, match="no derivative-arm signal"):
+                calibrate_interferometer(spec, grid, units)
 
     def test_calibration_pins_gain_and_phase(self, W, grid, units):
         spec = InterferometerSpec(W, 0.8, 10e-3)
