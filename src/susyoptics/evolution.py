@@ -73,7 +73,7 @@ class TrotterPlan:
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+            raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 0:
             raise ConfigurationError(
                 f"n_steps must be a non-negative integer, got {self.n_steps!r}")

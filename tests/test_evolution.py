@@ -50,6 +50,13 @@ def free(psi, tau):
     return fourier_multiply(psi, np.exp(-0.5j * psi.grid.p**2 * tau))
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_kinetic_step_rejects_a_non_finite_tau(psi0, v2, tau):
+    # the split-step's kinetic factor exp(-i p^2 tau / 2) is built from the plan's dt
+    with pytest.raises(ConfigurationError, match="finite"):
+        so.trotter_evolve(psi0, v2, so.TrotterPlan(tau, 1))
+
+
 class TestTrotterStates:
     def test_zero_step_plan_yields_initial(self, v2, psi0):
         plan = so.TrotterPlan(0.1, 0)
