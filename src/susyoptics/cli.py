@@ -4,9 +4,10 @@ Exit codes: 0 all gates passed, 1 at least one gate failed (or a warning was
 raised under --strict), 2 configuration problem (in the config file, an
 override, found by a runner, or a table cell CSV cannot hold, in which case
 no file of any result is written) or an --out directory that cannot be
-created or written, 3 any other simulation error (a numerical failure or a
-broken contract) or an allocation that does not fit in memory.  The warnings
-a run raised go to stderr first, before the error line of a run that fails.
+created or written (a result's files replace earlier ones only once all are
+complete), 3 any other simulation error (a numerical failure or a broken
+contract) or an allocation that does not fit in memory.  Warnings go to
+stderr first, before the error line of a run that fails.
 """
 
 from __future__ import annotations

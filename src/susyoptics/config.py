@@ -20,6 +20,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .grids import (
     Grid1D,
@@ -168,9 +170,7 @@ def _build(cfg: ExperimentConfig):
         return make(cfg)
 
     # the trap alone fixes x0, the unit of every length below
-    W = build(("omega", "barrier_amplitude", "sigma_over_x0"), lambda c: Superpotential(
-        c.omega, c.barrier_amplitude, c.sigma_over_x0 * Superpotential(c.omega).x0))
-    x0 = W.x0
+    x0 = build(("omega",), lambda c: Superpotential(c.omega).x0)
 
     def packet_on_grid(c):  # the packet center and width are checked against the grid
         grid = make_grid(c.grid_points, c.x_min_x0 * x0, c.x_max_x0 * x0)
@@ -178,6 +178,19 @@ def _build(cfg: ExperimentConfig):
 
     grid, psi0 = build(("grid_points", "x_min_x0", "x_max_x0", "state_width_x0",
                         "x_center_x0"), packet_on_grid)
+
+    def superpotential(c):  # omega only scales V1 and V2, so W's shape decides if they are finite
+        shape = Superpotential(1.0, c.barrier_amplitude, c.sigma_over_x0)
+        with np.errstate(all="ignore"):
+            try:
+                w, wp = shape.value(grid.x / x0), shape.derivative(grid.x / x0)
+            except OverflowError:  # sigma^2 is past the float range
+                w = wp = math.inf
+            if not np.isfinite([w * w + wp, w * w - wp]).all():
+                raise ConfigurationError("partner potentials are not finite on the grid")
+        return Superpotential(c.omega, c.barrier_amplitude, c.sigma_over_x0 * x0)
+
+    W = build(("barrier_amplitude", "sigma_over_x0"), superpotential)
     # the battery sits at the aperture center: the bench is specified for
     # fields inside the aperture, and a displaced Hermite stack would spill
     # past the stops and measure its own clipping instead of the optics

@@ -7,10 +7,7 @@ second-order product
     U(dt) ~ K(dt/2) P(dt) K(dt/2)
 
 carries a state error falling as (t/n)^2 over n steps; the plain first-order
-product K(dt) P(dt) falls as 1/n.  Note the overlap infidelity 1 - F decays
-twice as fast as the state error, because a coherent error vector enters the
-overlap only quadratically; convergence scans therefore report both columns,
-and slope fits should use the state-error one.
+product K(dt) P(dt) falls as 1/n.
 
 `trotter_states` is the one split-step kernel, for one state (n,) or a
 stack (m, n) under one shared (n,) potential or one (m, n) row per state,
@@ -49,8 +46,6 @@ from .grids import (
     Grid1D,
     WaveFunction,
     _frozen,
-    fidelity,
-    norm,
 )
 from .susy import PotentialField, _bands
 
@@ -343,58 +338,3 @@ def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
     phased = np.exp(-1j * basis.energies * t) * coeff[:, 0]
     # q is real: real products spare the complex copy a mixed product makes
     return psi.with_values(_frozen(q @ phased.real + 1j * (q @ phased.imag)))
-
-
-@dataclass(frozen=True)
-class ConvergenceScan:
-    """Trotter-vs-oracle error at fixed total time for a ladder of step counts.
-
-    rel_l2_error is ||trotter - exact|| / ||exact||, the quantity obeying
-    the t^3/n^2 (or t^2/n) product-formula law; infidelity is 1 - F, which
-    decays at twice the rate.
-    """
-
-    steps: np.ndarray
-    rel_l2_error: np.ndarray
-    infidelity: np.ndarray
-
-
-def trotter_convergence_scan(psi: WaveFunction, V: PotentialField, t: float,
-                             steps_list, order: str = "second",
-                             basis: EigenBasis | None = None) -> ConvergenceScan:
-    """Propagate to time t with each step count and compare to the oracle."""
-    steps = np.asarray(list(steps_list), dtype=int)
-    if steps.size == 0 or np.any(steps < 1) or np.any(np.diff(steps) <= 0):
-        raise ConfigurationError(
-            f"steps_list must be ascending positive integers, got {steps_list!r}")
-    if t <= 0:
-        raise ConfigurationError(f"total time must be positive, got {t}")
-    reference = exact_evolve(psi, V, t, basis=basis)
-    ref_norm = norm(reference)
-    errors = np.empty(steps.size)
-    infids = np.empty(steps.size)
-    for i, n in enumerate(steps):
-        plan = TrotterPlan(t / int(n), int(n), order=order)
-        final = trotter_evolve(psi, V, plan)
-        errors[i] = norm(final.with_values(final.values - reference.values)) / ref_norm
-        infids[i] = 1.0 - fidelity(final, reference)
-    return ConvergenceScan(steps, errors, infids)
-
-
-def fit_loglog_slope(ns, errors) -> float:
-    """Least-squares slope of log(error) against log(n).
-
-    Points with error above the saturation level 0.3 sit outside the
-    asymptotic power-law regime (the error there is bounded and bends
-    over), so they are excluded; at least three points must survive.
-    """
-    saturation = 0.3
-    ns = np.asarray(ns, dtype=float)
-    errs = np.asarray(errors, dtype=float)
-    keep = (errs > 0) & (errs <= saturation)
-    if int(keep.sum()) < 3:
-        raise NumericalError(
-            f"only {int(keep.sum())} scan points below the saturation level "
-            f"{saturation}; extend the step ladder before fitting a slope")
-    slope = np.polyfit(np.log(ns[keep]), np.log(errs[keep]), 1)[0]
-    return float(slope)

@@ -18,11 +18,8 @@ from susyoptics import (
     evolution,
     susy,
 )
-from susyoptics.evolution import (
-    ORDERS,
-    fit_loglog_slope,
-    trotter_convergence_scan,
-)
+from susyoptics.evolution import ORDERS
+from susyoptics.experiments import fit_loglog_slope
 from susyoptics.grids import MOMENTUM, fourier_multiply
 from susyoptics.susy import PotentialField
 
@@ -273,8 +270,6 @@ class TestExactEvolve:
                                                basis_v2):
         with pytest.raises(ContractError, match="potential other than 'V2'"):
             so.exact_evolve(psi0, v2, 1.0, basis=basis_v1)
-        with pytest.raises(ContractError, match="potential other than 'V2'"):
-            trotter_convergence_scan(psi0, v2, 1.0, (8, 16), basis=basis_v1)
         rebuilt = so.partner_potential(W, 2, grid)
         assert rebuilt.values is not basis_v2.potential.values
         np.testing.assert_array_equal(
@@ -323,8 +318,6 @@ class TestExactEvolve:
             so.exact_evolve(psi0, v2, t)
         with pytest.raises(ConfigurationError, match="finite time"):
             so.exact_evolve(psi0, v2, t, basis=basis_v2)
-        with pytest.raises(ConfigurationError):
-            trotter_convergence_scan(psi0, v2, t, (8, 16))
 
 
 def test_trotter_approaches_oracle(v2, psi0, W, basis_v2):
@@ -353,24 +346,6 @@ def test_design_step_carries_a_grid_component(W):
     assert design > 1e-5
     assert fine < 1e-11
     assert oracle < 1e-11
-
-
-class TestConvergenceScan:
-    def test_columns_and_monotonicity(self, v2, psi0, basis_v2):
-        scan = trotter_convergence_scan(psi0, v2, math.pi, (8, 16, 32, 64),
-                                           basis=basis_v2)
-        assert np.all(scan.rel_l2_error > 0)
-        assert np.all(np.diff(scan.rel_l2_error) < 0)
-        # overlap error is quadratic in the state error, so it sits below
-        assert np.all(scan.infidelity < scan.rel_l2_error)
-
-    def test_validation(self, v2, psi0):
-        with pytest.raises(ConfigurationError):
-            trotter_convergence_scan(psi0, v2, 1.0, ())
-        with pytest.raises(ConfigurationError):
-            trotter_convergence_scan(psi0, v2, 1.0, (16, 8))
-        with pytest.raises(ConfigurationError):
-            trotter_convergence_scan(psi0, v2, -1.0, (8, 16))
 
 
 class TestSlopeFit:

@@ -1,4 +1,5 @@
 import dataclasses
+import fnmatch
 import io
 import math
 import os
@@ -250,6 +251,27 @@ class TestRunnerStructure:
         assert scalar["unit_roundtrip_error"].passed
         assert scalar["oracle_error_bound"].value <= 1e-8
 
+    def test_trotter_convergence_errors_fall_with_the_step_count(self, small_cfg):
+        for table in so.run_trotter_convergence(small_cfg).tables:
+            rel_l2, infidelity = table.rows.rel_l2_error, table.rows.infidelity
+            assert np.all(rel_l2 > 0), table.name
+            assert np.all(np.diff(rel_l2) < 0), table.name
+            # overlap error is quadratic in the state error, so it sits below
+            assert np.all(infidelity < rel_l2), table.name
+
+    def test_trotter_convergence_computes_each_state_once(self, small_cfg, monkeypatch):
+        # one oracle reference, one stream per (order, n); the plate train is
+        # checked against the ladder's own second-order T/60 state
+        calls = {"trotter_evolve": 0, "exact_evolve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+        so.run_trotter_convergence(small_cfg)
+        ladder = set(small_cfg.convergence_steps) | {30, 60}
+        assert calls == {"trotter_evolve": 2 * len(ladder), "exact_evolve": 1}
+
     def test_run_all_order(self, small_cfg):
         results = run_all(small_cfg)
         assert [r.scenario for r in results] == sorted(SCENARIO_RUNNERS)
@@ -443,6 +465,36 @@ class TestEmitCsv:
             assert formatted == ([distinct] if distinct else []), name
             for part in (slice(0, 100), slice(1000, 3000), slice(4000, None)):
                 assert cells(part) == plain(column[part])
+
+    def test_a_failed_emission_leaves_the_previous_run(self, small_cfg, tmp_path,
+                                                       monkeypatch):
+        result = so.run_spectrum(small_cfg)
+        so.emit_csv(result, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        rerun = dataclasses.replace(result, config_hash="f" * 12)
+        opened = []
+
+        def failing_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            opened.append(Path(path).name)
+            if len(opened) == 2:  # the disk fills up while the second file is written
+                with fh:
+                    fh.write("# scenario: spectrum\n")
+                raise OSError(28, "No space left on device")
+            return fh
+
+        monkeypatch.setattr(experiments, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            so.emit_csv(rerun, tmp_path)
+        monkeypatch.delattr(experiments, "open")
+        # the temporaries are hidden from the {scenario}_* pattern and removed
+        assert len(opened) == 2
+        assert not fnmatch.filter(opened, "spectrum_*")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        paths = so.emit_csv(rerun, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+        assert all(p.read_text().startswith(
+            f"# scenario: spectrum\n# config_hash: {'f' * 12}\n") for p in paths)
 
     @pytest.mark.parametrize("scenario", ["spectrum", "susy-check"])
     def test_header_and_row_count_follow_the_rows(self, small_cfg, tmp_path,
@@ -734,6 +786,23 @@ class TestCli:
         assert err.startswith(f"cannot write to --out {str(out)!r}: ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+    @pytest.mark.parametrize("scenario", ["spectrum", "bdag-check"])
+    @pytest.mark.parametrize("line,key", [
+        ("barrier_amplitude = 1e300", "barrier_amplitude"),  # W^2 overflows
+        ("sigma_over_x0 = 1e-300", "sigma_over_x0"),  # sigma^2 underflows: W(0) is NaN
+        ("sigma_over_x0 = 1e300", "sigma_over_x0"),  # sigma^2 overflows
+    ])
+    def test_a_superpotential_with_non_finite_partners_is_named(
+            self, tmp_path, capsys, scenario, line, key):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"{line}\n")
+        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"configuration error: {cfg}: barrier_amplitude, sigma_over_x0: "
+                       "partner potentials are not finite on the grid\n")
+        assert key in err and not (tmp_path / "r").exists()
 
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys):
         cfg = tmp_path / "sat.cfg"
