@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .grids import (
     Grid1D,
     WaveFunction,
@@ -31,7 +31,8 @@ from .grids import (
     make_random_states,
 )
 from .optics import InterferometerSpec, PhysicalUnits
-from .susy import MAX_BOUND_LEVELS, Superpotential
+from .susy import (MAX_BOUND_LEVELS, PotentialField, Superpotential, apply_B_dag,
+                   partner_potential)
 
 SCENARIOS = ("all", "spectrum", "susy-check", "eta-sweep", "bdag-check",
              "trotter-convergence")
@@ -123,10 +124,15 @@ def _rule_problems(cfg: ExperimentConfig) -> list:
         p.append(
             f"eta_min, eta_max, eta_points: eta grid [{cfg.eta_min}, {cfg.eta_max}] "
             f"with {cfg.eta_points} points must contain -1, 0 and +1 exactly")
+    spacing = (cfg.x_max_x0 - cfg.x_min_x0) / max(cfg.grid_points, 1)
     if cfg.aperture_x0 > min(-cfg.x_min_x0, cfg.x_max_x0):
         p.append(
             f"aperture_x0: {cfg.aperture_x0} exceeds the simulated window "
             f"x_min_x0, x_max_x0 = [{cfg.x_min_x0}, {cfg.x_max_x0}]")
+    elif cfg.grid_points >= 2 and 0 < cfg.aperture_x0 < spacing < math.inf:
+        # the stops would pass x = 0 alone, where the derivative arm's ramp is zero
+        p.append(f"aperture_x0: {cfg.aperture_x0} is narrower than the grid spacing "
+                 f"{spacing!r} set by x_min_x0, x_max_x0 and grid_points")
     if cfg.fidelity_convention not in FIDELITY_CONVENTIONS:
         p.append(f"fidelity_convention: must be one of {FIDELITY_CONVENTIONS}, "
                  f"got {cfg.fidelity_convention!r}")
@@ -137,13 +143,17 @@ def _rule_problems(cfg: ExperimentConfig) -> list:
 class RunSetup:
     """The domain objects of one run, in the natural frame of its omega.
 
-    The bench frame is the natural frame at omega = 1.  The specs are
-    uncalibrated.
+    The bench frame is the natural frame at omega = 1.  v1 and v2 are the
+    partner potentials of W and psi_raised is B+ psi0, the state the
+    two-path scenarios evolve under v2.  The specs are uncalibrated.
     """
 
     grid: Grid1D
     W: Superpotential
+    v1: PotentialField
+    v2: PotentialField
     psi0: WaveFunction
+    psi_raised: WaveFunction
     battery: tuple
     units: PhysicalUnits
     spec: InterferometerSpec
@@ -179,18 +189,16 @@ def _build(cfg: ExperimentConfig):
     grid, psi0 = build(("grid_points", "x_min_x0", "x_max_x0", "state_width_x0",
                         "x_center_x0"), packet_on_grid)
 
-    def superpotential(c):  # omega only scales V1 and V2, so W's shape decides if they are finite
-        shape = Superpotential(1.0, c.barrier_amplitude, c.sigma_over_x0)
-        with np.errstate(all="ignore"):
-            try:
-                w, wp = shape.value(grid.x / x0), shape.derivative(grid.x / x0)
-            except OverflowError:  # sigma^2 is past the float range
-                w = wp = math.inf
-            if not np.isfinite([w * w + wp, w * w - wp]).all():
-                raise ConfigurationError("partner potentials are not finite on the grid")
-        return Superpotential(c.omega, c.barrier_amplitude, c.sigma_over_x0 * x0)
+    def partners(c):  # W with V1, V2 and B+ psi0; sigma^2 past the float range overflows
+        W = Superpotential(c.omega, c.barrier_amplitude, c.sigma_over_x0 * x0)
+        try:
+            with np.errstate(all="ignore"):
+                return (W, partner_potential(W, 1, grid), partner_potential(W, 2, grid),
+                        apply_B_dag(psi0, W))
+        except (ContractError, OverflowError):
+            raise ConfigurationError("partner potentials are not finite on the grid") from None
 
-    W = build(("barrier_amplitude", "sigma_over_x0"), superpotential)
+    W, v1, v2, psi_raised = build(("barrier_amplitude", "sigma_over_x0"), partners)
     # the battery sits at the aperture center: the bench is specified for
     # fields inside the aperture, and a displaced Hermite stack would spill
     # past the stops and measure its own clipping instead of the optics
@@ -205,7 +213,7 @@ def _build(cfg: ExperimentConfig):
                                               parity_mode=c.parity_mode))
     reduced = build(("reduced_focal_length_m",), lambda c: replace(
         spec, focal_length_m=c.reduced_focal_length_m))
-    return RunSetup(grid, W, psi0, battery, units, spec, reduced), problems
+    return RunSetup(grid, W, v1, v2, psi0, psi_raised, battery, units, spec, reduced), problems
 
 
 def validate(cfg: ExperimentConfig) -> list:

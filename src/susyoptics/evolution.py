@@ -270,12 +270,13 @@ def _oracle_coefficients(vecs: np.ndarray, residuals: np.ndarray,
     """
     m = values.shape[0]
     parts = np.concatenate((values.real, values.imag)).T
-    c = vecs.T @ parts
-    lost = np.linalg.norm(parts - vecs @ c, axis=0)
-    coeff = c[:, :m] + 1j * c[:, m:]
-    drift = abs(t) * (residuals @ np.abs(coeff))
-    bound = float(np.max((np.hypot(lost[:m], lost[m:]) + drift)
-                         / np.linalg.norm(values, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound raises below
+        c = vecs.T @ parts
+        lost = np.linalg.norm(parts - vecs @ c, axis=0)
+        coeff = c[:, :m] + 1j * c[:, m:]
+        drift = abs(t) * (residuals @ np.abs(coeff))
+        bound = float(np.max((np.hypot(lost[:m], lost[m:]) + drift)
+                             / np.linalg.norm(values, axis=1)))
     if not bound <= ORACLE_TOL:
         raise NumericalError(
             f"eigenpairs of {label!r} leave a state uncaptured: its error bound "

@@ -44,7 +44,6 @@ from .grids import (
 )
 from .optics import (
     PhysicalUnits,
-    alpha_passivity_bound,
     calibrate_interferometer,
     compile_trotter_train,
     interferometric_B_dag,
@@ -52,13 +51,7 @@ from .optics import (
     map_time_to_distance,
     simulate_train,
 )
-from .susy import (
-    PotentialField,
-    apply_B_dag,
-    bound_spectrum,
-    eta_potential,
-    partner_potential,
-)
+from .susy import PotentialField, apply_B_dag, bound_spectrum, eta_potential
 
 SCENARIO_RUNNERS = {}  # populated at the bottom of the module
 
@@ -118,15 +111,10 @@ def _gate(name, value, lo=-math.inf, hi=math.inf) -> GatedScalar:
 
 # --- scenario building blocks -------------------------------------------------
 
-def _two_path_setup(cfg: ExperimentConfig):
-    """Natural-units setup plus V1, the step plan and the raised state B+ psi0."""
-    run = setup(cfg)
-    grid, W, psi0 = run.grid, run.W, run.psi0
-    period = 2.0 * math.pi / cfg.omega
-    plan = TrotterPlan(period / cfg.steps_per_period,
+def _two_path_plan(cfg: ExperimentConfig) -> TrotterPlan:
+    """The natural-units step plan of the two-path scenarios."""
+    return TrotterPlan(2.0 * math.pi / cfg.omega / cfg.steps_per_period,
                        cfg.steps_per_period * cfg.evolution_periods)
-    v1 = partner_potential(W, 1, grid)
-    return grid, W, psi0, v1, plan, apply_B_dag(psi0, W)
 
 
 def _table(name, notes=(), **columns) -> Table:
@@ -163,9 +151,7 @@ def run_spectrum(cfg: ExperimentConfig) -> ScenarioResult:
     ground state of V2 must sit at zero energy on the same tolerance.
     """
     run = setup(cfg)
-    grid, W = run.grid, run.W
-    v1 = partner_potential(W, 1, grid)
-    v2 = partner_potential(W, 2, grid)
+    grid, v1, v2 = run.grid, run.v1, run.v2
     k = cfg.spectrum_levels
     s1 = bound_spectrum(v1, k)
     s2 = bound_spectrum(v2, k + 1)
@@ -195,33 +181,27 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
     Path one evolves the initial Gaussian under V1 and applies B+ at each
     sample; path two applies B+ first and evolves under V2.  With exact
     partner dynamics the two paths coincide for all t; the split-step and
-    grid errors leave a small, slowly growing deviation.  Both paths are
-    normalized per sample before densities and deviations are formed, since
-    B+ output is not normalized.
+    grid errors leave a small, slowly growing deviation.  Both paths run as
+    one two-row stream; the samples of each form one (samples, n) stack,
+    path one's raised by B+ at once.  Both stacks are normalized per sample
+    before densities and deviations are formed, since B+ output is not
+    normalized.
     """
-    grid, W, psi0, v1, plan, psi_raised = _two_path_setup(cfg)
-    v2 = partner_potential(W, 2, grid)
-
-    times = []
-    dens1, dens2, devs = [], [], []
-    # one stream of two rows: psi0 under V1 and B+ psi0 under V2
-    paths = trotter_states(
-        WaveFunction(grid, _frozen(np.vstack([psi0.values, psi_raised.values]))),
-        PotentialField(grid, _frozen(np.vstack([v1.values, v2.values]))),
-        plan, stride=cfg.trace_stride)
-    for j, state in paths:
-        a = normalized(apply_B_dag(state.with_values(state.values[0]), W))
-        b = normalized(state.with_values(state.values[1]))
-        times.append(j * plan.dt)
-        dens1.append(np.abs(a.values) ** 2)
-        dens2.append(np.abs(b.values) ** 2)
-        devs.append(np.abs(a.values - b.values) ** 2)
-        if j == 0:
-            fid_t0 = fidelity(a, b)
-    fid_final = fidelity(a, b)  # the last sample is step n_steps
-
-    times = np.asarray(times)
-    dens1, dens2, devs = map(np.asarray, (dens1, dens2, devs))
+    run = setup(cfg)
+    grid, plan = run.grid, _two_path_plan(cfg)
+    steps, samples = zip(*trotter_states(
+        WaveFunction(grid, _frozen(np.vstack([run.psi0.values, run.psi_raised.values]))),
+        PotentialField(grid, _frozen(np.vstack([run.v1.values, run.v2.values]))),
+        plan, stride=cfg.trace_stride))
+    a, b = (WaveFunction(grid, _frozen(np.stack([s.values[row] for s in samples])))
+            for row in (0, 1))
+    del samples
+    a, b = normalized(apply_B_dag(a, run.W)), normalized(b)
+    fid_t0, fid_final = fidelity(a, b)[[0, -1]].tolist()  # the last sample is step n_steps
+    times = np.multiply(steps, plan.dt)
+    dens1, dens2 = np.abs(a.values) ** 2, np.abs(b.values) ** 2
+    devs = np.abs(a.values - b.values) ** 2
+    del a, b  # the sample stacks are freed before the tables are built
     e = _FIDELITY_POWER[cfg.fidelity_convention]
     scalars = (
         _gate("fidelity_t0", fid_t0**e, (1.0 - 1e-12)**e, 1.0**e),
@@ -259,7 +239,8 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     position space as one stack; fidelities are taken in momentum space
     (equal by Parseval).  The potentials are built before any step is taken.
     """
-    grid, W, psi0, v1, plan, psi_raised = _two_path_setup(cfg)
+    run = setup(cfg)
+    grid, W, plan = run.grid, run.W, _two_path_plan(cfg)
     etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_points)
     try:
         family = eta_potential(W, etas, grid)
@@ -268,10 +249,10 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
 
     times = plan.dt * np.arange(plan.n_steps + 1)
     surface = np.empty((etas.size, times.size))
-    path_one = trotter_states(to_momentum(psi0), v1, plan, stride=1)
+    path_one = trotter_states(to_momentum(run.psi0), run.v1, plan, stride=1)
     # the state stack is built in the call, so no caller reference outlives step 0
     paths = trotter_states(to_momentum(WaveFunction(
-        grid, _frozen(np.vstack([psi_raised.values] * etas.size)))), family, plan, stride=1)
+        grid, _frozen(np.vstack([run.psi_raised.values] * etas.size)))), family, plan, stride=1)
     del family
     for j, state in paths:
         if j % _REFERENCE_BLOCK == 0:
@@ -334,11 +315,10 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
 
     benches = []
     for key, spec in (("focal_length_m", run.spec), ("reduced_focal_length_m", run.reduced_spec)):
-        try:  # the gain is checked first, so its error names the focal length's key
-            alpha_passivity_bound(spec, grid, units)
+        try:  # the focal length sets the passivity bound on the gain, so its error names the key
+            benches.append(calibrate_interferometer(spec, grid, units))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{key} = {spec.focal_length_m!r}: {exc}") from exc
-        benches.append(calibrate_interferometer(spec, grid, units))
     # one case per row: reference, reduced, then the battery at the reference focus
     n_batt = len(run.battery)
     benches += benches[:1] * n_batt
@@ -418,9 +398,7 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     train reproduces the ladder's second-order state at the design step T/60.
     """
     run = setup(replace(cfg, omega=1.0))
-    grid, W, psi0, units = run.grid, run.W, run.psi0, run.units
-    v2 = partner_potential(W, 2, grid)
-    psi_raised = apply_B_dag(psi0, W)
+    grid, v2, psi_raised, units = run.grid, run.v2, run.psi_raised, run.units
     t_half = math.pi  # half a period, dimensionless
     basis = eigenbasis(v2, [psi_raised], t_half)
     reference = exact_evolve(psi_raised, v2, t_half, basis)
@@ -429,12 +407,12 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     ladder = tuple(sorted(set(int(n) for n in cfg.convergence_steps) | {30, 60}))
     dts = {n: t_half / n for n in ladder}
     dt_ref = dts[30]  # the design step T/60, shared by the ladder, the train and z_ref
-    finals = {order: [trotter_evolve(psi_raised, v2, TrotterPlan(dts[n], n, order))
-                      for n in ladder] for order in ("second", "first")}
-    errors = {order: np.array([norm(f.with_values(f.values - reference.values)) / ref_norm
-                               for f in states]) for order, states in finals.items()}
-    infids = {order: np.array([1.0 - fidelity(f, reference) for f in states])
-              for order, states in finals.items()}
+    finals = {order: WaveFunction(grid, _frozen(np.vstack([
+        trotter_evolve(psi_raised, v2, TrotterPlan(dts[n], n, order)).values
+        for n in ladder]))) for order in ("second", "first")}
+    errors = {order: norm(f.with_values(f.values - reference.values)) / ref_norm
+              for order, f in finals.items()}
+    infids = {order: 1.0 - fidelity(f, reference) for order, f in finals.items()}
     i30, i60 = ladder.index(30), ladder.index(60)
     fid30 = 1.0 - float(infids["second"][i30])
     ratio = float(errors["second"][i30] / errors["second"][i60])
@@ -446,7 +424,7 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
 
     train = compile_trotter_train(TrotterPlan(dt_ref, 30), v2, units)
     train_final = simulate_train(psi_raised, train)
-    trot30 = finals["second"][i30].values
+    trot30 = finals["second"].values[i30]
     mu = np.vdot(train_final.values, trot30)
     aligned = train_final.values * (mu / abs(mu))
     train_dev = float(np.max(np.abs(aligned - trot30)) / np.max(np.abs(trot30)))

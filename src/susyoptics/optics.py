@@ -238,8 +238,8 @@ class AmplitudeModulator:
 class ParityFlip:
     """Idealized lens-pair image inversion, abstracted to exact parity.
 
-    x -> -x on the periodic grid, row by row: an exact involution (index 0
-    is self-paired).
+    x -> -x about the optical axis, row by row: an exact involution on a
+    lattice that mirrors about x = 0, and a ContractError on any other.
     """
 
     name = "parity_flip"
@@ -249,7 +249,13 @@ class ParityFlip:
         return "-"
 
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
-        return field_.with_values(_frozen(np.roll(field_.values[..., ::-1], 1, axis=-1)))
+        g = field_.grid
+        mirror = -2.0 * g.x_min * g.n / (g.x_max - g.x_min)  # x_i -> -x_i is i -> mirror - i
+        if abs(mirror - round(mirror)) > 1e-9 * g.n:
+            raise ContractError("ideal parity needs a lattice that mirrors about x = 0; "
+                                f"this grid mirrors at index {mirror!r} of {g.n}")
+        return field_.with_values(_frozen(np.roll(
+            field_.values[..., ::-1], (round(mirror) + 1 - g.n) % g.n, axis=-1)))
 
 
 @dataclass(frozen=True)

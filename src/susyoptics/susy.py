@@ -248,9 +248,10 @@ def _bands(V: PotentialField, k: int | None = None):
         vecs = _interpolate(cvecs[:, :r], n)
         del cvecs  # the m x m matrix: on the full grid vecs views it until normalized
         vecs = vecs / np.linalg.norm(vecs, axis=0)
-        hv = _apply_hamiltonian(V, vecs)
-        energies = np.einsum("ij,ij->j", vecs, hv)
-        resid = np.linalg.norm(hv - vecs * energies, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves an inf residual
+            hv = _apply_hamiltonian(V, vecs)
+            energies = np.einsum("ij,ij->j", vecs, hv)
+            resid = np.linalg.norm(hv - vecs * energies, axis=0)
         yield energies, vecs, resid, m
 
 

@@ -114,6 +114,13 @@ def test_eta_grid_landmarks_are_measured_in_eta(override):
     assert any(p.startswith("eta_min, eta_max, eta_points: ") for p in validate(cfg))
 
 
+def test_aperture_spacing_rule_waits_for_a_valid_grid():
+    # one grid point has a spacing of the whole window; only grid_points is at fault
+    cfg = dataclasses.replace(so.parse_config(None), grid_points=1)
+    assert _names(validate(cfg), "grid_points")
+    assert not _names(validate(cfg), "aperture_x0")
+
+
 def test_packet_center_is_named_without_warnings():
     cfg = dataclasses.replace(so.parse_config(None), x_center_x0=1e300)
     with warnings.catch_warnings():

@@ -259,6 +259,18 @@ class TestRunnerStructure:
             # overlap error is quadratic in the state error, so it sits below
             assert np.all(infidelity < rel_l2), table.name
 
+    def test_susy_check_raises_path_one_as_one_stack(self, small_cfg, monkeypatch):
+        # B+ psi0 comes from setup; every sample of path one is raised at once
+        calls = []
+
+        def counted(psi, W):
+            calls.append(psi.values.shape)
+            return so.apply_B_dag(psi, W)
+
+        monkeypatch.setattr(experiments, "apply_B_dag", counted)
+        so.run_susy_check(small_cfg)
+        assert calls == [(4, small_cfg.grid_points)]
+
     def test_trotter_convergence_computes_each_state_once(self, small_cfg, monkeypatch):
         # one oracle reference, one stream per (order, n); the plate train is
         # checked against the ladder's own second-order T/60 state
@@ -803,6 +815,48 @@ class TestCli:
         assert err == (f"configuration error: {cfg}: barrier_amplitude, sigma_over_x0: "
                        "partner potentials are not finite on the grid\n")
         assert key in err and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("scenario", ["spectrum", "trotter-convergence"])
+    def test_an_overflowing_hamiltonian_ends_in_one_line(self, tmp_path, capsys, scenario):
+        # V is finite at A = 1e150 but H v overflows; no numpy warning precedes the error
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("grid_points = 512\nbarrier_amplitude = 1e150\n")
+        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_ideal_parity_on_a_window_that_mirrors_about_the_axis(self, tmp_path, capsys):
+        # [-14, 16) is not centred on x = 0, but at 2040 points its lattice mirrors there
+        cfg = tmp_path / "offset.cfg"
+        cfg.write_text("x_min_x0 = -14\nx_max_x0 = 16\ngrid_points = 2040\n")
+        code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("[PASS]") == 7
+
+    def test_ideal_parity_on_a_lattice_without_a_mirror_stops(self, tmp_path, capsys):
+        cfg = tmp_path / "offset.cfg"
+        cfg.write_text("x_min_x0 = -14\nx_max_x0 = 16\n")
+        code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        captured = capsys.readouterr()
+        assert code in (2, 3)
+        assert captured.err.count("\n") == 1 and "mirrors about x = 0" in captured.err
+        assert captured.out == "" and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("aperture,codes", [(0.01, (2,)), (0.02, (0, 1))])
+    def test_an_aperture_under_one_grid_spacing_is_named(self, tmp_path, capsys,
+                                                          aperture, codes):
+        # the default spacing is 30/2048 = 0.0146 x0
+        cfg = tmp_path / "aperture.cfg"
+        cfg.write_text(f"aperture_x0 = {aperture}\n")
+        code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code in codes
+        if code == 2:
+            assert err == (f"configuration error: {cfg}: aperture_x0: 0.01 is narrower than "
+                           "the grid spacing 0.0146484375 set by x_min_x0, x_max_x0 and "
+                           "grid_points\n")
 
     def test_exit_three_on_numerical_failure(self, tmp_path, capsys):
         cfg = tmp_path / "sat.cfg"

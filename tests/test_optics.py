@@ -134,6 +134,17 @@ def test_parity_flip_involution(grid, psi0, units):
     assert x_flip == pytest.approx(-x_mean, abs=1e-9)
 
 
+def test_parity_flip_mirrors_about_the_axis_on_an_offset_window(units):
+    # [-14, 16) at 2040 points mirrors about x = 0 but not about its centre
+    grid = so.make_grid(2040, -14.0, 16.0)
+    flipped = ParityFlip().apply(so.gaussian_packet(grid, 3.0), units)
+    np.testing.assert_allclose(flipped.values, so.gaussian_packet(grid, -3.0).values,
+                               rtol=0, atol=1e-12)
+    # at 2048 points no sample pairs with its mirror image
+    with pytest.raises(ContractError, match="mirrors about x = 0"):
+        ParityFlip().apply(so.gaussian_packet(so.make_grid(2048, -14.0, 16.0)), units)
+
+
 class TestElements:
     def test_validation(self, grid):
         with pytest.raises(ConfigurationError):

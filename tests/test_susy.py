@@ -160,6 +160,17 @@ class TestBoundSpectrum:
         with pytest.raises(NumericalError):
             so.bound_spectrum(v1, 4)
 
+    def test_an_overflowing_hamiltonian_is_a_numerical_error(self):
+        # V is finite at A = 1e150 but H v is not: the residual check, not a
+        # numpy RuntimeWarning, reports it
+        grid = so.make_grid(256, -15.0, 15.0)
+        big = so.Superpotential(1.0, 1e150)
+        with pytest.raises(NumericalError, match="residual"):
+            so.bound_spectrum(so.partner_potential(big, 1, grid), 4)
+        v2 = so.partner_potential(big, 2, grid)
+        with pytest.raises(NumericalError, match="uncaptured"):
+            so.eigenbasis(v2, [so.apply_B_dag(so.gaussian_packet(grid), big)], math.pi)
+
 
 class TestBandLimitedSolver:
     """Pairs come from a coarse band of the grid and are checked on all of it."""
