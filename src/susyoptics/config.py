@@ -124,7 +124,12 @@ def _rule_problems(cfg: ExperimentConfig) -> list:
         p.append(
             f"eta_min, eta_max, eta_points: eta grid [{cfg.eta_min}, {cfg.eta_max}] "
             f"with {cfg.eta_points} points must contain -1, 0 and +1 exactly")
-    spacing = (cfg.x_max_x0 - cfg.x_min_x0) / max(cfg.grid_points, 1)
+    length = cfg.x_max_x0 - cfg.x_min_x0
+    spacing = length / max(cfg.grid_points, 1)
+    if cfg.grid_points >= 2 and 0 < spacing < math.inf and not spacing <= 1.0 <= length:
+        # the trap's ground state, and the bench's calibration reference, are 1 x0 wide
+        p.append(f"grid_points, x_min_x0, x_max_x0: the grid spacing {spacing!r} and the "
+                 f"window length {length!r} must hold the unit width x0")
     if cfg.aperture_x0 > min(-cfg.x_min_x0, cfg.x_max_x0):
         p.append(
             f"aperture_x0: {cfg.aperture_x0} exceeds the simulated window "
@@ -198,7 +203,7 @@ def _build(cfg: ExperimentConfig):
         except (ContractError, OverflowError):
             raise ConfigurationError("partner potentials are not finite on the grid") from None
 
-    W, v1, v2, psi_raised = build(("barrier_amplitude", "sigma_over_x0"), partners)
+    W, v1, v2, psi_raised = build(("omega", "barrier_amplitude", "sigma_over_x0"), partners)
     # the battery sits at the aperture center: the bench is specified for
     # fields inside the aperture, and a displaced Hermite stack would spill
     # past the stops and measure its own clipping instead of the optics

@@ -307,7 +307,10 @@ def eigenbasis(V: PotentialField, states, t: float) -> EigenBasis:
 
     The basis is that of the coarsest band whose pairs bound the error of
     every state in `states`, evolved over time t, to ORACLE_TOL of its norm;
-    when no band does, the full grid's NumericalError is raised.
+    when no band does, the full grid's NumericalError is raised.  A band keeps
+    only its lowest quarter of pairs, so the oracle serves bound and slow
+    states: a fast scattering packet, whose weight lies above that quarter,
+    is refused with NumericalError rather than evolved inaccurately.
     """
     values = _oracle_states(V, states, t)
     for energies, vectors, residuals, band in _bands(V):

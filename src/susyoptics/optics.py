@@ -145,93 +145,73 @@ class FreeSpace:
         return out.with_values(_frozen(out.values * np.exp(1j * units.k * self.z_m)))
 
 
-@dataclass(frozen=True)
-class ThinLens:
-    """Thin lens: quadratic phase exp(-i k X^2 / 2f) inside a hard aperture.
+def _check_lens(f_m: float, aperture_m: float) -> None:
+    for what, value in (("focal length", f_m), ("aperture", aperture_m)):
+        if not value > 0:
+            raise ConfigurationError(f"{what} must be positive, got {value}")
 
-    The aperture is a symmetric half-width in meters; the field is zeroed
-    outside it.  The default aperture_m = inf is a clear lens.
+
+@dataclass(frozen=True)
+class ThinElement:
+    """Thin element multiplying the field by a transmission tabulated on the grid.
+
+    `thin_lens`, `phase_plate` and `amplitude_modulator` build one.  Every thin
+    element is passive: its transmission is a finite 1-d array with |t| <= 1.
     """
 
-    f_m: float
-    aperture_m: float = math.inf
-    name = "thin_lens"
+    name: str
+    transmission: np.ndarray = field(compare=False)
+    text: str
     length_m = 0.0
 
     def __post_init__(self):
-        if not self.f_m > 0:
-            raise ConfigurationError(f"focal length must be positive, got {self.f_m}")
-        if not self.aperture_m > 0:
-            raise ConfigurationError(f"aperture must be positive, got {self.aperture_m}")
+        t = np.array(self.transmission)
+        if t.ndim != 1 or not np.all(np.isfinite(t)):
+            raise ConfigurationError(f"{self.name} transmission must be a finite 1-d array")
+        if np.any(np.abs(t) > 1.0 + 1e-12):
+            raise ConfigurationError(f"{self.name} transmission reaches {np.max(np.abs(t)):.6f}; "
+                                     "a passive element cannot exceed unit magnitude")
+        object.__setattr__(self, "transmission", _frozen(t))
 
     def describe(self) -> str:
-        return f"f_m={self.f_m!r} aperture_m={self.aperture_m!r}"
+        return self.text
 
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
-        x_m = field_.grid.x * units.x0_m
-        return field_.with_values(_frozen(np.where(
-            np.abs(x_m) <= self.aperture_m,
-            field_.values * np.exp(-0.5j * units.k * x_m**2 / self.f_m),
-            0.0)))
+        if self.transmission.shape != (field_.grid.n,):
+            raise ContractError(f"{self.name} was tabulated for a different grid")
+        return field_.with_values(_frozen(field_.values * self.transmission))
 
 
-def _profile(values, what: str) -> np.ndarray:
-    """A read-only copy of a finite 1-d profile tabulated on the grid."""
-    vals = np.array(values, dtype=float)
-    if vals.ndim != 1 or not np.all(np.isfinite(vals)):
-        raise ConfigurationError(f"{what} must be a finite 1-d array")
-    return _frozen(vals)
+def thin_lens(f_m: float, aperture_m: float, grid: Grid1D, units: PhysicalUnits) -> ThinElement:
+    """Thin lens: the chirp exp(-i k X^2 / 2f) inside a hard aperture, zero outside.
+
+    aperture_m is the aperture's symmetric half-width in meters, inf for a clear lens.
+    """
+    _check_lens(f_m, aperture_m)
+    x_m = grid.x * units.x0_m
+    return ThinElement("thin_lens", np.where(
+        np.abs(x_m) <= aperture_m, np.exp(-0.5j * units.k * x_m**2 / f_m), 0.0),
+        f"f_m={f_m!r} aperture_m={aperture_m!r}")
 
 
-@dataclass(frozen=True)
-class PhasePlate:
+def phase_plate(phase) -> ThinElement:
     """Thin plate applying exp(-i phase(x)) pointwise; phase in radians per grid point."""
-
-    phase: np.ndarray = field(compare=False)
-    name = "phase_plate"
-    length_m = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "phase", _profile(self.phase, "phase profile"))
-
-    def describe(self) -> str:
-        return (f"n_points={self.phase.size} "
-                f"max_abs_phase_rad={float(np.max(np.abs(self.phase)))!r}")
-
-    def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
-        if self.phase.shape != (field_.grid.n,):
-            raise ContractError("phase plate was tabulated for a different grid")
-        return field_.with_values(_frozen(field_.values * np.exp(-1j * self.phase)))
+    phase = np.asarray(phase, dtype=float)
+    with np.errstate(invalid="ignore"):  # a non-finite phase gives NaNs, which ThinElement refuses
+        transmission = np.exp(-1j * phase)
+    return ThinElement("phase_plate", transmission, f"n_points={phase.size} "
+                       f"max_abs_phase_rad={float(np.max(np.abs(phase)))!r}")
 
 
-@dataclass(frozen=True)
-class AmplitudeModulator:
-    """Thin passive mask multiplying the field by a real profile in [-1, 1].
+def amplitude_modulator(profile) -> ThinElement:
+    """Thin mask multiplying the field by a real profile in [-1, 1].
 
-    Negative values encode an additional pi phase on top of the magnitude,
-    the standard trick for synthesizing sign-changing profiles.
+    A negative value encodes a pi phase on top of its magnitude, the standard
+    trick for synthesizing sign-changing profiles.
     """
-
-    profile: np.ndarray = field(compare=False)
-    name = "amplitude_modulator"
-    length_m = 0.0
-
-    def __post_init__(self):
-        vals = _profile(self.profile, "modulator profile")
-        if np.any(np.abs(vals) > 1.0 + 1e-12):
-            raise ConfigurationError(
-                f"modulator profile reaches {np.max(np.abs(vals)):.6f}; "
-                "a passive element cannot exceed unit magnitude")
-        object.__setattr__(self, "profile", vals)
-
-    def describe(self) -> str:
-        return (f"n_points={self.profile.size} "
-                f"max_abs={float(np.max(np.abs(self.profile)))!r}")
-
-    def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
-        if self.profile.shape != (field_.grid.n,):
-            raise ContractError("modulator was tabulated for a different grid")
-        return field_.with_values(_frozen(field_.values * self.profile))
+    profile = np.asarray(profile, dtype=float)
+    return ThinElement("amplitude_modulator", profile, f"n_points={profile.size} "
+                       f"max_abs={float(np.max(np.abs(profile)))!r}")
 
 
 @dataclass(frozen=True)
@@ -321,11 +301,10 @@ def compile_trotter_train(plan, V, units: PhysicalUnits) -> OpticalTrain:
         return OpticalTrain((), units)
     z_half = map_time_to_distance(0.5 * plan.dt, units)
     z_full = map_time_to_distance(plan.dt, units)
-    phase = V.values * plan.dt
+    plate = phase_plate(V.values * plan.dt)
     elements = [FreeSpace(z_half)]
     for j in range(plan.n_steps):
-        elements.append(PhasePlate(phase))
-        elements.append(FreeSpace(z_full if j < plan.n_steps - 1 else z_half))
+        elements += [plate, FreeSpace(z_full if j < plan.n_steps - 1 else z_half)]
     return OpticalTrain(tuple(elements), units)
 
 
@@ -346,7 +325,7 @@ class InterferometerSpec:
 
     def __post_init__(self):
         # the lens and the focal gap of its Fourier stages own f and the aperture
-        ThinLens(self.focal_length_m, self.aperture_m)
+        _check_lens(self.focal_length_m, self.aperture_m)
         FreeSpace(self.focal_length_m)
         if self.parity_mode not in PARITY_MODES:
             raise ConfigurationError(
@@ -383,20 +362,6 @@ def alpha_passivity_bound(spec: InterferometerSpec, grid: Grid1D,
     return min(bounds)
 
 
-def _fourier_stage(f_m: float, aperture_m: float):
-    # front focal plane -> back focal plane: exact scaled Fourier transform
-    return [FreeSpace(f_m), ThinLens(f_m, aperture_m), FreeSpace(f_m)]
-
-
-def _parity_stage(spec: InterferometerSpec):
-    if spec.parity_mode == "ideal":
-        return [ParityFlip()]
-    f = spec.focal_length_m
-    # two-lens 4f relay: unit magnification image inversion, constant -i e^{4ikf}
-    return [FreeSpace(f), ThinLens(f, spec.aperture_m), FreeSpace(2 * f),
-            ThinLens(f, spec.aperture_m), FreeSpace(f)]
-
-
 def _upper_frame_constant(spec: InterferometerSpec, units: PhysicalUnits) -> complex:
     """Deterministic model constant of the multiplication arm.
 
@@ -414,23 +379,21 @@ def _upper_frame_constant(spec: InterferometerSpec, units: PhysicalUnits) -> com
 def _arm_trains(spec: InterferometerSpec, grid: Grid1D, units: PhysicalUnits,
                 alpha: float) -> tuple:
     """(derivative_arm, multiplication_arm) as simulatable OpticalTrains."""
-    a_grid = spec.aperture_m / units.x0_m
-    tau_f = map_distance_to_time(spec.focal_length_m, units)
-    inside = np.abs(grid.x) <= a_grid
-
-    ramp = np.where(inside, alpha * grid.x / tau_f, 0.0)
-    lower = OpticalTrain(tuple(
-        _fourier_stage(spec.focal_length_m, spec.aperture_m)
-        + [AmplitudeModulator(ramp)]
-        + _fourier_stage(spec.focal_length_m, spec.aperture_m)
-        + _parity_stage(spec)), units)
-
+    f = spec.focal_length_m
+    inside = np.abs(grid.x) <= spec.aperture_m / units.x0_m
+    lens = thin_lens(f, spec.aperture_m, grid, units)
+    # front focal plane -> back focal plane: exact scaled Fourier transform
+    fourier = (FreeSpace(f), lens, FreeSpace(f))
+    # an exact inversion, or a two-lens 4f relay: unit magnification image
+    # inversion with the constant -i e^{4ikf}
+    parity = ((ParityFlip(),) if spec.parity_mode == "ideal"
+              else (FreeSpace(f), lens, FreeSpace(2 * f), lens, FreeSpace(f)))
+    ramp = np.where(inside, alpha * grid.x / map_distance_to_time(f, units), 0.0)
+    lower = OpticalTrain((*fourier, amplitude_modulator(ramp), *fourier, *parity), units)
     # the mask sits between two inversions, so it is tabulated mirrored
     w_mirrored = np.asarray(spec.superpotential.value(-grid.x), dtype=float)
     mask = np.where(inside, alpha * w_mirrored, 0.0)
-    upper = OpticalTrain(tuple(
-        _parity_stage(spec) + [AmplitudeModulator(mask)] + _parity_stage(spec)),
-        units)
+    upper = OpticalTrain((*parity, amplitude_modulator(mask), *parity), units)
     return lower, upper
 
 

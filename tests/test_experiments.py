@@ -804,6 +804,7 @@ class TestCli:
         ("barrier_amplitude = 1e300", "barrier_amplitude"),  # W^2 overflows
         ("sigma_over_x0 = 1e-300", "sigma_over_x0"),  # sigma^2 underflows: W(0) is NaN
         ("sigma_over_x0 = 1e300", "sigma_over_x0"),  # sigma^2 overflows
+        ("omega = 1e307", "omega"),  # the trap's W^2 overflows at any barrier
     ])
     def test_a_superpotential_with_non_finite_partners_is_named(
             self, tmp_path, capsys, scenario, line, key):
@@ -812,9 +813,28 @@ class TestCli:
         code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == (f"configuration error: {cfg}: barrier_amplitude, sigma_over_x0: "
+        assert err == (f"configuration error: {cfg}: omega, barrier_amplitude, sigma_over_x0: "
                        "partner potentials are not finite on the grid\n")
         assert key in err and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("scenario", ["spectrum", "bdag-check"])
+    @pytest.mark.parametrize("text,spacing,length", [
+        ("grid_points = 16\nstate_width_x0 = 2\n", 1.875, 30.0),  # spacing over 1 x0
+        # a window shorter than 1 x0, though it holds the packet and the aperture
+        ("x_min_x0 = -0.4\nx_max_x0 = 0.4\nx_center_x0 = 0\nstate_width_x0 = 0.2\n"
+         "aperture_x0 = 0.3\n", 0.000390625, 0.8),
+    ])
+    def test_a_grid_that_cannot_hold_the_unit_width_is_named(
+            self, tmp_path, capsys, scenario, text, spacing, length):
+        # bdag-check calibrates on a unit-width Gaussian; the grid keys are at fault
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(text)
+        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: grid_points, x_min_x0, x_max_x0: the grid spacing "
+            f"{spacing!r} and the window length {length!r} must hold the unit width x0\n")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("scenario", ["spectrum", "trotter-convergence"])
     def test_an_overflowing_hamiltonian_ends_in_one_line(self, tmp_path, capsys, scenario):
