@@ -26,9 +26,9 @@ from .errors import ConfigurationError, ContractError
 from .grids import (
     Grid1D,
     WaveFunction,
+    _check_battery,
     gaussian_packet,
     make_grid,
-    make_random_states,
 )
 from .optics import InterferometerSpec, PhysicalUnits
 from .susy import (MAX_BOUND_LEVELS, PotentialField, Superpotential, apply_B_dag,
@@ -124,13 +124,8 @@ def _rule_problems(cfg: ExperimentConfig) -> list:
         p.append(
             f"eta_min, eta_max, eta_points: eta grid [{cfg.eta_min}, {cfg.eta_max}] "
             f"with {cfg.eta_points} points must contain -1, 0 and +1 exactly")
-    length = cfg.x_max_x0 - cfg.x_min_x0
-    spacing = length / max(cfg.grid_points, 1)
-    if cfg.grid_points >= 2 and 0 < spacing < math.inf and not spacing <= 1.0 <= length:
-        # the trap's ground state, and the bench's calibration reference, are 1 x0 wide
-        p.append(f"grid_points, x_min_x0, x_max_x0: the grid spacing {spacing!r} and the "
-                 f"window length {length!r} must hold the unit width x0")
-    if cfg.aperture_x0 > min(-cfg.x_min_x0, cfg.x_max_x0):
+    spacing = (cfg.x_max_x0 - cfg.x_min_x0) / max(cfg.grid_points, 1)
+    if cfg.x_max_x0 > cfg.x_min_x0 and cfg.aperture_x0 > min(-cfg.x_min_x0, cfg.x_max_x0):
         p.append(
             f"aperture_x0: {cfg.aperture_x0} exceeds the simulated window "
             f"x_min_x0, x_max_x0 = [{cfg.x_min_x0}, {cfg.x_max_x0}]")
@@ -159,7 +154,6 @@ class RunSetup:
     v2: PotentialField
     psi0: WaveFunction
     psi_raised: WaveFunction
-    battery: tuple
     units: PhysicalUnits
     spec: InterferometerSpec
     reduced_spec: InterferometerSpec
@@ -187,10 +181,21 @@ def _build(cfg: ExperimentConfig):
     # the trap alone fixes x0, the unit of every length below
     x0 = build(("omega",), lambda c: Superpotential(c.omega).x0)
 
-    def packet_on_grid(c):  # the packet center and width are checked against the grid
+    # the trap's ground state, and the bench's calibration reference, are 1 x0 wide
+    def unit_grid(c):
         grid = make_grid(c.grid_points, c.x_min_x0 * x0, c.x_max_x0 * x0)
+        length = c.x_max_x0 - c.x_min_x0
+        if not length / c.grid_points <= 1.0 <= length:
+            raise ConfigurationError(f"the grid spacing {length / c.grid_points!r} and the "
+                                     f"window length {length!r} must hold the unit width x0")
+        return grid
+
+    def packet_on_grid(c):  # the packet center and width are checked against the grid
+        grid = unit_grid(c)
         return grid, gaussian_packet(grid, c.x_center_x0 * x0, c.state_width_x0 * x0)
 
+    # a grid that fails is reported once, and the packet is checked on the default grid
+    build(("grid_points", "x_min_x0", "x_max_x0"), unit_grid)
     grid, psi0 = build(("grid_points", "x_min_x0", "x_max_x0", "state_width_x0",
                         "x_center_x0"), packet_on_grid)
 
@@ -204,12 +209,8 @@ def _build(cfg: ExperimentConfig):
             raise ConfigurationError("partner potentials are not finite on the grid") from None
 
     W, v1, v2, psi_raised = build(("omega", "barrier_amplitude", "sigma_over_x0"), partners)
-    # the battery sits at the aperture center: the bench is specified for
-    # fields inside the aperture, and a displaced Hermite stack would spill
-    # past the stops and measure its own clipping instead of the optics
-    battery = build(("battery_size", "battery_seed"), lambda c: tuple(make_random_states(
-        grid, c.battery_size, c.battery_seed, center=0.0,
-        width=c.state_width_x0 * x0)))
+    build(("battery_size", "battery_seed"), lambda c: _check_battery(
+        c.battery_size, c.battery_seed))  # only bdag-check draws the states
     units = build(("wavelength_nm", "x0_mm"), lambda c: PhysicalUnits(
         c.wavelength_nm * 1e-9, c.x0_mm * 1e-3))
     spec = build(("focal_length_m", "aperture_x0", "parity_mode"),
@@ -218,7 +219,7 @@ def _build(cfg: ExperimentConfig):
                                               parity_mode=c.parity_mode))
     reduced = build(("reduced_focal_length_m",), lambda c: replace(
         spec, focal_length_m=c.reduced_focal_length_m))
-    return RunSetup(grid, W, v1, v2, psi0, psi_raised, battery, units, spec, reduced), problems
+    return RunSetup(grid, W, v1, v2, psi0, psi_raised, units, spec, reduced), problems
 
 
 def validate(cfg: ExperimentConfig) -> list:

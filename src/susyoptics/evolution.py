@@ -11,16 +11,19 @@ product K(dt) P(dt) falls as 1/n.
 
 `trotter_states` is the one split-step kernel, for one state (n,) or a
 stack (m, n) under one shared (n,) potential or one (m, n) row per state,
-in position or momentum space.  Each step is one transform pair along the
-grid axis per row block: a large stack is cut into contiguous blocks, one
-per usable CPU, that advance on threads the stream owns and that end with
-it (a forked child starts its own), and a small one is a single block.  A
-stack reproduces m separate runs bit for bit, on any number of cores.
+in position or momentum space; one state under m potentials runs as m
+rows.  Each step is one transform pair along the grid axis per row block:
+a large stack is cut into contiguous blocks, one per usable CPU, that
+advance on threads the stream owns and that end with it (a forked child
+starts its own), and a small one is a single block.  A stack reproduces m
+separate runs bit for bit, on any number of cores.
 A momentum-space sample is the transformed state the step already holds,
 times a phase; a position-space sample costs one more inverse transform.
 The carry is updated in place and each sample is one fresh array, so the
 kernel holds three stacks: the potential phases, the carry and the sample
-it is producing.
+it is producing.  A stream that reduces each sample to one value per row
+holds only the first two: each block forms its samples a few rows at a time
+in a buffer of its own and reduces them there.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
@@ -115,13 +118,22 @@ def _run_blocks(workers, fn, blocks, *args):
 
 
 def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
-                   stride: int = 1):
+                   stride: int = 1, reduce=None):
     """Yield (step_index, state) at step 0 and every `stride` steps (plus the last).
 
     psi is one state (n,) or a stack (m, n), in either representation, and
     every sample is in that same representation; V is one (n,) potential
-    for every row or an (m, n) stack of them, one per row.  Step 0 yields
-    psi itself; every later sample is a fresh read-only array.
+    for every row or an (m, n) stack of them, one per row, and one state
+    under such a stack starts every row.  Step 0 yields psi itself; every
+    later sample is a fresh read-only array.
+
+    With `reduce`, a later sample is never formed whole: each row block
+    forms it at most _MIN_BLOCK_ROWS rows at a time and passes each (k, n)
+    chunk to reduce on that block's thread.  reduce returns the chunk's k
+    real values and neither keeps nor writes the chunk, whose buffer the
+    next one reuses.  The stream yields a fresh read-only array of one value
+    per row (one for a single state), the same to the bit as reducing the
+    whole sample.
 
     One loop serves both orders, because the second-order product is the
     first-order one conjugated by a half kinetic step:
@@ -158,7 +170,7 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     """
     if psi.grid != V.grid:
         raise ContractError("state and potential live on different grids")
-    if V.values.ndim == 2 and V.values.shape != psi.values.shape:
+    if V.values.ndim == psi.values.ndim == 2 and V.values.shape != psi.values.shape:
         raise ContractError(f"potential stack {V.values.shape} does not match "
                             f"state stack {psi.values.shape}")
     if not isinstance(stride, (int, np.integer)) or stride < 1:
@@ -175,6 +187,10 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     kin = np.exp(-1j * p2 * dt)
     first = plan.order == "first"
     kin_out = kin if first else np.exp(-1j * p2 * (0.5 * dt))
+    vphase = -1j * V.values
+    vphase *= dt
+    np.exp(vphase, out=vphase)
+    del V  # freed here if the caller has dropped it, before the carry
     if momentum:
         u = g._unitary_phase
         w = psi.values / u  # F(psi) in numpy's unnormalized convention
@@ -186,24 +202,33 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
         np.fft.ifft(w, out=w)
     if momentum:
         kin_out = kin_out * u  # a sample s K_out u is in to_momentum's convention
-    del psi  # freed here if the caller has dropped step 0, before the phases
-    vphase = -1j * V.values
-    vphase *= dt
-    np.exp(vphase, out=vphase)
-    del V
-    blocks = [(rows, w[rows], vphase if vphase.ndim == 1 else vphase[rows])
+    del psi
+    if vphase.ndim > w.ndim:  # one state under a stack of potentials: a row for each
+        w = np.tile(w, (len(vphase), 1))
+    elif reduce is not None:
+        w = np.atleast_2d(w)  # a reduced single state is a stack of one row
+    blocks = [(rows, w[rows], vphase if vphase.ndim == 1 else vphase[rows],
+               None if reduce is None else np.empty_like(w[rows][:_MIN_BLOCK_ROWS]))
               for rows in _row_blocks(len(w) if w.ndim == 2 else 1)]
+
+    def form(s, out):
+        """The sample of s, the transformed state, written to out."""
+        np.multiply(s, kin_out, out=out)
+        if not momentum:
+            np.fft.ifft(out, out=out)
+        return out
 
     def step(block, j, sample):
         """Step j on one block of rows of w, writing those rows of the sample if one is due."""
-        rows, wb, vb = block
+        rows, wb, vb, buffer = block
         np.multiply(wb, vb, out=wb)
         np.fft.fft(wb, out=wb)  # wb holds s until it is advanced
-        if sample is not None:
-            out = sample[rows]
-            np.multiply(wb, kin_out, out=out)
-            if not momentum:
-                np.fft.ifft(out, out=out)
+        if sample is not None and reduce is None:
+            form(wb, sample[rows])
+        elif sample is not None:  # a chunk of rows at a time, in the block's own buffer
+            for i in range(0, len(wb), len(buffer)):
+                chunk = wb[i:i + len(buffer)]
+                sample[rows][i:i + len(chunk)] = reduce(form(chunk, buffer[:len(chunk)]))
         if j < n:
             np.multiply(wb, kin, out=wb)
             np.fft.ifft(wb, out=wb)
@@ -215,10 +240,13 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                 from concurrent.futures import ThreadPoolExecutor
                 workers = ThreadPoolExecutor(len(blocks) - 1, "susyoptics-rows")
                 owner = os.getpid()
-            sample = np.empty_like(w) if j % stride == 0 or j == n else None
+            sample = None
+            if j % stride == 0 or j == n:
+                sample = np.empty_like(w) if reduce is None else np.empty(len(w))
             _run_blocks(workers, step, blocks, j, sample)
             if sample is not None:
-                yield j, WaveFunction(g, _frozen(sample), representation)
+                yield j, (_frozen(sample) if reduce is not None
+                          else WaveFunction(g, _frozen(sample), representation))
                 del sample  # the caller's reference is the only one left
     finally:
         if workers is not None:

@@ -34,9 +34,12 @@ from .evolution import (
     trotter_states,
 )
 from .grids import (
+    MOMENTUM,
     WaveFunction,
+    _fidelity,
     _frozen,
     fidelity,
+    make_random_states,
     norm,
     normalized,
     to_momentum,
@@ -234,10 +237,12 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     on each half-axis.
 
     Two momentum-space streams, whose samples cost no transform, hold the
-    paths: psi0 under V1 and one row of B+ psi0 per V_eta.  The first runs
-    ahead in blocks of _REFERENCE_BLOCK samples, each raised by B+ in
-    position space as one stack; fidelities are taken in momentum space
-    (equal by Parseval).  The potentials are built before any step is taken.
+    paths: psi0 under V1 and B+ psi0 under every V_eta, one row each.  The
+    first runs ahead in blocks of _REFERENCE_BLOCK samples, each raised by
+    B+ in position space as one stack; fidelities are taken in momentum
+    space (equal by Parseval), inside the family stream's row blocks, so its
+    samples are never formed whole.  The potentials are built before any
+    step is taken.
     """
     run = setup(cfg)
     grid, W, plan = run.grid, run.W, _two_path_plan(cfg)
@@ -250,18 +255,21 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     times = plan.dt * np.arange(plan.n_steps + 1)
     surface = np.empty((etas.size, times.size))
     path_one = trotter_states(to_momentum(run.psi0), run.v1, plan, stride=1)
-    # the state stack is built in the call, so no caller reference outlives step 0
-    paths = trotter_states(to_momentum(WaveFunction(
-        grid, _frozen(np.vstack([run.psi_raised.values] * etas.size)))), family, plan, stride=1)
+
+    def raised():  # B+ psi0(t_j), one row per step, each block raised as one stack
+        while rows := [s.values for _, s in islice(path_one, _REFERENCE_BLOCK)]:
+            yield from to_momentum(normalized(apply_B_dag(to_position(WaveFunction(
+                grid, _frozen(np.vstack(rows)), MOMENTUM)), W))).values
+
+    references = raised()
+    reference = next(references)  # the reference of the step the family stream takes next
+    paths = trotter_states(to_momentum(run.psi_raised), family, plan, stride=1,
+                           reduce=lambda chunk: _fidelity(reference, chunk, grid.dp))
     del family
-    for j, state in paths:
-        if j % _REFERENCE_BLOCK == 0:
-            references = None  # the spent block is freed before the next is raised
-            rows = islice(path_one, _REFERENCE_BLOCK)
-            references = to_momentum(normalized(apply_B_dag(to_position(
-                state.with_values(_frozen(np.vstack([s.values for _, s in rows])))), W))).values
-        surface[:, j] = fidelity(state.with_values(references[j % _REFERENCE_BLOCK]), state)
-        del state  # freed before the kernel allocates the next sample
+    for j, column in paths:
+        surface[:, j] = column if j else fidelity(WaveFunction(grid, reference, MOMENTUM), column)
+        reference = None  # a spent block is freed before the next is raised
+        reference = next(references, None)
 
     final = surface[:, -1]
     step = float(etas[1] - etas[0])
@@ -319,11 +327,16 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
             benches.append(calibrate_interferometer(spec, grid, units))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{key} = {spec.focal_length_m!r}: {exc}") from exc
+    # the battery sits at the aperture center: the bench is specified for
+    # fields inside the aperture, and a displaced Hermite stack would spill
+    # past the stops and measure its own clipping instead of the optics
+    battery = make_random_states(grid, cfg.battery_size, cfg.battery_seed, center=0.0,
+                                 width=cfg.state_width_x0)
     # one case per row: reference, reduced, then the battery at the reference focus
-    n_batt = len(run.battery)
+    n_batt = len(battery)
     benches += benches[:1] * n_batt
     cases = [_bdag_errors(psi, bench, W)
-             for psi, bench in zip([psi0, psi0, *run.battery], benches)]
+             for psi, bench in zip([psi0, psi0, *battery], benches)]
     approx, target = cases[0][:2]
     errs = np.array([case[2:] for case in cases])
     (rel_ref, max_ref, infid_ref), (rel_red, _, _) = errs[:2].tolist()
@@ -528,7 +541,9 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
     names.  Floats are written with repr (shortest round-trip form, locale
     independent), so identical configs give byte-identical files.  A comma
     or newline in any text cell is caught before a file opens, and files are
-    renamed into place once all are complete, so a failure writes nothing.
+    renamed into place once all are complete, so a failure writes nothing;
+    a rename that fails takes back the files already renamed, so the files
+    left never mix two runs.
     """
     sheets = csv_sheets(result)
     out = Path(out_dir)
@@ -538,6 +553,7 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
                   f"# tool_version: {result.tool_version}\n"
                   f"# defaulted_keys: {','.join(result.defaulted_keys) or '(none)'}\n")
     staged = []  # (temporary, final) path pairs
+    placed = []  # final paths that hold this run
 
     def open_staged(name, head):  # hidden: the temporary is outside the {scenario}_* pattern
         path = out / f"{result.scenario}_{name}"
@@ -560,8 +576,9 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
             open_staged(f"{name}.txt", content).close()
         for temporary, path in staged:
             os.replace(temporary, path)
+            placed.append(path)
     except BaseException:
-        for temporary, _ in staged:
-            temporary.unlink(missing_ok=True)
+        for path in [temporary for temporary, _ in staged] + placed:
+            path.unlink(missing_ok=True)
         raise
     return [path for _, path in staged]

@@ -196,20 +196,26 @@ def normalized(a: WaveFunction) -> WaveFunction:
     return a.with_values(_frozen(a.values / np.expand_dims(n, -1)))
 
 
+def _fidelity(a: np.ndarray, b: np.ndarray, weight: float) -> np.ndarray:
+    """`fidelity` of two value arrays of one representation, whose weight is given."""
+    na = np.sqrt(np.vecdot(a, a).real * weight)
+    nb = np.sqrt(np.vecdot(b, b).real * weight)
+    if np.any(np.equal(na, 0.0)) or np.any(np.equal(nb, 0.0)):
+        raise DegenerateStateError("fidelity of a zero-norm field is undefined")
+    overlap = np.vecdot(a, b) * weight
+    # hypot rounds as abs() of a Python complex does; np.abs differs in the last bit
+    f = np.hypot(overlap.real, overlap.imag) / (na * nb)
+    # clip the rounding overshoot so downstream 1 - F stays signed correctly
+    return np.minimum(f, 1.0)
+
+
 def fidelity(a: WaveFunction, b: WaveFunction):
     """Overlap |<a|b>| / (||a|| ||b||), per row of a stack.
 
     Insensitive to global phase and to the input norms.
     """
-    na, nb = norm(a), norm(b)
-    if np.any(np.equal(na, 0.0)) or np.any(np.equal(nb, 0.0)):
-        raise DegenerateStateError("fidelity of a zero-norm field is undefined")
-    overlap = inner(a, b)
-    # hypot rounds as abs() of a Python complex does; np.abs differs in the last bit
-    f = np.hypot(overlap.real, overlap.imag) / (na * nb)
-    # clip the rounding overshoot so downstream 1 - F stays signed correctly
-    f = np.minimum(f, 1.0)
-    return _per_state(f)
+    _check_compatible(a, b)
+    return _per_state(_fidelity(a.values, b.values, a.grid.weight(a.representation)))
 
 
 def to_momentum(psi: WaveFunction) -> WaveFunction:
@@ -268,6 +274,14 @@ def gaussian_packet(grid: Grid1D, center: float = 0.0, width: float = 1.0,
     return WaveFunction(grid, vals, POSITION)
 
 
+def _check_battery(count, seed) -> None:
+    """The rules on a battery's size and seed, checked without drawing a state."""
+    if count < 1:
+        raise ConfigurationError(f"battery needs at least one state, got {count}")
+    if seed < 0:
+        raise ConfigurationError(f"battery seed must be non-negative, got {seed}")
+
+
 def make_random_states(grid, count, seed, center=0.0, width=1.0):
     """Smooth random test states: Gaussian-enveloped Hermite superpositions.
 
@@ -278,10 +292,7 @@ def make_random_states(grid, count, seed, center=0.0, width=1.0):
     """
     modes = 4  # Hermite orders 0..4
     decay = 0.8
-    if count < 1:
-        raise ConfigurationError(f"battery needs at least one state, got {count}")
-    if seed < 0:
-        raise ConfigurationError(f"battery seed must be non-negative, got {seed}")
+    _check_battery(count, seed)
     rng = np.random.default_rng(seed)
     u = (grid.x - center) / width
     modes_ = [np.exp(-0.5 * u * u)]

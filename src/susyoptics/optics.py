@@ -189,9 +189,10 @@ def thin_lens(f_m: float, aperture_m: float, grid: Grid1D, units: PhysicalUnits)
     """
     _check_lens(f_m, aperture_m)
     x_m = grid.x * units.x0_m
-    return ThinElement("thin_lens", np.where(
-        np.abs(x_m) <= aperture_m, np.exp(-0.5j * units.k * x_m**2 / f_m), 0.0),
-        f"f_m={f_m!r} aperture_m={aperture_m!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # ThinElement refuses a non-finite chirp
+        chirp = np.exp(-0.5j * units.k * x_m**2 / f_m)
+    return ThinElement("thin_lens", np.where(np.abs(x_m) <= aperture_m, chirp, 0.0),
+                       f"f_m={f_m!r} aperture_m={aperture_m!r}")
 
 
 def phase_plate(phase) -> ThinElement:

@@ -89,12 +89,16 @@ def test_missing_file(tmp_path):
     (dict(parity_mode="mirror"), "parity_mode"),
     (dict(fidelity_convention="overlap"), "fidelity_convention"),
     (dict(battery_size=0), "battery_size"),
+    # a spacing over 1 x0 is the grid's fault, not also the unit-width packet's
+    (dict(grid_points=29), "grid_points, x_min_x0, x_max_x0: the grid spacing 1.03"),
+    (dict(state_width_x0=0.01), "state_width_x0, x_center_x0: width must lie between"),
 ])
 def test_validate_rules(override, fragment):
+    # each cause is reported once
     cfg = dataclasses.replace(so.parse_config(None), **override)
     problems = validate(cfg)
-    assert problems, f"expected a violation for {override}"
-    assert any(fragment in p for p in problems)
+    assert len(problems) == 1, problems
+    assert fragment in problems[0]
 
 
 def test_eta_grid_must_hold_landmarks():

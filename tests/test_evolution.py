@@ -16,6 +16,7 @@ from susyoptics import (
     DegenerateStateError,
     NumericalError,
     evolution,
+    grids,
     susy,
 )
 from susyoptics.evolution import ORDERS
@@ -208,14 +209,16 @@ class TestStackedKernel:
                 assert not np.shares_memory(a, b)
 
     def test_potential_rows_must_match_states(self, v1, v2, states):
+        # k states under m potentials pair no rows when k != m, either way round
         grid = v2.grid
-        stack = so.WaveFunction(grid, np.vstack([s.values for s in states]))
+        three = so.WaveFunction(grid, np.vstack([s.values for s in states]))
         two = PotentialField(grid, np.vstack([v1.values, v2.values]))
         plan = so.TrotterPlan(0.05, 2)
         with pytest.raises(ContractError):
-            next(so.trotter_states(stack, two, plan))
+            next(so.trotter_states(three, two, plan))
         with pytest.raises(ContractError):
-            next(so.trotter_states(states[0], two, plan))
+            next(so.trotter_states(three.with_values(three.values[:2]),
+                                   PotentialField(grid, np.vstack([v1.values] * 3)), plan))
 
     def test_single_state_operations_reject_stacks(self, v2, states):
         stack = so.WaveFunction(v2.grid, np.vstack([s.values for s in states]))
@@ -414,6 +417,64 @@ class TestRowBlocks:
                 for row, pair in enumerate(pairs):
                     np.testing.assert_array_equal(sample.values[row], alone[pair][j].values)
 
+    @pytest.mark.parametrize("cpus,blocks", [(1, 1), (2, 2), (4, 4)])
+    @pytest.mark.parametrize("n", [2048, 513])
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("momentum", [False, True])
+    def test_a_reduced_stream_equals_its_reduced_samples_bitwise(
+            self, W, monkeypatch, cpus, blocks, n, order, momentum):
+        rows = 33  # blocks of 33, of 16 and 17, or of 8, 8, 8 and 9: chunks of 8 and fewer
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        assert len(evolution._row_blocks(rows)) == blocks
+        grid, _, states, potentials = self._pairs(W, n, True)
+        pairs = [(i % len(states), i % len(potentials)) for i in range(rows)]
+        if momentum:
+            states = [so.to_momentum(s) for s in states]
+        stack = so.WaveFunction(grid, np.vstack([states[s].values for s, _ in pairs]),
+                                states[0].representation)
+        V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
+        reference, weight = states[2].values, grid.weight(stack.representation)
+        chunks = []
+
+        def reduce(chunk):
+            chunks.append(len(chunk))
+            return grids._fidelity(reference, chunk, weight)
+
+        steps = 20
+        plan = so.TrotterPlan(0.05, steps, order=order)
+        plain = dict(so.trotter_states(stack, V, plan))
+        for stride in (1, 7, steps):
+            chunks.clear()
+            reduced = dict(so.trotter_states(stack, V, plan, stride=stride, reduce=reduce))
+            assert sorted(reduced) == sorted({*range(0, steps + 1, stride), steps})
+            assert reduced.pop(0) is stack
+            assert max(chunks) == evolution._MIN_BLOCK_ROWS
+            assert sum(chunks) == rows * len(reduced)
+            for j, values in reduced.items():
+                assert values.shape == (rows,) and not values.flags.writeable
+                np.testing.assert_array_equal(
+                    values, grids._fidelity(reference, plain[j].values, weight))
+        # a single state is one row: row 0 of the stack pairs states[0] with potentials[0]
+        alone = dict(so.trotter_states(states[0], potentials[0], plan, reduce=reduce))
+        assert alone[steps].shape == (1,) and alone[steps][0] == reduced[steps][0]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("momentum", [False, True])
+    def test_one_state_under_a_potential_stack_equals_its_copies_bitwise(
+            self, W, three_cpus, order, momentum):
+        grid, pairs, states, potentials = self._pairs(W, 2048, True)
+        psi = so.to_momentum(states[1]) if momentum else states[1]
+        V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
+        copies = psi.with_values(np.vstack([psi.values] * self.ROWS))
+        plan = so.TrotterPlan(0.05, 12, order=order)
+        for stride in (1, 5):
+            alone = dict(so.trotter_states(psi, V, plan, stride=stride))
+            stacked = dict(so.trotter_states(copies, V, plan, stride=stride))
+            assert sorted(alone) == sorted(stacked) and alone.pop(0) is psi
+            for j, sample in alone.items():
+                assert sample.representation == psi.representation
+                np.testing.assert_array_equal(sample.values, stacked[j].values)
+
     @staticmethod
     def _row_threads():
         return [t for t in threading.enumerate() if t.name.startswith("susyoptics-rows")]
@@ -522,6 +583,27 @@ class TestRowBlocks:
         assert not self._row_threads()
         np.testing.assert_array_equal(so.trotter_evolve(stack, v2, plan).values,
                                       serial.values)
+
+    def test_a_reduction_error_reaches_the_caller_with_its_type(self, v2, psi0, monkeypatch):
+        stack, plan, serial = self._serial_and_split(v2, psi0, monkeypatch)
+
+        class ReductionError(Exception):
+            pass
+
+        def reduce(chunk):
+            if threading.current_thread() is not threading.main_thread():
+                raise ReductionError(len(chunk))
+            return grids._fidelity(psi0.values, chunk, psi0.grid.dx)
+
+        with pytest.raises(ReductionError):
+            for _ in so.trotter_states(stack, v2, plan, reduce=reduce):
+                pass
+        assert not self._row_threads()
+        np.testing.assert_array_equal(so.trotter_evolve(stack, v2, plan).values,
+                                      serial.values)
+        last = list(so.trotter_states(stack, v2, plan, stride=plan.n_steps,
+                                      reduce=lambda chunk: np.vecdot(chunk, chunk).real))[-1]
+        np.testing.assert_array_equal(last[1], np.vecdot(serial.values, serial.values).real)
 
     def test_workers_run_in_the_callers_context(self, v2, psi0, monkeypatch):
         stack, plan, serial = self._serial_and_split(v2, psi0, monkeypatch)

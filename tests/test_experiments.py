@@ -182,10 +182,10 @@ class TestRunnerStructure:
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         so.run_eta_sweep(small_cfg)
         steps = small_cfg.steps_per_period * small_cfg.evolution_periods
-        # the family: to_momentum and the kernel's set-up, then two a step but the last
-        assert sum(r for r in rows if r > block) == (2 * steps + 1) * small_cfg.eta_points
-        # one-row transforms: the reference stream, B+ psi0 and to_momentum(psi0)
-        assert rows.count(1) <= 2 * steps + 3
+        # the family: two a step but the last, and none at set-up, where B+ psi0 is one row
+        assert sum(r for r in rows if r > block) == (2 * steps - 1) * small_cfg.eta_points
+        # one-row transforms: the reference stream, B+ psi0, and the set-up of both streams
+        assert rows.count(1) <= 2 * steps + 5
         blocks = sum(1 for r in rows if 1 < r <= block)
         assert blocks <= 4 * math.ceil((steps + 1) / block)
 
@@ -507,6 +507,41 @@ class TestEmitCsv:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
         assert all(p.read_text().startswith(
             f"# scenario: spectrum\n# config_hash: {'f' * 12}\n") for p in paths)
+
+    @staticmethod
+    def _fail_the_second_rename(monkeypatch):
+        replace = os.replace
+        calls = []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(13, "Permission denied")
+            replace(src, dst)
+
+        monkeypatch.setattr(experiments.os, "replace", failing_replace)
+
+    def test_a_failed_rename_leaves_no_mix_of_runs(self, small_cfg, tmp_path, monkeypatch):
+        result = so.run_spectrum(small_cfg)
+        so.emit_csv(result, tmp_path)
+        assert len(list(tmp_path.iterdir())) > 2
+        rerun = dataclasses.replace(result, config_hash="f" * 12)
+        self._fail_the_second_rename(monkeypatch)
+        with pytest.raises(OSError, match="Permission denied"):
+            so.emit_csv(rerun, tmp_path)
+        monkeypatch.undo()
+        left = sorted(tmp_path.iterdir())
+        assert left and all(fnmatch.fnmatch(p.name, "spectrum_*") for p in left)
+        hashes = {p.read_text().splitlines()[1] for p in left}
+        assert hashes == {f"# config_hash: {result.config_hash}"}
+
+    def test_a_failed_rename_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
+        self._fail_the_second_rename(monkeypatch)
+        out = tmp_path / "r"
+        assert cli.main(["spectrum", "--grid-points", "512", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write to --out {str(out)!r}: ") and err.count("\n") == 1
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("scenario", ["spectrum", "susy-check"])
     def test_header_and_row_count_follow_the_rows(self, small_cfg, tmp_path,

@@ -157,6 +157,8 @@ class TestElements:
         # refused by the element's rule, with no numpy warning on the way
         with pytest.raises(ConfigurationError, match="finite 1-d"):
             phase_plate(np.array([0.0, np.inf]))
+        with pytest.raises(ConfigurationError, match="finite 1-d"):  # k x^2 / f overflows
+            thin_lens(1e-320, math.inf, grid, units)
 
     @pytest.mark.parametrize("name", ["thin_lens", "phase_plate", "amplitude_modulator"])
     def test_passivity_holds_for_every_name(self, name):

@@ -75,16 +75,41 @@ def test_all_is_the_documented_api():
     assert set(so.__all__) == documented | exercised | error_classes | {"__version__"}
 
 
-def test_runs_without_scipy(tmp_path):
+# Runs in a fresh interpreter and prints whether numpy.random is loaded after
+# parsing the config, after two scenarios that draw nothing, and after bdag-check.
+_RANDOM_PROBE = """\
+import json, sys
+from susyoptics.config import parse_config
+from susyoptics.experiments import run_bdag_validation, run_eta_sweep, run_spectrum
+cfg = parse_config(sys.argv[1])
+loaded = ["numpy.random" in sys.modules]
+for run in (run_spectrum, run_eta_sweep, run_bdag_validation):
+    run(cfg)
+    loaded.append("numpy.random" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _probe(tmp_path, code):
+    """The last stdout line of code run on the small config in a fresh interpreter, as JSON."""
     cfg = tmp_path / "small.cfg"
     cfg.write_text(_CONFIG)
     src = Path(so.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, str(cfg)],
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    ran, futures, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_bdag_check_draws_random_states(tmp_path):
+    # the battery is drawn where it is used, so numpy.random loads only there
+    assert _probe(tmp_path, _RANDOM_PROBE) == [False, False, False, True]
+
+
+def test_runs_without_scipy(tmp_path):
+    ran, futures, loaded = _probe(tmp_path, _PROBE)
     assert sorted(ran) == sorted(SCENARIO_RUNNERS)
     assert not futures
     assert loaded == []
