@@ -13,7 +13,6 @@ stderr first, before the error line of a run that fails.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
 
@@ -55,19 +54,11 @@ def resolve_exit(all_passed: bool, warned: bool, strict: bool) -> int:
     return int(not all_passed or (warned and strict))
 
 
-def _apply_overrides(cfg, args):
-    if args.grid_points is None:
-        return cfg
-    return dataclasses.replace(
-        cfg, grid_points=args.grid_points,
-        defaulted_keys=tuple(k for k in cfg.defaulted_keys if k != "grid_points"))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     caught, failure = [], None
     try:
-        cfg = _apply_overrides(parse_config(args.config), args)
+        cfg = parse_config(args.config, _grid_points=args.grid_points)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if args.scenario == "all":

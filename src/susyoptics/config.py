@@ -165,7 +165,10 @@ def _build(cfg: ExperimentConfig):
     Each object owns its rules; a ConfigurationError it raises is recorded
     with the keys it was built from.  Those keys then fall back to their
     defaults, with which every object builds, so everything built on it is
-    still checked and all problems are reported at once.
+    still checked and all problems are reported at once.  The packet is the
+    exception: when the grid fails, its keys fall back unchecked, since no
+    grid the config sets can check them, and a packet fault shows once the
+    grid is mended.
     """
     problems = _rule_problems(cfg)
 
@@ -194,8 +197,12 @@ def _build(cfg: ExperimentConfig):
         grid = unit_grid(c)
         return grid, gaussian_packet(grid, c.x_center_x0 * x0, c.state_width_x0 * x0)
 
-    # a grid that fails is reported once, and the packet is checked on the default grid
+    # a grid that fails is reported once, and the packet is checked on no other grid
+    grid_problems = len(problems)
     build(("grid_points", "x_min_x0", "x_max_x0"), unit_grid)
+    if len(problems) > grid_problems:
+        cfg = replace(cfg, x_center_x0=_DEFAULTS.x_center_x0,
+                      state_width_x0=_DEFAULTS.state_width_x0)
     grid, psi0 = build(("grid_points", "x_min_x0", "x_max_x0", "state_width_x0",
                         "x_center_x0"), packet_on_grid)
 
@@ -238,7 +245,8 @@ def setup(cfg: ExperimentConfig) -> RunSetup:
     return run
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+def parse_config_text(text: str, source: str = "<config>", *,
+                      _grid_points=None) -> ExperimentConfig:
     """Parse key = value lines; '#' starts a comment.  Collects all problems."""
     problems = []
     seen = {}
@@ -268,6 +276,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
                 f"{source}:{lineno}: invalid value for {key!r}: {value!r} ({exc})")
     if problems:
         raise ConfigurationError("\n".join(problems))
+    if _grid_points is not None:  # --grid-points, in place of the text's, before any check
+        seen["grid_points"] = _convert("grid_points", str(_grid_points))
+        source += f" with grid_points = {_grid_points}"
     defaulted = tuple(k for k in CONFIG_KEYS if k not in seen)
     cfg = ExperimentConfig(**seen, defaulted_keys=defaulted)
     violations = validate(cfg)
@@ -276,16 +287,16 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     return cfg
 
 
-def parse_config(path=None) -> ExperimentConfig:
+def parse_config(path=None, *, _grid_points=None) -> ExperimentConfig:
     """Load a config file, or the full default scenario when path is None."""
     if path is None:
-        return parse_config_text("", source="<defaults>")
+        return parse_config_text("", source="<defaults>", _grid_points=_grid_points)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(text, source=str(path), _grid_points=_grid_points)
 
 
 def _format_value(key: str, value) -> str:

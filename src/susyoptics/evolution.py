@@ -21,9 +21,8 @@ A momentum-space sample is the transformed state the step already holds,
 times a phase; a position-space sample costs one more inverse transform.
 The carry is updated in place and each sample is one fresh array, so the
 kernel holds three stacks: the potential phases, the carry and the sample
-it is producing.  A stream that reduces each sample to one value per row
-holds only the first two: each block forms its samples a few rows at a time
-in a buffer of its own and reduces them there.
+it is producing.  A reduced stream holds only the first two: each block
+forms a sample a few rows at a time, reducing them by that sample's function.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
@@ -124,16 +123,17 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     psi is one state (n,) or a stack (m, n), in either representation, and
     every sample is in that same representation; V is one (n,) potential
     for every row or an (m, n) stack of them, one per row, and one state
-    under such a stack starts every row.  Step 0 yields psi itself; every
-    later sample is a fresh read-only array.
+    under such a stack starts every row.  Without `reduce`, step 0 yields psi
+    itself and every later sample is a fresh read-only array.
 
-    With `reduce`, a later sample is never formed whole: each row block
-    forms it at most _MIN_BLOCK_ROWS rows at a time and passes each (k, n)
-    chunk to reduce on that block's thread.  reduce returns the chunk's k
-    real values and neither keeps nor writes the chunk, whose buffer the
-    next one reuses.  The stream yields a fresh read-only array of one value
-    per row (one for a single state), the same to the bit as reducing the
-    whole sample.
+    `reduce` makes each sample, never formed whole, a fresh read-only float
+    array of one value per row (m from step 0 for one state under m
+    potentials).  It is an iterable of one function per sample, step 0 first
+    (itertools.repeat(fn) for one fn; running out is a RuntimeError), each
+    pulled on this thread just before its sample.  The function takes fresh
+    read-only WaveFunction chunks of at most _MIN_BLOCK_ROWS rows, on this
+    thread at step 0 and on each row block's thread later, and returns their
+    real values, one per row, the same to the bit as the whole sample's.
 
     One loop serves both orders, because the second-order product is the
     first-order one conjugated by a half kinetic step:
@@ -175,7 +175,15 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                             f"state stack {psi.values.shape}")
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ConfigurationError(f"stride must be a positive integer, got {stride!r}")
-    yield 0, psi
+    if reduce is None:
+        yield 0, psi
+    else:  # psi's rows in chunks like any sample's; one state under m potentials is m rows
+        reduce, rows = iter(reduce), np.atleast_2d(np.broadcast_to(
+            psi.values, np.broadcast_shapes(psi.values.shape, V.values.shape)))
+        fn = next(reduce)
+        yield 0, _frozen(np.concatenate([fn(psi.with_values(rows[i:i + _MIN_BLOCK_ROWS]))
+                                         for i in range(0, len(rows), _MIN_BLOCK_ROWS)],
+                                        dtype=float))
     n = plan.n_steps
     if n == 0:
         return
@@ -207,8 +215,7 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
         w = np.tile(w, (len(vphase), 1))
     elif reduce is not None:
         w = np.atleast_2d(w)  # a reduced single state is a stack of one row
-    blocks = [(rows, w[rows], vphase if vphase.ndim == 1 else vphase[rows],
-               None if reduce is None else np.empty_like(w[rows][:_MIN_BLOCK_ROWS]))
+    blocks = [(rows, w[rows], vphase if vphase.ndim == 1 else vphase[rows])
               for rows in _row_blocks(len(w) if w.ndim == 2 else 1)]
 
     def form(s, out):
@@ -218,17 +225,18 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
             np.fft.ifft(out, out=out)
         return out
 
-    def step(block, j, sample):
+    def step(block, j, sample, fn):
         """Step j on one block of rows of w, writing those rows of the sample if one is due."""
-        rows, wb, vb, buffer = block
+        rows, wb, vb = block
         np.multiply(wb, vb, out=wb)
         np.fft.fft(wb, out=wb)  # wb holds s until it is advanced
-        if sample is not None and reduce is None:
+        if sample is not None and fn is None:
             form(wb, sample[rows])
-        elif sample is not None:  # a chunk of rows at a time, in the block's own buffer
-            for i in range(0, len(wb), len(buffer)):
-                chunk = wb[i:i + len(buffer)]
-                sample[rows][i:i + len(chunk)] = reduce(form(chunk, buffer[:len(chunk)]))
+        elif sample is not None:  # a chunk of rows at a time, each a state of its own
+            for i in range(0, len(wb), _MIN_BLOCK_ROWS):
+                chunk = wb[i:i + _MIN_BLOCK_ROWS]
+                sample[rows][i:i + len(chunk)] = fn(WaveFunction(
+                    g, _frozen(form(chunk, np.empty_like(chunk))), representation))
         if j < n:
             np.multiply(wb, kin, out=wb)
             np.fft.ifft(wb, out=wb)
@@ -240,10 +248,10 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                 from concurrent.futures import ThreadPoolExecutor
                 workers = ThreadPoolExecutor(len(blocks) - 1, "susyoptics-rows")
                 owner = os.getpid()
-            sample = None
-            if j % stride == 0 or j == n:
-                sample = np.empty_like(w) if reduce is None else np.empty(len(w))
-            _run_blocks(workers, step, blocks, j, sample)
+            sample = None if j % stride and j < n else (
+                np.empty_like(w) if reduce is None else np.empty(len(w)))
+            _run_blocks(workers, step, blocks, j, sample,  # pulled once the last is dropped
+                        None if sample is None or reduce is None else next(reduce))
             if sample is not None:
                 yield j, (_frozen(sample) if reduce is not None
                           else WaveFunction(g, _frozen(sample), representation))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from .evolution import (
 from .grids import (
     MOMENTUM,
     WaveFunction,
-    _fidelity,
     _frozen,
     fidelity,
     make_random_states,
@@ -261,15 +261,12 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
             yield from to_momentum(normalized(apply_B_dag(to_position(WaveFunction(
                 grid, _frozen(np.vstack(rows)), MOMENTUM)), W))).values
 
-    references = raised()
-    reference = next(references)  # the reference of the step the family stream takes next
-    paths = trotter_states(to_momentum(run.psi_raised), family, plan, stride=1,
-                           reduce=lambda chunk: _fidelity(reference, chunk, grid.dp))
+    # map, unlike a generator expression, keeps no spent reference while raising the next
+    paths = trotter_states(to_momentum(run.psi_raised), family, plan, stride=1, reduce=map(
+        lambda row: partial(fidelity, WaveFunction(grid, row, MOMENTUM)), raised()))
     del family
     for j, column in paths:
-        surface[:, j] = column if j else fidelity(WaveFunction(grid, reference, MOMENTUM), column)
-        reference = None  # a spent block is freed before the next is raised
-        reference = next(references, None)
+        surface[:, j] = column
 
     final = surface[:, -1]
     step = float(etas[1] - etas[0])

@@ -196,26 +196,22 @@ def normalized(a: WaveFunction) -> WaveFunction:
     return a.with_values(_frozen(a.values / np.expand_dims(n, -1)))
 
 
-def _fidelity(a: np.ndarray, b: np.ndarray, weight: float) -> np.ndarray:
-    """`fidelity` of two value arrays of one representation, whose weight is given."""
-    na = np.sqrt(np.vecdot(a, a).real * weight)
-    nb = np.sqrt(np.vecdot(b, b).real * weight)
-    if np.any(np.equal(na, 0.0)) or np.any(np.equal(nb, 0.0)):
-        raise DegenerateStateError("fidelity of a zero-norm field is undefined")
-    overlap = np.vecdot(a, b) * weight
-    # hypot rounds as abs() of a Python complex does; np.abs differs in the last bit
-    f = np.hypot(overlap.real, overlap.imag) / (na * nb)
-    # clip the rounding overshoot so downstream 1 - F stays signed correctly
-    return np.minimum(f, 1.0)
-
-
 def fidelity(a: WaveFunction, b: WaveFunction):
     """Overlap |<a|b>| / (||a|| ||b||), per row of a stack.
 
     Insensitive to global phase and to the input norms.
     """
     _check_compatible(a, b)
-    return _per_state(_fidelity(a.values, b.values, a.grid.weight(a.representation)))
+    weight, a, b = a.grid.weight(a.representation), a.values, b.values
+    na = np.sqrt(np.vecdot(a, a).real * weight)
+    nb = np.sqrt(np.vecdot(b, b).real * weight)
+    if not (na.all() and nb.all()):  # a zero norm; the methods cost less than np.any
+        raise DegenerateStateError("fidelity of a zero-norm field is undefined")
+    overlap = np.vecdot(a, b) * weight
+    # hypot rounds as abs() of a Python complex does; np.abs differs in the last bit
+    f = np.hypot(overlap.real, overlap.imag) / (na * nb)
+    # clip the rounding overshoot so downstream 1 - F stays signed correctly
+    return _per_state(np.minimum(f, 1.0))
 
 
 def to_momentum(psi: WaveFunction) -> WaveFunction:

@@ -92,6 +92,12 @@ def test_missing_file(tmp_path):
     # a spacing over 1 x0 is the grid's fault, not also the unit-width packet's
     (dict(grid_points=29), "grid_points, x_min_x0, x_max_x0: the grid spacing 1.03"),
     (dict(state_width_x0=0.01), "state_width_x0, x_center_x0: width must lie between"),
+    # the packet is not checked on a grid the config does not set, so a packet
+    # fault beside a failed grid shows only once the grid is mended
+    (dict(grid_points=29, state_width_x0=0.001),
+     "grid_points, x_min_x0, x_max_x0: the grid spacing 1.03"),
+    (dict(grid_points=1, x_center_x0=40.0), "grid_points, x_min_x0, x_max_x0: "),
+    (dict(eta_points=2), "eta_points: must be >= 3, got 2"),
 ])
 def test_validate_rules(override, fragment):
     # each cause is reported once

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from susyoptics import (
     DegenerateStateError,
     NumericalError,
     evolution,
-    grids,
     susy,
 )
 from susyoptics.evolution import ORDERS
@@ -219,6 +219,15 @@ class TestStackedKernel:
         with pytest.raises(ContractError):
             next(so.trotter_states(three.with_values(three.values[:2]),
                                    PotentialField(grid, np.vstack([v1.values] * 3)), plan))
+
+    def test_stream_arguments_are_checked(self, v2, psi0):
+        plan = so.TrotterPlan(0.05, 2)
+        elsewhere = so.gaussian_packet(so.make_grid(512, -15.0, 15.0), -5.0)
+        with pytest.raises(ContractError, match="different grids"):
+            next(so.trotter_states(elsewhere, v2, plan))
+        for stride in (0, 2.0):
+            with pytest.raises(ConfigurationError, match="stride"):
+                next(so.trotter_states(psi0, v2, plan, stride=stride))
 
     def test_single_state_operations_reject_stacks(self, v2, states):
         stack = so.WaveFunction(v2.grid, np.vstack([s.values for s in states]))
@@ -433,30 +442,64 @@ class TestRowBlocks:
         stack = so.WaveFunction(grid, np.vstack([states[s].values for s, _ in pairs]),
                                 states[0].representation)
         V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
-        reference, weight = states[2].values, grid.weight(stack.representation)
-        chunks = []
+        reference, chunks = states[2], []
 
-        def reduce(chunk):
-            chunks.append(len(chunk))
-            return grids._fidelity(reference, chunk, weight)
+        def reduce(chunk):  # a read-only state of the stream's grid and representation
+            assert chunk.representation == stack.representation
+            assert not chunk.values.flags.writeable
+            chunks.append(len(chunk.values))
+            return so.fidelity(reference, chunk)
 
         steps = 20
         plan = so.TrotterPlan(0.05, steps, order=order)
         plain = dict(so.trotter_states(stack, V, plan))
         for stride in (1, 7, steps):
             chunks.clear()
-            reduced = dict(so.trotter_states(stack, V, plan, stride=stride, reduce=reduce))
+            reduced = dict(so.trotter_states(stack, V, plan, stride=stride,
+                                             reduce=repeat(reduce)))
             assert sorted(reduced) == sorted({*range(0, steps + 1, stride), steps})
-            assert reduced.pop(0) is stack
+            # step 0 reduces the stack itself, in chunks of at most 8 rows like the rest
+            assert chunks[:5] == [8, 8, 8, 8, 1]
             assert max(chunks) == evolution._MIN_BLOCK_ROWS
             assert sum(chunks) == rows * len(reduced)
             for j, values in reduced.items():
                 assert values.shape == (rows,) and not values.flags.writeable
-                np.testing.assert_array_equal(
-                    values, grids._fidelity(reference, plain[j].values, weight))
+                assert values.dtype == np.float64
+                np.testing.assert_array_equal(values, so.fidelity(reference, plain[j]))
         # a single state is one row: row 0 of the stack pairs states[0] with potentials[0]
-        alone = dict(so.trotter_states(states[0], potentials[0], plan, reduce=reduce))
-        assert alone[steps].shape == (1,) and alone[steps][0] == reduced[steps][0]
+        alone = dict(so.trotter_states(states[0], potentials[0], plan, reduce=repeat(reduce)))
+        assert alone[0].shape == alone[steps].shape == (1,)
+        assert alone[0][0] == reduced[0][0] and alone[steps][0] == reduced[steps][0]
+        # one state under the potential stack is a row for each potential from step 0 on
+        spread = dict(so.trotter_states(states[0], V, plan, reduce=repeat(reduce)))
+        assert spread[0].shape == (rows,) and not spread[0].flags.writeable
+        np.testing.assert_array_equal(spread[0], alone[0][0])
+
+    def test_each_sample_takes_the_next_function_pulled_on_this_thread(self, W, three_cpus):
+        grid, pairs, states, potentials = self._pairs(W, 512, True)
+        V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
+        pulled, taken = [], []
+
+        def functions():  # the i-th pulled function marks every row of its sample with i
+            for i in range(4):
+                pulled.append((len(taken), threading.current_thread()))
+                yield lambda chunk, i=i: np.full(len(chunk.values), float(i))
+
+        for j, values in so.trotter_states(states[1], V, so.TrotterPlan(0.05, 20), stride=7,
+                                           reduce=functions()):
+            taken.append(j)
+            np.testing.assert_array_equal(values, len(taken) - 1)
+        assert taken == [0, 7, 14, 20]
+        # each function is pulled on the calling thread, after the samples before its own
+        assert pulled == [(i, threading.main_thread()) for i in range(4)]
+        # a list serves too, and one that runs out ends the stream with an error
+        listed = [lambda chunk: np.zeros(len(chunk.values))] * 3
+        assert len(list(so.trotter_states(states[1], V, so.TrotterPlan(0.05, 2),
+                                          reduce=listed))) == 3
+        stream = so.trotter_states(states[1], V, so.TrotterPlan(0.05, 3), reduce=listed)
+        with pytest.raises(RuntimeError):
+            list(stream)
+        assert not self._row_threads()
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("momentum", [False, True])
@@ -478,6 +521,12 @@ class TestRowBlocks:
     @staticmethod
     def _row_threads():
         return [t for t in threading.enumerate() if t.name.startswith("susyoptics-rows")]
+
+    @pytest.mark.parametrize("count,usable", [(6, 6), (None, 1)])
+    def test_without_affinity_masks_every_cpu_is_usable(self, monkeypatch, count, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert evolution._usable_cpus() == usable
 
     def test_small_stacks_start_no_thread(self, v2, psi0, monkeypatch):
         monkeypatch.setattr(evolution, "_usable_cpus", lambda: 64)
@@ -592,17 +641,17 @@ class TestRowBlocks:
 
         def reduce(chunk):
             if threading.current_thread() is not threading.main_thread():
-                raise ReductionError(len(chunk))
-            return grids._fidelity(psi0.values, chunk, psi0.grid.dx)
+                raise ReductionError(len(chunk.values))
+            return so.fidelity(psi0, chunk)
 
         with pytest.raises(ReductionError):
-            for _ in so.trotter_states(stack, v2, plan, reduce=reduce):
+            for _ in so.trotter_states(stack, v2, plan, reduce=repeat(reduce)):
                 pass
         assert not self._row_threads()
         np.testing.assert_array_equal(so.trotter_evolve(stack, v2, plan).values,
                                       serial.values)
-        last = list(so.trotter_states(stack, v2, plan, stride=plan.n_steps,
-                                      reduce=lambda chunk: np.vecdot(chunk, chunk).real))[-1]
+        squares = repeat(lambda chunk: np.vecdot(chunk.values, chunk.values).real)
+        last = list(so.trotter_states(stack, v2, plan, stride=plan.n_steps, reduce=squares))[-1]
         np.testing.assert_array_equal(last[1], np.vecdot(serial.values, serial.values).real)
 
     def test_workers_run_in_the_callers_context(self, v2, psi0, monkeypatch):

@@ -582,6 +582,22 @@ class TestCli:
         code = cli.main(["spectrum", "--grid-points", "1",
                          "--out", str(tmp_path / "r")])
         assert code == 2
+        # the value is named where it came from, the command line
+        assert capsys.readouterr().err.startswith(
+            "configuration error: <defaults> with grid_points = 1: grid_points, ")
+
+    def test_an_override_is_checked_in_place_of_the_file_value(self, tmp_path, capsys):
+        # 29 points cannot hold the unit width x0, but --grid-points replaces them first
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("grid_points = 29\n")
+        out = tmp_path / "r"
+        assert cli.main(["spectrum", "--config", str(cfg), "--grid-points", "2048",
+                         "--out", str(out)]) == 0
+        head = (out / "spectrum_summary.csv").read_text().splitlines()
+        defaulted = next(line for line in head if line.startswith("# defaulted_keys: "))
+        assert "grid_points" not in defaulted and "omega" in defaulted
+        with pytest.raises(ConfigurationError, match="grid_points"):
+            so.parse_config(cfg)  # the file alone is still refused
 
     @pytest.mark.parametrize("line", ["scenario = spectrum", "out_dir = elsewhere"])
     def test_exit_two_on_a_run_choice_in_the_config(self, tmp_path, capsys, line):

@@ -52,6 +52,7 @@ def test_distance_order_computed_once():
     (64, 1.0, -1.0),
     (64, 0.0, 0.0),
     (64, -math.inf, 1.0),
+    (64.0, -1.0, 1.0),
 ])
 def test_make_grid_rejects_bad_input(n, lo, hi):
     with pytest.raises(ConfigurationError):

@@ -327,6 +327,17 @@ class TestInterferometer:
         assert alpha_passivity_bound(spec, grid, units) == pytest.approx(
             1.0 / 200.0, rel=1e-12)
 
+    @pytest.mark.parametrize("amplitude,lo,hi,aperture_m,message", [
+        (5.0, 5.0, 10.0, 1e-3, "does not cover any grid point"),  # every x lies past 1 x0
+        # x = 0 alone, where the harmonic W vanishes with x
+        (0.0, -16.0, 16.0, 1e-4, "degenerate aperture"),
+    ])
+    def test_an_aperture_without_a_constraint_is_a_configuration_error(
+            self, units, amplitude, lo, hi, aperture_m, message):
+        spec = InterferometerSpec(so.Superpotential(1.0, amplitude), 0.8, aperture_m)
+        with pytest.raises(ConfigurationError, match=message):
+            alpha_passivity_bound(spec, so.make_grid(64, lo, hi), units)
+
     def test_a_gain_without_full_precision_is_a_configuration_error(self, W, grid, units):
         # 95% of the bound must keep the arm fields' rounding unit normal: >= ~1e-292
         assert alpha_passivity_bound(InterferometerSpec(W, 1e-160, 10e-3), grid, units) > 0

@@ -75,6 +75,15 @@ def test_all_is_the_documented_api():
     assert set(so.__all__) == documented | exercised | error_classes | {"__version__"}
 
 
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """Every python block of README.md runs, in order, in one namespace."""
+    readme = (_ROOT / "README.md").read_text()
+    monkeypatch.chdir(tmp_path)  # the first block writes results/
+    namespace = {"__name__": "readme"}
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)):
+        exec(compile(block, f"README.md, python block {i}", "exec"), namespace)
+
+
 # Runs in a fresh interpreter and prints whether numpy.random is loaded after
 # parsing the config, after two scenarios that draw nothing, and after bdag-check.
 _RANDOM_PROBE = """\

@@ -133,6 +133,9 @@ class TestBoundSpectrum:
             so.bound_spectrum(v1, 0)
         with pytest.raises(ConfigurationError):
             so.bound_spectrum(v1, 17)
+        tiny = PotentialField(so.make_grid(4, -1.0, 1.0), np.zeros(4))
+        with pytest.raises(ConfigurationError, match="larger than 4 points"):
+            so.bound_spectrum(tiny, 4)
 
     def test_states_orthonormal(self, v1):
         s = so.bound_spectrum(v1, 6)
