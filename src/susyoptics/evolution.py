@@ -21,8 +21,10 @@ A momentum-space sample is the transformed state the step already holds,
 times a phase; a position-space sample costs one more inverse transform.
 The carry is updated in place and each sample is one fresh array, so the
 kernel holds three stacks: the potential phases, the carry and the sample
-it is producing.  A reduced stream holds only the first two: each block
-forms a sample a few rows at a time, reducing them by that sample's function.
+it is producing.  A reduced stream holds the first two and, on each thread,
+one chunk of at most _CHUNK_BYTES (1 MiB): each block forms its rows of a
+sample in the fewest near-equal chunks within that budget, reducing them by
+that sample's function.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
@@ -59,6 +61,9 @@ ORACLE_TOL = 1e-8
 # a split stack's row blocks are at least this tall; smaller ones lose to the hand-off
 _MIN_BLOCK_ROWS = 8
 
+# a reduced sample is formed at most this many bytes of rows at a time on each thread
+_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class TrotterPlan:
@@ -86,12 +91,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _split(rows: int, count: int) -> list:
+    """count contiguous row slices whose lengths differ by at most one."""
+    return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+
+
 def _row_blocks(rows: int) -> list:
     """Contiguous row slices, one per usable CPU, none under _MIN_BLOCK_ROWS rows."""
     count = min(_usable_cpus(), rows // _MIN_BLOCK_ROWS)
-    if count < 2:
-        return [slice(None)]
-    return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+    return _split(rows, count) if count > 1 else [slice(None)]
+
+
+def _chunks(rows: int, row_bytes: int) -> list:
+    """The fewest near-equal row slices within _CHUNK_BYTES (single rows if one row is over)."""
+    return _split(rows, -(-rows // max(1, _CHUNK_BYTES // row_bytes)))
 
 
 def _run_blocks(workers, fn, blocks, *args):
@@ -131,9 +144,12 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     potentials).  It is an iterable of one function per sample, step 0 first
     (itertools.repeat(fn) for one fn; running out is a RuntimeError), each
     pulled on this thread just before its sample.  The function takes fresh
-    read-only WaveFunction chunks of at most _MIN_BLOCK_ROWS rows, on this
-    thread at step 0 and on each row block's thread later, and returns their
-    real values, one per row, the same to the bit as the whole sample's.
+    read-only WaveFunction chunks, on this thread at step 0 and on each row
+    block's thread later, and returns their real values, one per row, the
+    same to the bit as the whole sample's.  The chunks are the fewest
+    near-equal contiguous runs of rows (all of psi's at step 0, a block's
+    later) of at most _CHUNK_BYTES each, or single rows if a row is larger,
+    so a reduced stream forms at most one chunk per thread at a time.
 
     One loop serves both orders, because the second-order product is the
     first-order one conjugated by a half kinetic step:
@@ -181,8 +197,8 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
         reduce, rows = iter(reduce), np.atleast_2d(np.broadcast_to(
             psi.values, np.broadcast_shapes(psi.values.shape, V.values.shape)))
         fn = next(reduce)
-        yield 0, _frozen(np.concatenate([fn(psi.with_values(rows[i:i + _MIN_BLOCK_ROWS]))
-                                         for i in range(0, len(rows), _MIN_BLOCK_ROWS)],
+        yield 0, _frozen(np.concatenate([fn(psi.with_values(rows[c]))
+                                         for c in _chunks(len(rows), rows[0].nbytes)],
                                         dtype=float))
     n = plan.n_steps
     if n == 0:
@@ -233,10 +249,9 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
         if sample is not None and fn is None:
             form(wb, sample[rows])
         elif sample is not None:  # a chunk of rows at a time, each a state of its own
-            for i in range(0, len(wb), _MIN_BLOCK_ROWS):
-                chunk = wb[i:i + _MIN_BLOCK_ROWS]
-                sample[rows][i:i + len(chunk)] = fn(WaveFunction(
-                    g, _frozen(form(chunk, np.empty_like(chunk))), representation))
+            for c in _chunks(len(wb), wb[0].nbytes):
+                sample[rows][c] = fn(WaveFunction(
+                    g, _frozen(form(wb[c], np.empty_like(wb[c]))), representation))
         if j < n:
             np.multiply(wb, kin, out=wb)
             np.fft.ifft(wb, out=wb)

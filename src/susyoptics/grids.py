@@ -160,11 +160,10 @@ def _check_compatible(a: WaveFunction, b: WaveFunction) -> None:
     if a.representation != b.representation:
         raise ContractError(
             f"representation mismatch: {a.representation} vs {b.representation}")
-    try:
-        np.broadcast_shapes(a.values.shape, b.values.shape)
-    except ValueError:
-        raise ContractError(
-            f"stack mismatch: {a.values.shape} vs {b.values.shape}") from None
+    # values are (n,) or (m, n) on one grid: two stacks pair row by row or one has a single row
+    sa, sb = a.values.shape, b.values.shape
+    if len(sa) == len(sb) == 2 and sa[0] != sb[0] and 1 not in (sa[0], sb[0]):
+        raise ContractError(f"stack mismatch: {a.values.shape} vs {b.values.shape}")
 
 
 def _per_state(x):

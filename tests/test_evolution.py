@@ -5,7 +5,8 @@ import sys
 import threading
 import time
 import warnings
-from itertools import repeat
+from functools import partial
+from itertools import count, repeat
 
 import numpy as np
 import pytest
@@ -426,14 +427,26 @@ class TestRowBlocks:
                 for row, pair in enumerate(pairs):
                     np.testing.assert_array_equal(sample.values[row], alone[pair][j].values)
 
+    # a budget of 160 KiB holds 5 rows at n = 2048 and 19 at n = 513; step 0 cuts all
+    # 33 rows in order, a later step each row block (any order): 33, 16 and 17, or 8, 8, 8 and 9
+    CHUNKS = {
+        (1, 2048): ([4, 5, 5, 4, 5, 5, 5], [4, 4, 5, 5, 5, 5, 5]),
+        (2, 2048): ([4, 5, 5, 4, 5, 5, 5], [4, 4, 4, 4, 4, 4, 4, 5]),
+        (4, 2048): ([4, 5, 5, 4, 5, 5, 5], [4, 4, 4, 4, 4, 4, 4, 5]),
+        (1, 513): ([16, 17], [16, 17]),
+        (2, 513): ([16, 17], [16, 17]),
+        (4, 513): ([16, 17], [8, 8, 8, 9]),
+    }
+
     @pytest.mark.parametrize("cpus,blocks", [(1, 1), (2, 2), (4, 4)])
     @pytest.mark.parametrize("n", [2048, 513])
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("momentum", [False, True])
     def test_a_reduced_stream_equals_its_reduced_samples_bitwise(
             self, W, monkeypatch, cpus, blocks, n, order, momentum):
-        rows = 33  # blocks of 33, of 16 and 17, or of 8, 8, 8 and 9: chunks of 8 and fewer
+        rows = 33
         monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(evolution, "_CHUNK_BYTES", 160 << 10)
         assert len(evolution._row_blocks(rows)) == blocks
         grid, _, states, potentials = self._pairs(W, n, True)
         pairs = [(i % len(states), i % len(potentials)) for i in range(rows)]
@@ -444,24 +457,25 @@ class TestRowBlocks:
         V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
         reference, chunks = states[2], []
 
-        def reduce(chunk):  # a read-only state of the stream's grid and representation
+        def reduce(chunk, sample=0):  # a read-only state of the stream's grid and representation
             assert chunk.representation == stack.representation
             assert not chunk.values.flags.writeable
-            chunks.append(len(chunk.values))
+            chunks.append((sample, len(chunk.values)))
             return so.fidelity(reference, chunk)
 
         steps = 20
         plan = so.TrotterPlan(0.05, steps, order=order)
         plain = dict(so.trotter_states(stack, V, plan))
+        first, later = self.CHUNKS[cpus, n]
         for stride in (1, 7, steps):
             chunks.clear()
-            reduced = dict(so.trotter_states(stack, V, plan, stride=stride,
-                                             reduce=repeat(reduce)))
+            reduced = dict(so.trotter_states(stack, V, plan, stride=stride, reduce=(
+                partial(reduce, sample=i) for i in count())))
             assert sorted(reduced) == sorted({*range(0, steps + 1, stride), steps})
-            # step 0 reduces the stack itself, in chunks of at most 8 rows like the rest
-            assert chunks[:5] == [8, 8, 8, 8, 1]
-            assert max(chunks) == evolution._MIN_BLOCK_ROWS
-            assert sum(chunks) == rows * len(reduced)
+            # step 0 reduces the stack itself, in chunks by the same rule as the rest
+            sizes = [[size for i, size in chunks if i == sample] for sample in range(len(reduced))]
+            assert sizes[0] == first
+            assert all(sorted(taken) == later for taken in sizes[1:])
             for j, values in reduced.items():
                 assert values.shape == (rows,) and not values.flags.writeable
                 assert values.dtype == np.float64

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,22 @@ class TestRunnerStructure:
         assert rows.count(1) <= 2 * steps + 5
         blocks = sum(1 for r in rows if 1 < r <= block)
         assert blocks <= 4 * math.ceil((steps + 1) / block)
+
+    def test_eta_sweep_reduces_each_step_in_few_chunks(self, monkeypatch):
+        # each reduction call costs a fixed overhead, so the default sweep makes few:
+        # its 81 rows in 3 chunks at step 0, and blocks of 40 and 41 rows in 2 each later:
+        # 723 calls a run, where 8-row chunks made 1,991
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        fidelity, references = experiments.fidelity, []
+
+        def counted(reference, chunk):  # one reference per step; append is atomic
+            references.append(reference)
+            return fidelity(reference, chunk)
+
+        monkeypatch.setattr(experiments, "fidelity", counted)
+        so.run_eta_sweep(so.parse_config(None))
+        calls = [len(list(group)) for _, group in groupby(references, key=id)]
+        assert calls == [3] + [4] * 180
 
     def test_bdag(self, small_cfg):
         # the bench needs the full grid: its lens chirps are undersampled at 512

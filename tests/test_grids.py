@@ -176,6 +176,22 @@ def test_reductions_reject_mismatched_stacks(small_grid):
         so.fidelity(a, b.with_values(np.zeros((2, small_grid.n))))
 
 
+@pytest.mark.parametrize("reduction", [so.inner, so.fidelity])
+def test_a_stack_pairs_row_by_row_or_with_a_single_row(small_grid, reduction):
+    rng = np.random.default_rng(5)
+    three = so.WaveFunction(small_grid, rng.normal(size=(3, small_grid.n)) + 1j)
+    one, two = three.with_values(three.values[:1]), three.with_values(three.values[:2])
+    # a stack of one row pairs with every row of a stack, on either side
+    for a, b in ((one, three), (three, one)):
+        rows = zip(*np.broadcast_arrays(a.values, b.values))
+        want = [reduction(a.with_values(x), b.with_values(y)) for x, y in rows]
+        got = reduction(a, b)
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    with pytest.raises(ContractError, match=r"^stack mismatch: \(2, 512\) vs \(3, 512\)$"):
+        reduction(two, three)
+
+
 def test_gaussian_packet_normalized(grid):
     psi = so.gaussian_packet(grid, center=-5.0, width=1.0, momentum=2.0)
     assert so.norm(psi) == pytest.approx(1.0, abs=1e-12)
