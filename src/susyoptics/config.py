@@ -36,7 +36,9 @@ from .susy import (MAX_BOUND_LEVELS, PotentialField, Superpotential, apply_B_dag
 
 SCENARIOS = ("all", "spectrum", "susy-check", "eta-sweep", "bdag-check",
              "trotter-convergence")
-FIDELITY_CONVENTIONS = ("modulus", "modulus_squared")
+# fidelity windows are modulus-convention: each convention maps the value and
+# its window through one exponent (monotone, so verdicts agree)
+FIDELITY_POWER = {"modulus": 1, "modulus_squared": 2}
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,8 @@ def _rule_problems(cfg: ExperimentConfig) -> list:
         # the stops would pass x = 0 alone, where the derivative arm's ramp is zero
         p.append(f"aperture_x0: {cfg.aperture_x0} is narrower than the grid spacing "
                  f"{spacing!r} set by x_min_x0, x_max_x0 and grid_points")
-    if cfg.fidelity_convention not in FIDELITY_CONVENTIONS:
-        p.append(f"fidelity_convention: must be one of {FIDELITY_CONVENTIONS}, "
+    if cfg.fidelity_convention not in FIDELITY_POWER:
+        p.append(f"fidelity_convention: must be one of {tuple(FIDELITY_POWER)}, "
                  f"got {cfg.fidelity_convention!r}")
     return p
 

@@ -24,7 +24,7 @@ kernel holds three stacks: the potential phases, the carry and the sample
 it is producing.  A reduced stream holds the first two and, on each thread,
 one chunk of at most _CHUNK_BYTES (1 MiB): each block forms its rows of a
 sample in the fewest near-equal chunks within that budget, reducing them by
-that sample's function.
+that sample's function.  Step 0 forms nothing: psi is reduced as one chunk.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
@@ -47,7 +47,6 @@ from .errors import ConfigurationError, ContractError, DegenerateStateError, Num
 from .grids import (
     MOMENTUM,
     POSITION,
-    Grid1D,
     WaveFunction,
     _frozen,
 )
@@ -110,14 +109,11 @@ def _chunks(rows: int, row_bytes: int) -> list:
 def _run_blocks(workers, fn, blocks, *args):
     """fn(block, *args) for every block of rows, the first on this thread.
 
-    The rest run on `workers` (None for a single block), each in a copy of
-    this thread's context, so numpy's error state (a context variable) holds
-    there too.  Returns once every block is done, and then raises the first
-    block's error, if any.
+    The rest run on `workers` (None for a single block, which submits
+    nothing), each in a copy of this thread's context, so numpy's error state
+    (a context variable) holds there too.  Returns once every block is done,
+    and then raises the first block's error, if any.
     """
-    if workers is None:
-        fn(blocks[0], *args)
-        return
     futures = [workers.submit(contextvars.copy_context().run, fn, block, *args)
                for block in blocks[1:]]
     try:
@@ -143,13 +139,14 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     array of one value per row (m from step 0 for one state under m
     potentials).  It is an iterable of one function per sample, step 0 first
     (itertools.repeat(fn) for one fn; running out is a RuntimeError), each
-    pulled on this thread just before its sample.  The function takes fresh
-    read-only WaveFunction chunks, on this thread at step 0 and on each row
-    block's thread later, and returns their real values, one per row, the
-    same to the bit as the whole sample's.  The chunks are the fewest
-    near-equal contiguous runs of rows (all of psi's at step 0, a block's
-    later) of at most _CHUNK_BYTES each, or single rows if a row is larger,
-    so a reduced stream forms at most one chunk per thread at a time.
+    pulled on this thread just before its sample.  The function takes
+    read-only WaveFunction chunks and returns their real values, one per row,
+    the same to the bit as the whole sample's.  At step 0 psi is one chunk,
+    on this thread (a single state as a one-row stack, whose value goes to
+    all m rows under m potentials).  Later chunks are fresh, on each row
+    block's thread: the fewest near-equal contiguous runs of the block's rows
+    of at most _CHUNK_BYTES each, or single rows if a row is larger, so a
+    reduced stream forms at most one chunk per thread at a time.
 
     One loop serves both orders, because the second-order product is the
     first-order one conjugated by a half kinetic step:
@@ -193,13 +190,11 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
         raise ConfigurationError(f"stride must be a positive integer, got {stride!r}")
     if reduce is None:
         yield 0, psi
-    else:  # psi's rows in chunks like any sample's; one state under m potentials is m rows
-        reduce, rows = iter(reduce), np.atleast_2d(np.broadcast_to(
-            psi.values, np.broadcast_shapes(psi.values.shape, V.values.shape)))
-        fn = next(reduce)
-        yield 0, _frozen(np.concatenate([fn(psi.with_values(rows[c]))
-                                         for c in _chunks(len(rows), rows[0].nbytes)],
-                                        dtype=float))
+    else:  # psi is one chunk; one state under m potentials gives its value to all m rows
+        reduce = iter(reduce)
+        value = next(reduce)(psi.with_values(np.atleast_2d(psi.values)))
+        yield 0, _frozen(np.array(np.broadcast_to(value, V.values.shape[:-1] or np.shape(value)),
+                                  dtype=float))
     n = plan.n_steps
     if n == 0:
         return
@@ -300,10 +295,6 @@ class EigenBasis:
     band_points: int
     error_bound: float
 
-    @property
-    def grid(self) -> Grid1D:
-        return self.potential.grid
-
 
 def _oracle_coefficients(vecs: np.ndarray, residuals: np.ndarray,
                          values: np.ndarray, t: float, label: str):
@@ -373,21 +364,15 @@ def eigenbasis(V: PotentialField, states, t: float) -> EigenBasis:
     raise failure
 
 
-def exact_evolve(psi: WaveFunction, V: PotentialField, t: float,
-                 basis: EigenBasis | None = None) -> WaveFunction:
-    """Oracle propagation: expand, advance phases exp(-i E t), resum.
+def exact_evolve(psi: WaveFunction, basis: EigenBasis, t: float) -> WaveFunction:
+    """Oracle propagation under basis.potential: expand, advance phases exp(-i E t), resum.
 
     Step-size free; accuracy is limited only by the spatial discretization.
     Negative t runs the evolution backwards (used by reversal checks).  A
-    basis built for another potential raises ContractError, and a state
-    whose error bound at this t exceeds ORACLE_TOL raises NumericalError.
+    state whose error bound at this t exceeds ORACLE_TOL raises NumericalError.
     """
+    V = basis.potential
     values = _oracle_states(V, [psi], t)
-    if basis is None:
-        basis = eigenbasis(V, [psi], t)
-    elif basis.grid != V.grid or not np.array_equal(basis.potential.values, V.values):
-        raise ContractError(f"eigenbasis was computed for {basis.potential.label!r}, "
-                            f"a potential other than {V.label!r}")
     q = basis.vectors
     coeff, _ = _oracle_coefficients(q, basis.residuals, values, t, V.label)
     phased = np.exp(-1j * basis.energies * t) * coeff[:, 0]

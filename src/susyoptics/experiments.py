@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import ExperimentConfig, config_hash, setup
+from .config import FIDELITY_POWER, ExperimentConfig, config_hash, setup
 from .errors import ConfigurationError, NumericalError
 from .evolution import (
     TrotterPlan,
@@ -60,10 +60,6 @@ SCENARIO_RUNNERS = {}  # populated at the bottom of the module
 
 # eta-sweep reference samples raised by B+ as one stack; 8 keeps the peak RSS flat
 _REFERENCE_BLOCK = 8
-
-# fidelity windows are modulus-convention: the configured convention maps the
-# value and its window through one exponent (monotone, so verdicts agree)
-_FIDELITY_POWER = {"modulus": 1, "modulus_squared": 2}
 
 
 @dataclass(frozen=True)
@@ -205,7 +201,7 @@ def run_susy_check(cfg: ExperimentConfig) -> ScenarioResult:
     dens1, dens2 = np.abs(a.values) ** 2, np.abs(b.values) ** 2
     devs = np.abs(a.values - b.values) ** 2
     del a, b  # the sample stacks are freed before the tables are built
-    e = _FIDELITY_POWER[cfg.fidelity_convention]
+    e = FIDELITY_POWER[cfg.fidelity_convention]
     scalars = (
         _gate("fidelity_t0", fid_t0**e, (1.0 - 1e-12)**e, 1.0**e),
         _gate("fidelity_final", fid_final**e, 0.9953**e, 0.9993**e),
@@ -275,7 +271,7 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     best_pos = float(etas[pos][np.argmax(final[pos])])
     best_neg = float(etas[neg][np.argmax(final[neg])])
     peak = float(final.max())
-    e = _FIDELITY_POWER[cfg.fidelity_convention]
+    e = FIDELITY_POWER[cfg.fidelity_convention]
     surface = surface**e
 
     scalars = (
@@ -411,7 +407,7 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     grid, v2, psi_raised, units = run.grid, run.v2, run.psi_raised, run.units
     t_half = math.pi  # half a period, dimensionless
     basis = eigenbasis(v2, [psi_raised], t_half)
-    reference = exact_evolve(psi_raised, v2, t_half, basis)
+    reference = exact_evolve(psi_raised, basis, t_half)
     ref_norm = norm(reference)
 
     ladder = tuple(sorted(set(int(n) for n in cfg.convergence_steps) | {30, 60}))
@@ -439,7 +435,7 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     aligned = train_final.values * (mu / abs(mu))
     train_dev = float(np.max(np.abs(aligned - trot30)) / np.max(np.abs(trot30)))
 
-    e = _FIDELITY_POWER[cfg.fidelity_convention]
+    e = FIDELITY_POWER[cfg.fidelity_convention]
     scalars = (
         _gate("fidelity_n30", fid30**e, 0.9993**e, 1.0**e),
         _gate("slope_second", fit_loglog_slope(ladder, errors["second"]), -2.4, -1.6),

@@ -144,8 +144,8 @@ def test_criterion_8_property_suites(grid, W, v1, v2, psi0, battery,
     # intertwining through the diagonalization oracle over 3T
     t = 3 * 2.0 * math.pi
     worst = min(
-        so.fidelity(so.apply_B_dag(so.exact_evolve(s, v1, t, basis=basis_v1), W),
-                    so.exact_evolve(so.apply_B_dag(s, W), v2, t, basis=basis_v2))
+        so.fidelity(so.apply_B_dag(so.exact_evolve(s, basis_v1, t), W),
+                    so.exact_evolve(so.apply_B_dag(s, W), basis_v2, t))
         for s in battery)
     checks.append(("intertwining", worst >= 1.0 - 1e-6))
 

@@ -230,10 +230,10 @@ class TestStackedKernel:
             with pytest.raises(ConfigurationError, match="stride"):
                 next(so.trotter_states(psi0, v2, plan, stride=stride))
 
-    def test_single_state_operations_reject_stacks(self, v2, states):
+    def test_single_state_operations_reject_stacks(self, v2, states, basis_v2):
         stack = so.WaveFunction(v2.grid, np.vstack([s.values for s in states]))
         with pytest.raises(ContractError):
-            so.exact_evolve(stack, v2, 1.0)
+            so.exact_evolve(stack, basis_v2, 1.0)
         with pytest.raises(ContractError):
             so.eigenbasis(v2, [stack], 1.0)
 
@@ -254,14 +254,14 @@ def test_trotter_evolve_keeps_the_last_sample(v2, psi0):
 class TestExactEvolve:
     def test_free_particle_matches_the_free_multiplier(self, grid, psi0):
         flat = PotentialField(grid, np.zeros(grid.n), label="flat")
-        a = so.exact_evolve(psi0, flat, 0.9)
+        a = so.exact_evolve(psi0, so.eigenbasis(flat, [psi0], 0.9), 0.9)
         b = free(psi0, 0.9)
         assert so.fidelity(a, b) > 1.0 - 1e-10
         np.testing.assert_allclose(a.values, b.values, atol=1e-9)
 
     def test_reversal(self, v2, psi0, basis_v2):
-        fwd = so.exact_evolve(psi0, v2, 2.3, basis=basis_v2)
-        back = so.exact_evolve(fwd, v2, -2.3, basis=basis_v2)
+        fwd = so.exact_evolve(psi0, basis_v2, 2.3)
+        back = so.exact_evolve(fwd, basis_v2, -2.3)
         np.testing.assert_allclose(back.values, psi0.values, atol=1e-10)
 
     def test_energy_conserved(self, v2, psi0, basis_v2):
@@ -271,23 +271,13 @@ class TestExactEvolve:
             h = -0.5 * d2.values + v2.values * state.values
             return so.inner(state, state.with_values(h)).real
 
-        evolved = so.exact_evolve(psi0, v2, 1.7, basis=basis_v2)
+        evolved = so.exact_evolve(psi0, basis_v2, 1.7)
         assert energy(evolved) == pytest.approx(energy(psi0), rel=1e-9)
 
-    def test_grid_mismatch(self, v2, small_grid):
+    def test_grid_mismatch(self, basis_v2, small_grid):
         other = so.gaussian_packet(small_grid)
         with pytest.raises(ContractError):
-            so.exact_evolve(other, v2, 1.0)
-
-    def test_basis_of_another_potential_raises(self, W, grid, v2, psi0, basis_v1,
-                                               basis_v2):
-        with pytest.raises(ContractError, match="potential other than 'V2'"):
-            so.exact_evolve(psi0, v2, 1.0, basis=basis_v1)
-        rebuilt = so.partner_potential(W, 2, grid)
-        assert rebuilt.values is not basis_v2.potential.values
-        np.testing.assert_array_equal(
-            so.exact_evolve(psi0, rebuilt, 1.0, basis=basis_v2).values,
-            so.exact_evolve(psi0, v2, 1.0, basis=basis_v2).values)
+            so.exact_evolve(other, basis_v2, 1.0)
 
     def test_uncaptured_state_raises(self, v2, psi0):
         # a fast packet lies outside the band of a basis built for psi0
@@ -295,7 +285,7 @@ class TestExactEvolve:
         assert basis.band_points < v2.grid.n
         kicked = so.gaussian_packet(v2.grid, -5.0, momentum=40.0)
         with pytest.raises(NumericalError, match="uncaptured"):
-            so.exact_evolve(kicked, v2, 1.0, basis=basis)
+            so.exact_evolve(kicked, basis, 1.0)
 
     def test_eigenbasis_contract(self, v2, psi0, small_grid):
         with pytest.raises(ContractError):
@@ -314,9 +304,7 @@ class TestExactEvolve:
         with pytest.raises(DegenerateStateError, match="zero-norm"):
             so.eigenbasis(v2, [psi0, zero], 1.0)
         with pytest.raises(DegenerateStateError, match="zero-norm"):
-            so.exact_evolve(zero, v2, 1.0)
-        with pytest.raises(DegenerateStateError, match="zero-norm"):
-            so.exact_evolve(zero, v2, 1.0, basis=basis_v2)
+            so.exact_evolve(zero, basis_v2, 1.0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_raises_before_any_solve(self, v2, psi0, basis_v2, t,
@@ -328,16 +316,14 @@ class TestExactEvolve:
         with pytest.raises(ConfigurationError, match="finite time"):
             so.eigenbasis(v2, [psi0], t)
         with pytest.raises(ConfigurationError, match="finite time"):
-            so.exact_evolve(psi0, v2, t)
-        with pytest.raises(ConfigurationError, match="finite time"):
-            so.exact_evolve(psi0, v2, t, basis=basis_v2)
+            so.exact_evolve(psi0, basis_v2, t)
 
 
 def test_trotter_approaches_oracle(v2, psi0, W, basis_v2):
     # 30 steps to half a period lands in the reference fidelity window
     raised = so.apply_B_dag(psi0, W)
     t = math.pi
-    exact = so.exact_evolve(raised, v2, t, basis=basis_v2)
+    exact = so.exact_evolve(raised, basis_v2, t)
     plan = so.TrotterPlan(t / 30.0, 30)
     approx = so.trotter_evolve(raised, v2, plan)
     assert 0.9993 <= so.fidelity(approx, exact) <= 1.0
@@ -353,8 +339,9 @@ def test_design_step_carries_a_grid_component(W):
         grid = so.make_grid(n, -15.0, 15.0)
         v1 = so.partner_potential(W, 1, grid)
         psi = so.gaussian_packet(grid, center=-5.0)
+        exact = so.exact_evolve(psi, so.eigenbasis(v1, [psi], 3 * period), 3 * period)
         finals.append([so.trotter_evolve(psi, v1, so.TrotterPlan(period / k, 3 * k)).values
-                       for k in (60, 480)] + [so.exact_evolve(psi, v1, 3 * period).values])
+                       for k in (60, 480)] + [exact.values])
     design, fine, oracle = (np.max(np.abs(b[::2] - a)) for a, b in zip(*finals))
     assert design > 1e-5
     assert fine < 1e-11
@@ -427,15 +414,16 @@ class TestRowBlocks:
                 for row, pair in enumerate(pairs):
                     np.testing.assert_array_equal(sample.values[row], alone[pair][j].values)
 
-    # a budget of 160 KiB holds 5 rows at n = 2048 and 19 at n = 513; step 0 cuts all
-    # 33 rows in order, a later step each row block (any order): 33, 16 and 17, or 8, 8, 8 and 9
+    # a budget of 160 KiB holds 5 rows at n = 2048 and 19 at n = 513; step 0 takes all 33
+    # rows as one chunk, a later step cuts each row block (any order): 33, 16 and 17, or
+    # 8, 8, 8 and 9
     CHUNKS = {
-        (1, 2048): ([4, 5, 5, 4, 5, 5, 5], [4, 4, 5, 5, 5, 5, 5]),
-        (2, 2048): ([4, 5, 5, 4, 5, 5, 5], [4, 4, 4, 4, 4, 4, 4, 5]),
-        (4, 2048): ([4, 5, 5, 4, 5, 5, 5], [4, 4, 4, 4, 4, 4, 4, 5]),
-        (1, 513): ([16, 17], [16, 17]),
-        (2, 513): ([16, 17], [16, 17]),
-        (4, 513): ([16, 17], [8, 8, 8, 9]),
+        (1, 2048): [4, 4, 5, 5, 5, 5, 5],
+        (2, 2048): [4, 4, 4, 4, 4, 4, 4, 5],
+        (4, 2048): [4, 4, 4, 4, 4, 4, 4, 5],
+        (1, 513): [16, 17],
+        (2, 513): [16, 17],
+        (4, 513): [8, 8, 8, 9],
     }
 
     @pytest.mark.parametrize("cpus,blocks", [(1, 1), (2, 2), (4, 4)])
@@ -466,15 +454,15 @@ class TestRowBlocks:
         steps = 20
         plan = so.TrotterPlan(0.05, steps, order=order)
         plain = dict(so.trotter_states(stack, V, plan))
-        first, later = self.CHUNKS[cpus, n]
+        later = self.CHUNKS[cpus, n]
         for stride in (1, 7, steps):
             chunks.clear()
             reduced = dict(so.trotter_states(stack, V, plan, stride=stride, reduce=(
                 partial(reduce, sample=i) for i in count())))
             assert sorted(reduced) == sorted({*range(0, steps + 1, stride), steps})
-            # step 0 reduces the stack itself, in chunks by the same rule as the rest
+            # step 0 reduces the stack itself, whole, and the later steps in chunks
             sizes = [[size for i, size in chunks if i == sample] for sample in range(len(reduced))]
-            assert sizes[0] == first
+            assert sizes[0] == [rows]
             assert all(sorted(taken) == later for taken in sizes[1:])
             for j, values in reduced.items():
                 assert values.shape == (rows,) and not values.flags.writeable
@@ -488,6 +476,24 @@ class TestRowBlocks:
         spread = dict(so.trotter_states(states[0], V, plan, reduce=repeat(reduce)))
         assert spread[0].shape == (rows,) and not spread[0].flags.writeable
         np.testing.assert_array_equal(spread[0], alone[0][0])
+
+    def test_one_state_under_m_potentials_reduces_step_0_in_one_call(self, W, three_cpus):
+        grid, pairs, states, potentials = self._pairs(W, 512, True)
+        V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
+        calls = []
+
+        def reduce(chunk):
+            calls.append((chunk.values.shape, so.fidelity(states[0], chunk)))
+            return calls[-1][1]
+
+        stream = so.trotter_states(states[1], V, so.TrotterPlan(0.05, 3), reduce=repeat(reduce))
+        j, values = next(stream)
+        stream.close()
+        # psi is one (1, n) chunk, and its one value goes to each of the m rows
+        assert j == 0 and [shape for shape, _ in calls] == [(1, grid.n)]
+        assert values.shape == (self.ROWS,) and values.dtype == np.float64
+        assert not values.flags.writeable
+        np.testing.assert_array_equal(values, np.full(self.ROWS, calls[0][1][0]))
 
     def test_each_sample_takes_the_next_function_pulled_on_this_thread(self, W, three_cpus):
         grid, pairs, states, potentials = self._pairs(W, 512, True)

@@ -192,8 +192,8 @@ class TestRunnerStructure:
 
     def test_eta_sweep_reduces_each_step_in_few_chunks(self, monkeypatch):
         # each reduction call costs a fixed overhead, so the default sweep makes few:
-        # its 81 rows in 3 chunks at step 0, and blocks of 40 and 41 rows in 2 each later:
-        # 723 calls a run, where 8-row chunks made 1,991
+        # one for the start state at step 0, and blocks of 40 and 41 rows in 2 each later:
+        # 721 calls a run, where 8-row chunks made 1,991
         monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
         fidelity, references = experiments.fidelity, []
 
@@ -204,7 +204,7 @@ class TestRunnerStructure:
         monkeypatch.setattr(experiments, "fidelity", counted)
         so.run_eta_sweep(so.parse_config(None))
         calls = [len(list(group)) for _, group in groupby(references, key=id)]
-        assert calls == [3] + [4] * 180
+        assert calls == [1] + [4] * 180
 
     def test_bdag(self, small_cfg):
         # the bench needs the full grid: its lens chirps are undersampled at 512

@@ -64,7 +64,7 @@ def test_partner_levels_are_the_oscillator_ladder(grid):
 
 def test_three_periods_return_the_packet(grid, psi0):
     v1 = so.partner_potential(W0, 1, grid)
-    final = so.exact_evolve(psi0, v1, 3 * PERIOD)
+    final = so.exact_evolve(psi0, so.eigenbasis(v1, [psi0], 3 * PERIOD), 3 * PERIOD)
     # every E1_n is an integer, so exp(-i E t) is 1 at t = 6 pi
     assert _rel_l2(final.values, psi0.values) <= MARGIN * 8.2e-13
 

@@ -1,4 +1,7 @@
-"""Property test of a reduced stream: chunks cut by the byte budget, values bitwise whole."""
+"""Property test of a reduced stream: chunks cut by the byte budget, values bitwise whole.
+
+Step 0 reduces the stack as it is, one chunk; every later step cuts its row blocks.
+"""
 
 import math
 
@@ -55,8 +58,10 @@ def test_a_reduced_stream_is_its_samples_reduced_whole(rows, n, cpus, momentum, 
                 start, = np.flatnonzero((whole == chunk[0]).all(axis=1))
                 np.testing.assert_array_equal(chunk, whole[start:start + len(chunk)])
                 spans.append((start, len(chunk)))
-        # step 0 cuts the whole stack on this thread, a later step each row block
-        for block in ([slice(0, rows)] if j == 0 else blocks):
+        if j == 0:  # the stack as it is, one chunk
+            assert spans == [(0, rows)]
+            continue
+        for block in blocks:
             start, stop, _ = block.indices(rows)
             sizes = [size for at, size in sorted(spans) if start <= at < stop]
             assert [row for at, size in sorted(spans) if start <= at < stop

@@ -209,7 +209,7 @@ class TestBandLimitedSolver:
 
     def test_verified_vectors_orthonormal(self, band_basis):
         q = band_basis.vectors
-        assert q.shape[0] == band_basis.grid.n and q.shape[1] < q.shape[0]
+        assert q.shape[0] == band_basis.potential.grid.n and q.shape[1] < q.shape[0]
         np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
         assert band_basis.error_bound <= evolution.ORACLE_TOL
 
@@ -290,7 +290,7 @@ class TestBandLimitedSolver:
             coeff = vecs.T @ psi.values
             assert np.linalg.norm(psi.values - vecs @ coeff) <= 1e-12 * size
             exact = vecs @ (np.exp(-1j * energies * t) * coeff)
-            band = so.exact_evolve(psi, v1, t, basis=basis_v1).values
+            band = so.exact_evolve(psi, basis_v1, t).values
             assert np.linalg.norm(band - exact) <= basis_v1.error_bound * size
 
     def test_fast_packet_widens_the_band(self, grid, dense_sizes):
@@ -301,7 +301,7 @@ class TestBandLimitedSolver:
         basis = so.eigenbasis(flat, [packet], 0.2)
         assert basis.vectors.shape[1] > 128 and basis.band_points < grid.n
         assert len(dense_sizes) == len(set(dense_sizes))
-        exact = so.exact_evolve(packet, flat, 0.2, basis=basis)
+        exact = so.exact_evolve(packet, basis, 0.2)
         free = fourier_multiply(packet, np.exp(-0.5j * grid.p**2 * 0.2))
         np.testing.assert_allclose(exact.values, free.values, rtol=0, atol=1e-12)
 
