@@ -1,13 +1,13 @@
 """Split-step propagation and the band-limited diagonalization oracle.
 
 The propagator factorizes into kinetic pieces (diagonal in momentum space)
-and potential pieces (diagonal in position space).  The symmetric
-second-order product
-
-    U(dt) ~ K(dt/2) P(dt) K(dt/2)
-
-carries a state error falling as (t/n)^2 over n steps; the plain first-order
-product K(dt) P(dt) falls as 1/n.
+and potential pieces (diagonal in position space).  ORDERS describes each
+product order by the fractions (lead, trail) of dt that a kinetic piece
+takes before the first potential kick and after the last, the two summing
+to one step; the kernel and the plate-train compiler both read it.  The
+symmetric second-order product K(dt/2) P(dt) K(dt/2) carries a state error
+falling as (t/n)^2 over n steps; the plain first-order product K(dt) P(dt)
+falls as 1/n.
 
 `trotter_states` is the one split-step kernel, for one state (n,) or a
 stack (m, n) under one shared (n,) potential or one (m, n) row per state,
@@ -52,7 +52,7 @@ from .grids import (
 )
 from .susy import PotentialField, _bands
 
-ORDERS = ("first", "second")
+ORDERS = {"first": (0.0, 1.0), "second": (0.5, 0.5)}
 
 # the oracle's bound on an evolved state's error, relative to its norm
 ORACLE_TOL = 1e-8
@@ -80,7 +80,7 @@ class TrotterPlan:
                 f"n_steps must be a non-negative integer, got {self.n_steps!r}")
         if self.order not in ORDERS:
             raise ConfigurationError(
-                f"order must be one of {ORDERS}, got {self.order!r}")
+                f"order must be one of {tuple(ORDERS)}, got {self.order!r}")
 
 
 def _usable_cpus() -> int:
@@ -148,23 +148,23 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     of at most _CHUNK_BYTES each, or single rows if a row is larger, so a
     reduced stream forms at most one chunk per thread at a time.
 
-    One loop serves both orders, because the second-order product is the
-    first-order one conjugated by a half kinetic step:
+    One loop serves every order (lead, trail) = ORDERS[plan.order], because
+    with lead + trail = 1 the product is the plain one conjugated by the
+    lead kinetic step:
 
-        [K(dt/2) P K(dt/2)]^j = K(-dt/2) [K(dt) P]^j K(dt/2).
+        [K(trail dt) P K(lead dt)]^j = K(-lead dt) [K(dt) P]^j K(lead dt).
 
     The loop carries w, the position-space state just before the next
-    potential kick: psi itself for first order, K(dt/2) psi for second
-    order.  Step j forms s = F(P w), takes the sample s K_out if one is due,
-    and, while j < n, advances w to F^-1(s K(dt)).  K_out is K(dt) for first
-    order and K(dt/2) for second; the sample goes to position as
+    potential kick, K(lead dt) psi at the start.  Step j forms s = F(P w),
+    takes the sample s K_out if one is due, and, while j < n, advances w to
+    F^-1(s K(dt)).  K_out is K(trail dt); the sample goes to position as
     F^-1(s K_out) or to momentum as s (K_out u), where u is the phase of
     `to_momentum`.  Each step costs one transform pair per row block, the
     last only its forward transform.  Setting up w costs a transform pair
-    for second-order position input and one inverse transform for momentum
-    input.  A position sample costs one more inverse transform (before step
-    n in first order it repeats the advance's; no scenario takes such a
-    sample); a momentum sample costs none.  w is updated in place.
+    for position input with a non-zero lead and one inverse transform for
+    momentum input.  A position sample costs one more inverse transform (at
+    trail = 1 it repeats the advance's before step n; no scenario takes such
+    a sample); a momentum sample costs none.  w is updated in place.
 
     A stack of 16 or more rows is cut into contiguous row blocks of at least
     _MIN_BLOCK_ROWS = 8 rows, at most one per usable CPU, and each step runs
@@ -203,9 +203,9 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     momentum = representation == MOMENTUM
     p2 = 0.5 * g.p**2
     dt = plan.dt
+    lead, trail = ORDERS[plan.order]
     kin = np.exp(-1j * p2 * dt)
-    first = plan.order == "first"
-    kin_out = kin if first else np.exp(-1j * p2 * (0.5 * dt))
+    kin_out = np.exp(-1j * p2 * (trail * dt))
     vphase = -1j * V.values
     vphase *= dt
     np.exp(vphase, out=vphase)
@@ -214,10 +214,10 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
         u = g._unitary_phase
         w = psi.values / u  # F(psi) in numpy's unnormalized convention
     else:
-        w = psi.values.copy() if first else np.fft.fft(psi.values)
-    if not first:
-        w *= kin_out
-    if momentum or not first:  # w is still in momentum space
+        w = np.fft.fft(psi.values) if lead else psi.values.copy()
+    if lead:
+        w *= np.exp(-1j * p2 * (lead * dt))
+    if momentum or lead:  # w is still in momentum space
         np.fft.ifft(w, out=w)
     if momentum:
         kin_out = kin_out * u  # a sample s K_out u is in to_momentum's convention

@@ -28,6 +28,7 @@ from ._version import __version__
 from .config import FIDELITY_POWER, ExperimentConfig, config_hash, setup
 from .errors import ConfigurationError, NumericalError
 from .evolution import (
+    ORACLE_TOL,
     TrotterPlan,
     eigenbasis,
     exact_evolve,
@@ -444,7 +445,7 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
         _gate("z_reference_m", z_ref, 1.2365, 1.2375),
         _gate("unit_roundtrip_error", roundtrip, hi=1e-12),
         _gate("train_deviation", train_dev, hi=1e-10),
-        _gate("oracle_error_bound", basis.error_bound, hi=1e-8),
+        _gate("oracle_error_bound", basis.error_bound, hi=ORACLE_TOL),
     )
     note = ("slope fits use rel_l2_error; infidelity falls twice as fast",)
     tables = tuple(_table(f"convergence_{order}", note, n=np.array(ladder),

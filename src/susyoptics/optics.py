@@ -39,6 +39,7 @@ from .errors import (
     NumericalError,
     ParaxialWarning,
 )
+from .evolution import ORDERS
 from .grids import POSITION, Grid1D, WaveFunction, _frozen, fourier_multiply, gaussian_packet
 from .susy import apply_B_dag
 
@@ -287,25 +288,20 @@ def simulate_train(field_: WaveFunction, train: OpticalTrain) -> WaveFunction:
 
 
 def compile_trotter_train(plan, V, units: PhysicalUnits) -> OpticalTrain:
-    """Bench layout of a symmetric split-step plan: phase plates in free space.
+    """Bench layout of a split-step plan: phase plates in free space.
 
-    Interior half-gaps merge into full gaps, giving n plates and n+1 gaps
-    with the two end gaps at half length.  Simulating the train reproduces
-    the abstract propagator up to the plane-wave phase of the total path,
-    e^{i k z_total}.  Only the symmetric second-order product has a defined
-    layout; first-order plans are rejected.
+    With (lead, trail) = ORDERS[plan.order], a gap of lead dt (left out when
+    zero) leads n plates with full dt gaps between them and a last gap of
+    trail dt.  Simulating the train reproduces the abstract propagator up to
+    the plane-wave phase of the total path, e^{i k z_total}.
     """
-    if plan.order != "second":
-        raise ConfigurationError(
-            "optical layout is defined for the symmetric second-order product only")
     if plan.n_steps == 0:
         return OpticalTrain((), units)
-    z_half = map_time_to_distance(0.5 * plan.dt, units)
-    z_full = map_time_to_distance(plan.dt, units)
+    lead, trail = (FreeSpace(map_time_to_distance(f * plan.dt, units))
+                   for f in ORDERS[plan.order])
+    gap = FreeSpace(map_time_to_distance(plan.dt, units))
     plate = phase_plate(V.values * plan.dt)
-    elements = [FreeSpace(z_half)]
-    for j in range(plan.n_steps):
-        elements += [plate, FreeSpace(z_full if j < plan.n_steps - 1 else z_half)]
+    elements = ([lead] if lead.z_m else []) + [plate, gap] * (plan.n_steps - 1) + [plate, trail]
     return OpticalTrain(tuple(elements), units)
 
 

@@ -13,6 +13,7 @@ from susyoptics import (
     ParaxialWarning,
     optics,
 )
+from susyoptics.evolution import ORDERS
 from susyoptics.optics import (
     FreeSpace,
     InterferometerSpec,
@@ -273,37 +274,43 @@ class TestOpticalTrain:
 
 
 class TestCompiledTrain:
-    def test_structure(self, v2, units):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_structure(self, v2, units, order):
         dt = 2.0 * math.pi / 60.0
-        plan = so.TrotterPlan(dt, 30)
+        plan = so.TrotterPlan(dt, 30, order)
         train = so.compile_trotter_train(plan, v2, units)
         kinds = [e.name for e in train.elements]
-        assert len(kinds) == 61
-        assert kinds[0::2] == ["free_space"] * 31
-        assert kinds[1::2] == ["phase_plate"] * 30
-        # one plate serves every step
-        assert all(e is train.elements[1] for e in train.elements[1::2])
-        # gaps: half, 29 full, half; plates carry V dt
         z_full = map_time_to_distance(dt, units)
-        assert train.elements[0].z_m == pytest.approx(z_full / 2.0, rel=1e-12)
-        assert train.elements[2].z_m == pytest.approx(z_full, rel=1e-12)
+        gaps = [e.z_m for e in train.elements if e.name == "free_space"]
+        if order == "first":
+            # plate, gap, ..., plate, gap: n plates, n full gaps, none of zero length
+            assert len(kinds) == 60
+            assert kinds[0::2] == ["phase_plate"] * 30
+            assert kinds[1::2] == ["free_space"] * 30
+            assert gaps == pytest.approx([z_full] * 30, rel=1e-12)
+        else:
+            # gaps: half, 29 full, half
+            assert len(kinds) == 61
+            assert kinds[0::2] == ["free_space"] * 31
+            assert kinds[1::2] == ["phase_plate"] * 30
+            assert gaps == pytest.approx([z_full / 2.0] + [z_full] * 29 + [z_full / 2.0],
+                                         rel=1e-12)
+        assert 0.0 not in gaps
+        plates = [e for e in train.elements if e.name == "phase_plate"]
+        # one plate serves every step, and it carries V dt
+        assert all(e is plates[0] for e in plates)
+        np.testing.assert_array_equal(plates[0].transmission, np.exp(-1j * (v2.values * dt)))
         assert train.total_length_m == pytest.approx(
             map_time_to_distance(plan.dt * plan.n_steps, units), rel=1e-12)
-        np.testing.assert_array_equal(train.elements[1].transmission,
-                                      np.exp(-1j * (v2.values * dt)))
 
     def test_empty_plan(self, v2, units):
         train = so.compile_trotter_train(so.TrotterPlan(0.1, 0), v2, units)
         assert train.elements == ()
         assert train.total_length_m == 0.0
 
-    def test_first_order_rejected(self, v2, units):
-        plan = so.TrotterPlan(0.1, 10, order="first")
-        with pytest.raises(ConfigurationError):
-            so.compile_trotter_train(plan, v2, units)
-
-    def test_reproduces_trotter_propagator(self, v2, psi0, units):
-        plan = so.TrotterPlan(2.0 * math.pi / 60.0, 30)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_reproduces_trotter_propagator(self, v2, psi0, units, order):
+        plan = so.TrotterPlan(2.0 * math.pi / 60.0, 30, order)
         by_train = so.simulate_train(psi0, so.compile_trotter_train(plan, v2, units))
         by_plan = so.trotter_evolve(psi0, v2, plan)
         mu = np.vdot(by_train.values, by_plan.values)
