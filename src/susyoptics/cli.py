@@ -2,12 +2,13 @@
 
 Exit codes: 0 all gates passed, 1 at least one gate failed (or a warning was
 raised under --strict), 2 configuration problem (in the config file, an
-override, found by a runner, or a table cell CSV cannot hold, in which case
-no file of any result is written) or an --out directory that cannot be
-created or written (a result's files replace earlier ones only once all are
-complete), 3 any other simulation error (a numerical failure or a broken
-contract) or an allocation that does not fit in memory.  Warnings go to
-stderr first, before the error line of a run that fails.
+override, found by a runner, as ideal parity on a lattice that does not
+mirror about x = 0, or a text cell CSV cannot hold, which no table or gate
+accepts, so no file of any result is written) or an --out directory that
+cannot be created or written (a result's files replace earlier ones only
+once all are complete), 3 any other simulation error (a numerical failure or
+a broken contract) or an allocation that does not fit in memory.  Warnings
+go to stderr first, before the error line of a run that fails.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import warnings
 from ._version import __version__
 from .config import SCENARIOS, parse_config
 from .errors import ConfigurationError, NumericalError, SimulationError
-from .experiments import SCENARIO_RUNNERS, csv_sheets, emit_csv, run_all
+from .experiments import SCENARIO_RUNNERS, emit_csv, run_all
 
 _SCENARIO_HELP = {
     "all": "run every scenario below in a fixed order",
@@ -65,8 +66,6 @@ def main(argv=None) -> int:
                 results = run_all(cfg)
             else:
                 results = (SCENARIO_RUNNERS[args.scenario](cfg),)
-        for result in results:  # any unsafe cell stops the run before a file opens
-            csv_sheets(result)
         written = [path for result in results for path in emit_csv(result, args.out)]
     except ConfigurationError as exc:
         failure = 2, f"configuration error: {exc}"

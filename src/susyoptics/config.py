@@ -166,11 +166,12 @@ def _build(cfg: ExperimentConfig):
 
     Each object owns its rules; a ConfigurationError it raises is recorded
     with the keys it was built from.  Those keys then fall back to their
-    defaults, with which every object builds, so everything built on it is
-    still checked and all problems are reported at once.  The packet is the
-    exception: when the grid fails, its keys fall back unchecked, since no
-    grid the config sets can check them, and a packet fault shows once the
-    grid is mended.
+    defaults, so everything built on it is still checked and all problems
+    are reported at once; a fallback that fails too (on the x0 of a tiny
+    omega) ends the build with the problems found so far.  The packet is
+    the exception: when the grid fails, its keys fall back unchecked, since
+    no grid the config sets can check them, and a packet fault shows once
+    the grid is mended.
     """
     problems = _rule_problems(cfg)
 
@@ -181,7 +182,10 @@ def _build(cfg: ExperimentConfig):
         except ConfigurationError as exc:
             problems.append(f"{', '.join(keys)}: {exc}")
         cfg = replace(cfg, **{k: getattr(_DEFAULTS, k) for k in keys})
-        return make(cfg)
+        try:
+            return make(cfg)
+        except ConfigurationError:
+            raise ConfigurationError("\n".join(problems)) from None
 
     # the trap alone fixes x0, the unit of every length below
     x0 = build(("omega",), lambda c: Superpotential(c.omega).x0)
@@ -236,7 +240,10 @@ def validate(cfg: ExperimentConfig) -> list:
 
     The objects are built by `setup`'s code, so each checks its own rules.
     """
-    return _build(cfg)[1]
+    try:
+        return _build(cfg)[1]
+    except ConfigurationError as exc:  # a fallback failed too, ending the build
+        return str(exc).splitlines()
 
 
 def setup(cfg: ExperimentConfig) -> RunSetup:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import FIDELITY_POWER, ExperimentConfig, config_hash, setup
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, ContractError, NumericalError
 from .evolution import (
     ORACLE_TOL,
     TrotterPlan,
@@ -48,6 +48,7 @@ from .grids import (
 )
 from .optics import (
     PhysicalUnits,
+    _mirror_index,
     calibrate_interferometer,
     compile_trotter_train,
     interferometric_B_dag,
@@ -63,23 +64,37 @@ SCENARIO_RUNNERS = {}  # populated at the bottom of the module
 _REFERENCE_BLOCK = 8
 
 
+def _refuse_unsafe(cells) -> None:
+    """Raise on the first text cell CSV cannot hold: one with a comma or a newline."""
+    if unsafe := [c for c in cells if "," in c or "\n" in c]:
+        raise ConfigurationError(f"cell value {unsafe[0]!r} is not CSV-safe")
+
+
 @dataclass(frozen=True)
 class GatedScalar:
-    """One named metric plus the acceptance gate it was checked against."""
+    """One named metric plus the acceptance gate it was checked against, both CSV-safe text."""
 
     name: str
     value: float
     gate: str
     passed: bool
 
+    def __post_init__(self):
+        _refuse_unsafe((self.name, self.gate))
+
 
 @dataclass(frozen=True)
 class Table:
-    """One CSV-able series: a structured array whose fields are the CSV columns."""
+    """One CSV-able series: structured rows whose fields are the columns, text cells CSV-safe."""
 
     name: str
     rows: np.ndarray
     notes: tuple = ()
+
+    def __post_init__(self):
+        for name in self.rows.dtype.names:
+            if self.rows[name].dtype.kind not in "fiub":
+                _refuse_unsafe(_column_text(self.rows[name]))
 
 
 @dataclass(frozen=True)
@@ -289,15 +304,12 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     return _result(cfg, "eta-sweep", scalars, tables)
 
 
-def _bdag_errors(psi, bench, W):
-    approx = interferometric_B_dag(psi, bench)
-    target = apply_B_dag(psi, W)
+def _errors(approx: WaveFunction, target: WaveFunction):
+    """Per row: relative L2 error, max |approx - target| / max |target| and 1 - F."""
     diff = approx.values - target.values
-    ref = norm(target)
-    rel_l2 = norm(target.with_values(diff)) / ref
-    max_pt = float(np.max(np.abs(diff))) / float(np.max(np.abs(target.values)))
-    infid = 1.0 - fidelity(approx, target)
-    return approx, target, float(rel_l2), max_pt, float(infid)
+    rel_l2 = norm(approx.with_values(diff)) / norm(target)
+    max_pt = np.max(np.abs(diff), axis=-1) / np.max(np.abs(target.values), axis=-1)
+    return rel_l2, max_pt, 1.0 - fidelity(approx, target)
 
 
 def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
@@ -313,7 +325,12 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
     """
     run = setup(replace(cfg, omega=1.0))
     grid, W, psi0, units = run.grid, run.W, run.psi0, run.units
-    aperture_m = run.spec.aperture_m
+    if cfg.parity_mode == "ideal":
+        try:  # exact parity needs a lattice that mirrors about x = 0, whatever the bench
+            _mirror_index(grid)
+        except ContractError as exc:
+            raise ConfigurationError(
+                f"parity_mode, grid_points, x_min_x0, x_max_x0: {exc}") from exc
 
     benches = []
     for key, spec in (("focal_length_m", run.spec), ("reduced_focal_length_m", run.reduced_spec)):
@@ -326,29 +343,30 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
     # past the stops and measure its own clipping instead of the optics
     battery = make_random_states(grid, cfg.battery_size, cfg.battery_seed, center=0.0,
                                  width=cfg.state_width_x0)
+    states = WaveFunction(grid, _frozen(np.vstack([psi0.values, *(s.values for s in battery)])))
+    approx = interferometric_B_dag(states, benches[0]).values
+    target = apply_B_dag(states, W).values
     # one case per row: reference, reduced, then the battery at the reference focus
-    n_batt = len(battery)
-    benches += benches[:1] * n_batt
-    cases = [_bdag_errors(psi, bench, W)
-             for psi, bench in zip([psi0, psi0, *battery], benches)]
-    approx, target = cases[0][:2]
-    errs = np.array([case[2:] for case in cases])
+    errs = np.array(_errors(
+        WaveFunction(grid, np.insert(approx, 1, interferometric_B_dag(psi0, benches[1]).values, 0)),
+        WaveFunction(grid, np.insert(target, 1, target[0], 0)))).T
     (rel_ref, max_ref, infid_ref), (rel_red, _, _) = errs[:2].tolist()
-    worst_batt = float(errs[2:, 0].max(initial=0.0))
+    worst_batt = errs[2:, 0].max(initial=0.0)
     profile_table = _table(
         "profiles", (f"focal_length_m: {cfg.focal_length_m!r}",),
         x=grid.x,
-        amp_interferometric=np.abs(approx.values),
-        phase_interferometric=np.angle(approx.values),
-        amp_algebraic=np.abs(target.values),
-        phase_algebraic=np.angle(target.values))
+        amp_interferometric=np.abs(approx[0]),
+        phase_interferometric=np.angle(approx[0]),
+        amp_algebraic=np.abs(target[0]),
+        phase_algebraic=np.angle(target[0]))
 
-    fom_ref = cfg.focal_length_m**2 / aperture_m**2
-    fom_red = cfg.reduced_focal_length_m**2 / aperture_m**2
+    f_m = np.insert(np.full(len(target), cfg.focal_length_m), 1, cfg.reduced_focal_length_m)
+    with np.errstate(all="ignore"):  # huge focal lengths and zero errors read inf or nan, not raise
+        fom_ref, fom_red = np.square(f_m[:2]) / np.square(run.spec.aperture_m)
+        # the ratio is relative to the reference error, so it only means
+        # something when that reference passed its own gate
+        ratio = float(worst_batt / rel_ref)
     ref_gate = _gate("rel_l2_reference", rel_ref, hi=1e-5)
-    # the ratio is relative to the reference error, so it only means
-    # something when that reference passed its own gate
-    ratio = worst_batt / rel_ref
     scalars = (
         ref_gate,
         _gate("max_pointwise_reference", max_ref, hi=1e-5),
@@ -362,8 +380,8 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
     )
     errors = _table(
         "errors", ("figure of merit f^2/rho^2 uses the aperture half-width as rho",),
-        case=["reference", "reduced"] + [f"battery_{i}" for i in range(n_batt)],
-        f_m=[bench.spec.focal_length_m for bench in benches],
+        case=["reference", "reduced"] + [f"battery_{i}" for i in range(cfg.battery_size)],
+        f_m=f_m,
         rel_l2=errs[:, 0], max_pointwise=errs[:, 1], infidelity=errs[:, 2])
     texts = (
         ("arm_derivative_layout", benches[0].derivative_arm.to_layout_text()),
@@ -409,7 +427,6 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     t_half = math.pi  # half a period, dimensionless
     basis = eigenbasis(v2, [psi_raised], t_half)
     reference = exact_evolve(psi_raised, basis, t_half)
-    ref_norm = norm(reference)
 
     ladder = tuple(sorted(set(int(n) for n in cfg.convergence_steps) | {30, 60}))
     dts = {n: t_half / n for n in ladder}
@@ -417,9 +434,8 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     finals = {order: WaveFunction(grid, _frozen(np.vstack([
         trotter_evolve(psi_raised, v2, TrotterPlan(dts[n], n, order)).values
         for n in ladder]))) for order in ("second", "first")}
-    errors = {order: norm(f.with_values(f.values - reference.values)) / ref_norm
-              for order, f in finals.items()}
-    infids = {order: 1.0 - fidelity(f, reference) for order, f in finals.items()}
+    measures = {order: _errors(f, reference) for order, f in finals.items()}
+    errors, _, infids = ({order: m[i] for order, m in measures.items()} for i in range(3))
     i30, i60 = ladder.index(30), ladder.index(60)
     fid30 = 1.0 - float(infids["second"][i30])
     ratio = float(errors["second"][i30] / errors["second"][i60])
@@ -431,10 +447,10 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
 
     train = compile_trotter_train(TrotterPlan(dt_ref, 30), v2, units)
     train_final = simulate_train(psi_raised, train)
-    trot30 = finals["second"].values[i30]
-    mu = np.vdot(train_final.values, trot30)
-    aligned = train_final.values * (mu / abs(mu))
-    train_dev = float(np.max(np.abs(aligned - trot30)) / np.max(np.abs(trot30)))
+    trot30 = train_final.with_values(finals["second"].values[i30])
+    mu = np.vdot(train_final.values, trot30.values)
+    aligned = train_final.with_values(train_final.values * (mu / abs(mu)))
+    train_dev = float(_errors(aligned, trot30)[1])
 
     e = FIDELITY_POWER[cfg.fidelity_convention]
     scalars = (
@@ -509,37 +525,21 @@ def _column_cells(column: np.ndarray):
     return lambda rows: _column_text(column[rows])
 
 
-def csv_sheets(result: ScenarioResult) -> tuple:
-    """The summary of gates and the result's tables, every text cell CSV-safe."""
-    scalars = result.scalars
-    summary = _table("summary", metric=[s.name for s in scalars],
-                     value=[s.value for s in scalars], gate=[s.gate for s in scalars],
-                     passed=[s.passed for s in scalars])
-    sheets = (summary,) + tuple(result.tables)
-    for table in sheets:
-        for name in table.rows.dtype.names:
-            column = table.rows[name]
-            if column.dtype.kind in "fiub":
-                continue
-            unsafe = [c for c in _column_text(column) if "," in c or "\n" in c]
-            if unsafe:
-                raise ConfigurationError(f"cell value {unsafe[0]!r} is not CSV-safe")
-    return sheets
-
-
 def emit_csv(result: ScenarioResult, out_dir) -> list:
     """Write one CSV per table (summary of gates first) plus any text sheets.
 
     Every file opens with comment lines carrying the scenario, config hash,
     tool version and defaulted keys; the header row is the table's field
     names.  Floats are written with repr (shortest round-trip form, locale
-    independent), so identical configs give byte-identical files.  A comma
-    or newline in any text cell is caught before a file opens, and files are
-    renamed into place once all are complete, so a failure writes nothing;
-    a rename that fails takes back the files already renamed, so the files
+    independent), so identical configs give byte-identical files.  Files are
+    renamed into place once all are complete, so a failure writes nothing; a
+    rename that fails takes back the files already renamed, so the files
     left never mix two runs.
     """
-    sheets = csv_sheets(result)
+    scalars = result.scalars
+    summary = _table("summary", metric=[s.name for s in scalars],
+                     value=[s.value for s in scalars], gate=[s.gate for s in scalars],
+                     passed=[s.passed for s in scalars])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     provenance = (f"# scenario: {result.scenario}\n"
@@ -557,7 +557,7 @@ def emit_csv(result: ScenarioResult, out_dir) -> list:
         return fh
 
     try:
-        for table in sheets:
+        for table in (summary, *result.tables):
             names = table.rows.dtype.names
             head = "".join(f"# {note}\n" for note in table.notes) + ",".join(names) + "\n"
             with open_staged(f"{table.name}.csv", head) as fh:

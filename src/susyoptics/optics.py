@@ -216,6 +216,14 @@ def amplitude_modulator(profile) -> ThinElement:
                        f"max_abs={float(np.max(np.abs(profile)))!r}")
 
 
+def _mirror_index(g: Grid1D) -> int:
+    mirror = -2.0 * g.x_min * g.n / (g.x_max - g.x_min)  # x_i -> -x_i is i -> mirror - i
+    if abs(mirror - round(mirror)) > 1e-9 * g.n:
+        raise ContractError("ideal parity needs a lattice that mirrors about x = 0; "
+                            f"this grid mirrors at index {mirror!r} of {g.n}")
+    return round(mirror)
+
+
 @dataclass(frozen=True)
 class ParityFlip:
     """Idealized lens-pair image inversion, abstracted to exact parity.
@@ -231,13 +239,9 @@ class ParityFlip:
         return "-"
 
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
-        g = field_.grid
-        mirror = -2.0 * g.x_min * g.n / (g.x_max - g.x_min)  # x_i -> -x_i is i -> mirror - i
-        if abs(mirror - round(mirror)) > 1e-9 * g.n:
-            raise ContractError("ideal parity needs a lattice that mirrors about x = 0; "
-                                f"this grid mirrors at index {mirror!r} of {g.n}")
+        n = field_.grid.n
         return field_.with_values(_frozen(np.roll(
-            field_.values[..., ::-1], (round(mirror) + 1 - g.n) % g.n, axis=-1)))
+            field_.values[..., ::-1], (_mirror_index(field_.grid) + 1 - n) % n, axis=-1)))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,75 @@
+"""Property test of the command line's exit contract on hostile configs.
+
+Any config, however odd its values, ends in one of the documented exit
+codes: 0 all gates passed, 1 a gate failed, 2 a configuration problem, 3 a
+simulation error.  Nothing escapes as a traceback, and a 2 names the config
+key at fault.  Each draw sets one to four keys to edge values (NaN, the
+infinities, signed zeros, the smallest subnormal, magnitudes near the float
+limits, negatives) or ordinary ones, on a grid of 16 to 512 points, so no
+draw allocates much; spectrum and bdag-check together build every domain
+object a config sets.
+"""
+
+import contextlib
+import io
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from susyoptics import cli
+from susyoptics.config import CONFIG_KEYS, ExperimentConfig
+
+# each example is one small run of ~20 ms: the module stays near two seconds
+BOUNDED = settings(max_examples=40, deadline=None, database=None)
+
+DEFAULTS = ExperimentConfig()
+EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e154, 1e308,
+         -1.0, -1e308)
+floats = st.sampled_from(EDGES) | st.floats(-50.0, 50.0)
+VALUES = {
+    float: floats.map(repr),
+    # an int key also meets float text, which the parser must refuse by name
+    int: st.integers(-2, 40).map(str) | floats.map(repr),
+    tuple: st.lists(st.integers(-2, 300), min_size=1, max_size=4).map(
+        lambda ns: ", ".join(map(str, ns))) | floats.map(repr),
+    str: st.sampled_from(("ideal", "fresnel", "modulus", "modulus_squared", "odd")),
+}
+
+
+@st.composite
+def configs(draw):
+    keys = draw(st.lists(st.sampled_from(CONFIG_KEYS), min_size=1, max_size=4, unique=True))
+    entries = {key: draw(VALUES[type(getattr(DEFAULTS, key))]) for key in keys}
+    entries["grid_points"] = str(draw(st.integers(16, 512)))  # bounds every allocation
+    return entries
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("exit_contract")
+
+
+@pytest.mark.parametrize("scenario", ["spectrum", "bdag-check"])
+@BOUNDED
+@given(entries=configs())
+@example(entries={"omega": "1e307", "grid_points": "512"})
+@example(entries={"grid_points": "16", "state_width_x0": "2"})
+@example(entries={"focal_length_m": "1e308", "grid_points": "512"})
+@example(entries={"reduced_focal_length_m": "1e308", "grid_points": "512"})
+@example(entries={"x_min_x0": "-14", "x_max_x0": "16", "grid_points": "512"})
+@example(entries={"omega": "5e-324", "grid_points": "16"})  # the partners' fallback fails too
+@example(entries={"x_center_x0": "0.0", "barrier_amplitude": "1e+154",
+                  "grid_points": "187"})  # the norm overflows, so rel_l2_reference reads 0
+def test_every_config_ends_in_a_documented_exit_code(workdir, scenario, entries):
+    config = workdir / "probe.cfg"
+    config.write_text("".join(f"{key} = {text}\n" for key, text in entries.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([scenario, "--config", str(config), "--out", str(workdir / "out")])
+    assert code in (0, 1, 2, 3)
+    if code == 2:  # warnings come first; the error names the keys after the file name
+        text = err.getvalue()
+        text = text[text.index("configuration error: "):].replace(str(config), "")
+        assert any(key in text for key in CONFIG_KEYS), text

@@ -288,6 +288,19 @@ class TestRunnerStructure:
         so.run_susy_check(small_cfg)
         assert calls == [(4, small_cfg.grid_points)]
 
+    def test_bdag_runs_each_calibrated_bench_once(self, small_cfg, monkeypatch):
+        # psi0 and the battery cross the reference bench as one stack, which
+        # B+ also raises at once; the reduced bench takes psi0 alone
+        calls = {"interferometric_B_dag": [], "apply_B_dag": []}
+        for name in calls:
+            def counted(psi, *args, _name=name, _fn=getattr(experiments, name)):
+                calls[_name].append(psi.values.shape)
+                return _fn(psi, *args)
+            monkeypatch.setattr(experiments, name, counted)
+        so.run_bdag_validation(small_cfg)
+        n, stack = small_cfg.grid_points, (1 + small_cfg.battery_size, small_cfg.grid_points)
+        assert calls == {"interferometric_B_dag": [stack, (n,)], "apply_B_dag": [stack]}
+
     def test_trotter_convergence_computes_each_state_once(self, small_cfg, monkeypatch):
         # one oracle reference, one stream per (order, n); the plate train is
         # checked against the ladder's own second-order T/60 state
@@ -406,22 +419,17 @@ class TestEmitCsv:
         assert data.shape == (small_cfg.spectrum_levels, len(header))
         assert data[0, header.index("E2_n")] == pytest.approx(0.0, abs=1e-6)
 
-    def test_unsafe_cell_rejected(self, small_cfg, tmp_path):
-        r = so.run_spectrum(small_cfg)
+    def test_unsafe_cell_rejected(self):
+        # a table refuses the cell when built, so no result can carry it to a file
         for cell in ("a,b", "a\nb"):
             rows = np.rec.fromarrays([np.array([cell])], names=["label"])
-            bad = dataclasses.replace(r, tables=(Table("odd", rows),))
-            with pytest.raises(ConfigurationError):
-                so.emit_csv(bad, tmp_path)
-            assert list(tmp_path.iterdir()) == []
+            with pytest.raises(ConfigurationError, match="not CSV-safe"):
+                Table("odd", rows)
 
-    def test_unsafe_gate_text_rejected(self, small_cfg, tmp_path):
-        # the summary's text cells are checked like any table's
-        r = so.run_spectrum(small_cfg)
-        odd = GatedScalar("probe", 1.0, "value <= 2.0, strictly", True)
+    def test_unsafe_gate_text_rejected(self):
+        # the summary's text cells are refused like any table's, when the gate is built
         with pytest.raises(ConfigurationError, match="not CSV-safe"):
-            so.emit_csv(dataclasses.replace(r, scalars=(odd,)), tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+            GatedScalar("probe", 1.0, "value <= 2.0, strictly", True)
 
     def test_golden_formatting(self, tmp_path):
         # the expected text is what the former per-cell formatter wrote
@@ -684,13 +692,15 @@ class TestCli:
 
     def test_exit_two_and_no_file_on_an_unsafe_cell(self, tmp_path, capsys,
                                                      monkeypatch):
-        rows = np.rec.fromarrays([np.array(["a,b"])], names=["label"])
-        result = ScenarioResult(
-            scenario="spectrum", config_hash="0" * 12,
-            tool_version=so.__version__, defaulted_keys=(),
-            scalars=(GatedScalar("probe", 1.0, "value <= 2.0", True),),
-            tables=(Table("odd", rows),))
-        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", lambda cfg: result)
+        def unsafe_runner(cfg):  # the unsafe table is refused inside the runner
+            rows = np.rec.fromarrays([np.array(["a,b"])], names=["label"])
+            return ScenarioResult(
+                scenario="spectrum", config_hash="0" * 12,
+                tool_version=so.__version__, defaulted_keys=(),
+                scalars=(GatedScalar("probe", 1.0, "value <= 2.0", True),),
+                tables=(Table("odd", rows),))
+
+        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", unsafe_runner)
         code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
         captured = capsys.readouterr()
         assert code == 2
@@ -928,8 +938,10 @@ class TestCli:
         cfg.write_text("x_min_x0 = -14\nx_max_x0 = 16\n")
         code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
         captured = capsys.readouterr()
-        assert code in (2, 3)
+        assert code == 2
         assert captured.err.count("\n") == 1 and "mirrors about x = 0" in captured.err
+        assert captured.err.startswith(
+            "configuration error: parity_mode, grid_points, x_min_x0, x_max_x0: ")
         assert captured.out == "" and not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("aperture,codes", [(0.01, (2,)), (0.02, (0, 1))])
