@@ -11,11 +11,12 @@ falls as 1/n.
 
 `trotter_states` is the one split-step kernel, for one state (n,) or a
 stack (m, n) under one shared (n,) potential or one (m, n) row per state,
-in position or momentum space; one state under m potentials runs as m
-rows.  Each step is one transform pair along the grid axis per row block:
-a large stack is cut into contiguous blocks, one per usable CPU, that
-advance on threads the stream owns and that end with it (a forked child
-starts its own), and a small one is a single block.  A stack reproduces m
+in position or momentum space, under one product order or one per row;
+one state under m potentials or m orders runs as m rows.  Each step is one
+transform pair along the grid axis per row block: a large stack is cut into
+contiguous blocks, one per usable CPU, that advance on threads the stream
+owns and that end with it (a forked child starts its own), and a small one
+is a single block.  A stack reproduces m
 separate runs bit for bit, on any number of cores.
 A momentum-space sample is the transformed state the step already holds,
 times a phase; a position-space sample costs one more inverse transform.
@@ -66,11 +67,11 @@ _CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """Step length, count, and product order for a split-step evolution."""
+    """Step length, count, and product order: one ORDERS key, or a tuple of them, one per row."""
 
     dt: float
     n_steps: int
-    order: str = "second"
+    order: str | tuple = "second"
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -78,9 +79,10 @@ class TrotterPlan:
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 0:
             raise ConfigurationError(
                 f"n_steps must be a non-negative integer, got {self.n_steps!r}")
-        if self.order not in ORDERS:
+        orders = self.order if isinstance(self.order, tuple) else (self.order,)
+        if not orders or not all(isinstance(o, str) and o in ORDERS for o in orders):
             raise ConfigurationError(
-                f"order must be one of {tuple(ORDERS)}, got {self.order!r}")
+                f"order must be one of {tuple(ORDERS)} or a tuple of them, got {self.order!r}")
 
 
 def _usable_cpus() -> int:
@@ -132,23 +134,25 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     psi is one state (n,) or a stack (m, n), in either representation, and
     every sample is in that same representation; V is one (n,) potential
     for every row or an (m, n) stack of them, one per row, and one state
-    under such a stack starts every row.  Without `reduce`, step 0 yields psi
-    itself and every later sample is a fresh read-only array.
+    under such a stack starts every row; so does one state under plan.order
+    = a tuple of m ORDERS keys, one per row (row counts that disagree are a
+    ContractError).  Without `reduce`, step 0 yields psi itself and every
+    later sample is a fresh read-only array.
 
     `reduce` makes each sample, never formed whole, a fresh read-only float
-    array of one value per row (m from step 0 for one state under m
-    potentials).  It is an iterable of one function per sample, step 0 first
+    array of one value per row (m from step 0 for one state that starts m
+    rows).  It is an iterable of one function per sample, step 0 first
     (itertools.repeat(fn) for one fn; running out is a RuntimeError), each
     pulled on this thread just before its sample.  The function takes
     read-only WaveFunction chunks and returns their real values, one per row,
     the same to the bit as the whole sample's.  At step 0 psi is one chunk,
     on this thread (a single state as a one-row stack, whose value goes to
-    all m rows under m potentials).  Later chunks are fresh, on each row
+    all m rows it starts).  Later chunks are fresh, on each row
     block's thread: the fewest near-equal contiguous runs of the block's rows
     of at most _CHUNK_BYTES each, or single rows if a row is larger, so a
     reduced stream forms at most one chunk per thread at a time.
 
-    One loop serves every order (lead, trail) = ORDERS[plan.order], because
+    One loop serves every order (lead, trail) = ORDERS[order], because
     with lead + trail = 1 the product is the plain one conjugated by the
     lead kinetic step:
 
@@ -159,12 +163,14 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     takes the sample s K_out if one is due, and, while j < n, advances w to
     F^-1(s K(dt)).  K_out is K(trail dt); the sample goes to position as
     F^-1(s K_out) or to momentum as s (K_out u), where u is the phase of
-    `to_momentum`.  Each step costs one transform pair per row block, the
-    last only its forward transform.  Setting up w costs a transform pair
-    for position input with a non-zero lead and one inverse transform for
-    momentum input.  A position sample costs one more inverse transform (at
-    trail = 1 it repeats the advance's before step n; no scenario takes such
-    a sample); a momentum sample costs none.  w is updated in place.
+    `to_momentum`.  Rows of different orders differ only in where w starts
+    and in K_out, so they share the loop.  Each step costs one transform pair
+    per row block, the last only its forward transform.  Setting up w costs a
+    transform pair for each position row with a non-zero lead (other rows are
+    copied) and one inverse transform for momentum input.  A position sample
+    costs one more inverse transform (at trail = 1 it repeats the advance's
+    before step n; no scenario takes such a sample); a momentum sample costs
+    none.  w is updated in place.
 
     A stack of 16 or more rows is cut into contiguous row blocks of at least
     _MIN_BLOCK_ROWS = 8 rows, at most one per usable CPU, and each step runs
@@ -183,17 +189,19 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     """
     if psi.grid != V.grid:
         raise ContractError("state and potential live on different grids")
-    if V.values.ndim == psi.values.ndim == 2 and V.values.shape != psi.values.shape:
-        raise ContractError(f"potential stack {V.values.shape} does not match "
-                            f"state stack {psi.values.shape}")
+    counts = {len(a) for a in (psi.values, V.values) if a.ndim == 2} | (
+        {len(plan.order)} if isinstance(plan.order, tuple) else set())
+    if len(counts) > 1:
+        raise ContractError(f"state {psi.values.shape}, potential {V.values.shape} and "
+                            f"order {plan.order!r} disagree on the row count")
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ConfigurationError(f"stride must be a positive integer, got {stride!r}")
     if reduce is None:
         yield 0, psi
-    else:  # psi is one chunk; one state under m potentials gives its value to all m rows
+    else:  # psi is one chunk; one state that starts m rows gives its value to all m
         reduce = iter(reduce)
         value = next(reduce)(psi.with_values(np.atleast_2d(psi.values)))
-        yield 0, _frozen(np.array(np.broadcast_to(value, V.values.shape[:-1] or np.shape(value)),
+        yield 0, _frozen(np.array(np.broadcast_to(value, tuple(counts) or np.shape(value)),
                                   dtype=float))
     n = plan.n_steps
     if n == 0:
@@ -203,50 +211,56 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     momentum = representation == MOMENTUM
     p2 = 0.5 * g.p**2
     dt = plan.dt
-    lead, trail = ORDERS[plan.order]
     kin = np.exp(-1j * p2 * dt)
-    kin_out = np.exp(-1j * p2 * (trail * dt))
     vphase = -1j * V.values
     vphase *= dt
     np.exp(vphase, out=vphase)
     del V  # freed here if the caller has dropped it, before the carry
-    if momentum:
-        u = g._unitary_phase
-        w = psi.values / u  # F(psi) in numpy's unnormalized convention
+    u = g._unitary_phase if momentum else None
+
+    def setup(values, order):
+        """w at the start, K(lead dt) psi in position space, and K_out (times u for momentum)."""
+        lead, trail = ORDERS[order]
+        w = values / u if momentum else np.fft.fft(values) if lead else values.copy()
+        if lead:
+            w *= np.exp(-1j * p2 * (lead * dt))
+        if momentum or lead:  # w is still in momentum space
+            np.fft.ifft(w, out=w)
+        k_out = np.exp(-1j * p2 * (trail * dt))
+        return w, k_out * u if momentum else k_out  # a momentum sample s K_out u
+
+    if isinstance(plan.order, tuple):  # each row set up as it would be alone
+        starts = psi.values if psi.values.ndim == 2 else [psi.values] * len(plan.order)
+        w, kin_out = (np.stack(a) for a in zip(*map(setup, starts, plan.order)))
     else:
-        w = np.fft.fft(psi.values) if lead else psi.values.copy()
-    if lead:
-        w *= np.exp(-1j * p2 * (lead * dt))
-    if momentum or lead:  # w is still in momentum space
-        np.fft.ifft(w, out=w)
-    if momentum:
-        kin_out = kin_out * u  # a sample s K_out u is in to_momentum's convention
+        w, kin_out = setup(psi.values, plan.order)
     del psi
     if vphase.ndim > w.ndim:  # one state under a stack of potentials: a row for each
         w = np.tile(w, (len(vphase), 1))
     elif reduce is not None:
         w = np.atleast_2d(w)  # a reduced single state is a stack of one row
-    blocks = [(rows, w[rows], vphase if vphase.ndim == 1 else vphase[rows])
+    vphase, kin_out = (np.broadcast_to(a, w.shape) for a in (vphase, kin_out))
+    blocks = [(rows, w[rows], vphase[rows], kin_out[rows])
               for rows in _row_blocks(len(w) if w.ndim == 2 else 1)]
 
-    def form(s, out):
+    def form(s, k_out, out):
         """The sample of s, the transformed state, written to out."""
-        np.multiply(s, kin_out, out=out)
+        np.multiply(s, k_out, out=out)
         if not momentum:
             np.fft.ifft(out, out=out)
         return out
 
     def step(block, j, sample, fn):
         """Step j on one block of rows of w, writing those rows of the sample if one is due."""
-        rows, wb, vb = block
+        rows, wb, vb, kb = block
         np.multiply(wb, vb, out=wb)
         np.fft.fft(wb, out=wb)  # wb holds s until it is advanced
         if sample is not None and fn is None:
-            form(wb, sample[rows])
+            form(wb, kb, sample[rows])
         elif sample is not None:  # a chunk of rows at a time, each a state of its own
             for c in _chunks(len(wb), wb[0].nbytes):
                 sample[rows][c] = fn(WaveFunction(
-                    g, _frozen(form(wb[c], np.empty_like(wb[c]))), representation))
+                    g, _frozen(form(wb[c], kb[c], np.empty_like(wb[c]))), representation))
         if j < n:
             np.multiply(wb, kin, out=wb)
             np.fft.ifft(wb, out=wb)

@@ -297,8 +297,10 @@ def compile_trotter_train(plan, V, units: PhysicalUnits) -> OpticalTrain:
     With (lead, trail) = ORDERS[plan.order], a gap of lead dt (left out when
     zero) leads n plates with full dt gaps between them and a last gap of
     trail dt.  Simulating the train reproduces the abstract propagator up to
-    the plane-wave phase of the total path, e^{i k z_total}.
+    the plane-wave phase of the total path, e^{i k z_total}.  It runs one order.
     """
+    if not isinstance(plan.order, str):
+        raise ConfigurationError(f"a plate train runs one product order, got {plan.order!r}")
     if plan.n_steps == 0:
         return OpticalTrain((), units)
     lead, trail = (FreeSpace(map_time_to_distance(f * plan.dt, units))

@@ -38,6 +38,9 @@ class TestTrotterPlan:
         dict(dt=math.inf, n_steps=10),
         dict(dt=0.1, n_steps=-1),
         dict(dt=0.1, n_steps=10, order="third"),
+        dict(dt=0.1, n_steps=10, order=("second", "third")),
+        dict(dt=0.1, n_steps=10, order=()),
+        dict(dt=0.1, n_steps=10, order=["second", "first"]),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -236,6 +239,79 @@ class TestStackedKernel:
             so.exact_evolve(stack, basis_v2, 1.0)
         with pytest.raises(ContractError):
             so.eigenbasis(v2, [stack], 1.0)
+
+
+class TestPerRowOrders:
+    """Rows of different product orders share one stream, each as it would run alone."""
+
+    ORDERS = ("second", "first")
+
+    @staticmethod
+    def _states(n, momentum):
+        grid = so.make_grid(n, -12.0, 12.0)
+        states = [so.gaussian_packet(grid, -5.0), so.gaussian_packet(grid, -3.0, momentum=1.5)]
+        return [so.to_momentum(s) for s in states] if momentum else states
+
+    @pytest.mark.parametrize("n", [2048, 513])
+    @pytest.mark.parametrize("momentum", [False, True])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_rows_equal_their_solo_runs_bitwise(self, W, n, momentum, stacked):
+        states = self._states(n, momentum)
+        grid = states[0].grid
+        V = so.partner_potential(W, 2, grid)
+        # a (2, n) stack pairs its rows with the orders; one state starts both rows
+        psi = states[0].with_values(np.vstack([s.values for s in states])) if stacked \
+            else states[0]
+        starts = states if stacked else [states[0]] * 2
+        steps = 20
+        plan = so.TrotterPlan(0.05, steps, self.ORDERS)
+        alone = [dict(so.trotter_states(s, V, so.TrotterPlan(0.05, steps, order)))
+                 for s, order in zip(starts, self.ORDERS)]
+        reference = so.gaussian_packet(grid, -4.0)
+        if momentum:
+            reference = so.to_momentum(reference)
+        for stride in (1, 7):
+            paired = dict(so.trotter_states(psi, V, plan, stride=stride))
+            assert sorted(paired) == sorted({*range(0, steps + 1, stride), steps})
+            assert paired.pop(0) is psi
+            for j, sample in paired.items():
+                assert sample.values.shape == (2, n)
+                assert sample.representation == psi.representation
+                for row in range(2):
+                    np.testing.assert_array_equal(sample.values[row], alone[row][j].values)
+            # a reduced stream forms each row with its own K_out, chunk by chunk
+            reduced = dict(so.trotter_states(psi, V, plan, stride=stride,
+                                             reduce=repeat(partial(so.fidelity, reference))))
+            assert reduced.pop(0).shape == (2,)
+            for j, values in reduced.items():
+                np.testing.assert_array_equal(values, so.fidelity(reference, paired[j]))
+
+    def test_row_blocks_take_their_own_orders(self, W, monkeypatch):
+        # 25 rows of alternating orders run as three blocks on three CPUs
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 3)
+        states = self._states(513, False)
+        V = so.partner_potential(W, 2, states[0].grid)
+        orders = tuple(self.ORDERS[i % 2] for i in range(25))
+        plan = so.TrotterPlan(0.05, 12, orders)
+        alone = {o: so.trotter_evolve(states[1], V, so.TrotterPlan(0.05, 12, o))
+                 for o in self.ORDERS}
+        paired = so.trotter_evolve(states[1], V, plan)
+        assert paired.values.shape == (25, 513)
+        for row, order in enumerate(orders):
+            np.testing.assert_array_equal(paired.values[row], alone[order].values)
+
+    def test_order_count_must_match_the_rows(self, v1, v2, psi0):
+        grid = v2.grid
+        plan = so.TrotterPlan(0.05, 2, self.ORDERS)
+        three = so.WaveFunction(grid, np.vstack([psi0.values] * 3))
+        potentials = PotentialField(grid, np.vstack([v1.values, v2.values, v1.values]))
+        with pytest.raises(ContractError, match="row count"):
+            next(so.trotter_states(three, v2, plan))
+        with pytest.raises(ContractError, match="row count"):
+            next(so.trotter_states(psi0, potentials, plan))
+        # one state under two potentials and two orders is two rows
+        two = PotentialField(grid, np.vstack([v1.values, v2.values]))
+        assert so.trotter_evolve(psi0, two, plan).values.shape == (2, grid.n)
 
 
 def test_trotter_evolve_keeps_the_last_sample(v2, psi0):

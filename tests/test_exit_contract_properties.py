@@ -7,7 +7,8 @@ key at fault.  Each draw sets one to four keys to edge values (NaN, the
 infinities, signed zeros, the smallest subnormal, magnitudes near the float
 limits, negatives) or ordinary ones, on a grid of 16 to 512 points, so no
 draw allocates much; spectrum and bdag-check together build every domain
-object a config sets.
+object a config sets.  trotter-convergence also draws its step ladder, at
+most six ascending counts of at most 240, so no draw steps for long.
 """
 
 import contextlib
@@ -38,11 +39,18 @@ VALUES = {
 }
 
 
+# an ascending ladder; the runner adds 30 and 60, so a run takes at most 8 streams
+LADDERS = st.lists(st.integers(-2, 240), min_size=1, max_size=6, unique=True).map(
+    lambda ns: ", ".join(map(str, sorted(ns))))
+
+
 @st.composite
-def configs(draw):
+def configs(draw, ladder=False):
     keys = draw(st.lists(st.sampled_from(CONFIG_KEYS), min_size=1, max_size=4, unique=True))
     entries = {key: draw(VALUES[type(getattr(DEFAULTS, key))]) for key in keys}
     entries["grid_points"] = str(draw(st.integers(16, 512)))  # bounds every allocation
+    if ladder:  # bounds every step count
+        entries["convergence_steps"] = draw(LADDERS)
     return entries
 
 
@@ -61,8 +69,22 @@ def workdir(tmp_path_factory):
 @example(entries={"x_min_x0": "-14", "x_max_x0": "16", "grid_points": "512"})
 @example(entries={"omega": "5e-324", "grid_points": "16"})  # the partners' fallback fails too
 @example(entries={"x_center_x0": "0.0", "barrier_amplitude": "1e+154",
-                  "grid_points": "187"})  # the norm overflows, so rel_l2_reference reads 0
+                  "grid_points": "187"})  # the norm overflows, so rel_l2_reference reads nan
+@example(entries={"focal_length_m": "1e200", "grid_points": "512"})  # the arm field vanishes
+@example(entries={"reduced_focal_length_m": "1e200", "grid_points": "512"})
 def test_every_config_ends_in_a_documented_exit_code(workdir, scenario, entries):
+    _assert_documented_exit(workdir, scenario, entries)
+
+
+@BOUNDED  # a full run of at most 8 streams takes ~50 ms; most draws stop far sooner
+@given(entries=configs(ladder=True))
+@example(entries={"convergence_steps": "1, 2, 100, 200, 239, 240", "grid_points": "512"})
+@example(entries={"convergence_steps": "-2, 0", "grid_points": "512"})
+def test_every_convergence_config_ends_in_a_documented_exit_code(workdir, entries):
+    _assert_documented_exit(workdir, "trotter-convergence", entries)
+
+
+def _assert_documented_exit(workdir, scenario, entries):
     config = workdir / "probe.cfg"
     config.write_text("".join(f"{key} = {text}\n" for key, text in entries.items()))
     err = io.StringIO()

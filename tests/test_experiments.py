@@ -242,6 +242,17 @@ class TestRunnerStructure:
         assert scalar["battery_error_ratio"].value <= 10.0
         assert not scalar["battery_error_ratio"].passed
 
+    def test_bdag_error_gates_fail_when_a_norm_overflows(self, small_cfg):
+        # B+ psi0 passes 1e153 under this barrier, so its norm overflows to inf;
+        # each relative L2 error reads nan and fails, not finite / inf = 0
+        cfg = dataclasses.replace(small_cfg, x_center_x0=0.0, barrier_amplitude=1e154,
+                                  grid_points=187)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            scalar = {s.name: s for s in so.run_bdag_validation(cfg).scalars}
+        for name in ("rel_l2_reference", "rel_l2_reduced"):
+            assert math.isnan(scalar[name].value) and not scalar[name].passed
+
     @pytest.mark.parametrize("n", [1408, 1440])
     def test_reference_lens_sampling_threshold(self, n):
         # the reference lens chirp exp(-i x^2 / 2 tau_f), tau_f = f/(k x0^2),
@@ -302,8 +313,8 @@ class TestRunnerStructure:
         assert calls == {"interferometric_B_dag": [stack, (n,)], "apply_B_dag": [stack]}
 
     def test_trotter_convergence_computes_each_state_once(self, small_cfg, monkeypatch):
-        # one oracle reference, one stream per (order, n); the plate train is
-        # checked against the ladder's own second-order T/60 state
+        # one oracle reference, one two-row stream per n (both orders); the plate
+        # train is checked against the ladder's own second-order T/60 state
         calls = {"trotter_evolve": 0, "exact_evolve": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
@@ -312,7 +323,7 @@ class TestRunnerStructure:
             monkeypatch.setattr(experiments, name, counted)
         so.run_trotter_convergence(small_cfg)
         ladder = set(small_cfg.convergence_steps) | {30, 60}
-        assert calls == {"trotter_evolve": 2 * len(ladder), "exact_evolve": 1}
+        assert calls == {"trotter_evolve": len(ladder), "exact_evolve": 1}
 
     def test_run_all_order(self, small_cfg):
         results = run_all(small_cfg)
@@ -850,6 +861,20 @@ class TestCli:
         assert code == 2
         assert err.startswith(f"configuration error: {key} = 1e-300: interferometer gain ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("key", ["focal_length_m", "reduced_focal_length_m"])
+    def test_a_focal_length_of_1e200_that_zeroes_the_arm_field_is_named(
+            self, tmp_path, capsys, key):
+        # the derivative arm's ramp alpha x / tau_f is near 1e-199, so the field
+        # after it squares to zero and the next gap has no spot size
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(f"grid_points = 512\n{key} = 1e200\n")
+        code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"configuration error: {key} = 1e+200: "
+                       "spot size of a zero field is undefined\n")
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("error,code,line", [

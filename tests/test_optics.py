@@ -303,6 +303,10 @@ class TestCompiledTrain:
         assert train.total_length_m == pytest.approx(
             map_time_to_distance(plan.dt * plan.n_steps, units), rel=1e-12)
 
+    def test_a_train_runs_one_order(self, v2, units):
+        with pytest.raises(ConfigurationError, match="one product order"):
+            so.compile_trotter_train(so.TrotterPlan(0.1, 3, ("second", "first")), v2, units)
+
     def test_empty_plan(self, v2, units):
         train = so.compile_trotter_train(so.TrotterPlan(0.1, 0), v2, units)
         assert train.elements == ()
