@@ -22,10 +22,7 @@ A momentum-space sample is the transformed state the step already holds,
 times a phase; a position-space sample costs one more inverse transform.
 The carry is updated in place and each sample is one fresh array, so the
 kernel holds three stacks: the potential phases, the carry and the sample
-it is producing.  A reduced stream holds the first two and, on each thread,
-one chunk of at most _CHUNK_BYTES (1 MiB): each block forms its rows of a
-sample in the fewest near-equal chunks within that budget, reducing them by
-that sample's function.  Step 0 forms nothing: psi is reduced as one chunk.
+it is producing, plus any earlier sample its caller still holds.
 
 The reference propagator (`exact_evolve`) expands states in eigenpairs of
 the Hamiltonian with the spectral kinetic block, the discrete operator the
@@ -61,9 +58,6 @@ ORACLE_TOL = 1e-8
 # a split stack's row blocks are at least this tall; smaller ones lose to the hand-off
 _MIN_BLOCK_ROWS = 8
 
-# a reduced sample is formed at most this many bytes of rows at a time on each thread
-_CHUNK_BYTES = 1 << 20
-
 
 @dataclass(frozen=True)
 class TrotterPlan:
@@ -92,20 +86,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split(rows: int, count: int) -> list:
-    """count contiguous row slices whose lengths differ by at most one."""
-    return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
-
-
 def _row_blocks(rows: int) -> list:
-    """Contiguous row slices, one per usable CPU, none under _MIN_BLOCK_ROWS rows."""
+    """Near-equal contiguous row slices, one per usable CPU, none under _MIN_BLOCK_ROWS rows."""
     count = min(_usable_cpus(), rows // _MIN_BLOCK_ROWS)
-    return _split(rows, count) if count > 1 else [slice(None)]
-
-
-def _chunks(rows: int, row_bytes: int) -> list:
-    """The fewest near-equal row slices within _CHUNK_BYTES (single rows if one row is over)."""
-    return _split(rows, -(-rows // max(1, _CHUNK_BYTES // row_bytes)))
+    if count < 2:
+        return [slice(None)]
+    return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
 def _run_blocks(workers, fn, blocks, *args):
@@ -128,7 +114,7 @@ def _run_blocks(workers, fn, blocks, *args):
 
 
 def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
-                   stride: int = 1, reduce=None):
+                   stride: int = 1):
     """Yield (step_index, state) at step 0 and every `stride` steps (plus the last).
 
     psi is one state (n,) or a stack (m, n), in either representation, and
@@ -136,21 +122,9 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     for every row or an (m, n) stack of them, one per row, and one state
     under such a stack starts every row; so does one state under plan.order
     = a tuple of m ORDERS keys, one per row (row counts that disagree are a
-    ContractError).  Without `reduce`, step 0 yields psi itself and every
-    later sample is a fresh read-only array.
-
-    `reduce` makes each sample, never formed whole, a fresh read-only float
-    array of one value per row (m from step 0 for one state that starts m
-    rows).  It is an iterable of one function per sample, step 0 first
-    (itertools.repeat(fn) for one fn; running out is a RuntimeError), each
-    pulled on this thread just before its sample.  The function takes
-    read-only WaveFunction chunks and returns their real values, one per row,
-    the same to the bit as the whole sample's.  At step 0 psi is one chunk,
-    on this thread (a single state as a one-row stack, whose value goes to
-    all m rows it starts).  Later chunks are fresh, on each row
-    block's thread: the fewest near-equal contiguous runs of the block's rows
-    of at most _CHUNK_BYTES each, or single rows if a row is larger, so a
-    reduced stream forms at most one chunk per thread at a time.
+    ContractError).  Step 0 yields psi itself and every later sample is a
+    fresh read-only array, which a caller that drops it before asking for
+    the next one frees before the next is formed.
 
     One loop serves every order (lead, trail) = ORDERS[order], because
     with lead + trail = 1 the product is the plain one conjugated by the
@@ -196,13 +170,7 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                             f"order {plan.order!r} disagree on the row count")
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ConfigurationError(f"stride must be a positive integer, got {stride!r}")
-    if reduce is None:
-        yield 0, psi
-    else:  # psi is one chunk; one state that starts m rows gives its value to all m
-        reduce = iter(reduce)
-        value = next(reduce)(psi.with_values(np.atleast_2d(psi.values)))
-        yield 0, _frozen(np.array(np.broadcast_to(value, tuple(counts) or np.shape(value)),
-                                  dtype=float))
+    yield 0, psi
     n = plan.n_steps
     if n == 0:
         return
@@ -237,30 +205,20 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
     del psi
     if vphase.ndim > w.ndim:  # one state under a stack of potentials: a row for each
         w = np.tile(w, (len(vphase), 1))
-    elif reduce is not None:
-        w = np.atleast_2d(w)  # a reduced single state is a stack of one row
     vphase, kin_out = (np.broadcast_to(a, w.shape) for a in (vphase, kin_out))
     blocks = [(rows, w[rows], vphase[rows], kin_out[rows])
               for rows in _row_blocks(len(w) if w.ndim == 2 else 1)]
 
-    def form(s, k_out, out):
-        """The sample of s, the transformed state, written to out."""
-        np.multiply(s, k_out, out=out)
-        if not momentum:
-            np.fft.ifft(out, out=out)
-        return out
-
-    def step(block, j, sample, fn):
+    def step(block, j, sample):
         """Step j on one block of rows of w, writing those rows of the sample if one is due."""
         rows, wb, vb, kb = block
         np.multiply(wb, vb, out=wb)
         np.fft.fft(wb, out=wb)  # wb holds s until it is advanced
-        if sample is not None and fn is None:
-            form(wb, kb, sample[rows])
-        elif sample is not None:  # a chunk of rows at a time, each a state of its own
-            for c in _chunks(len(wb), wb[0].nbytes):
-                sample[rows][c] = fn(WaveFunction(
-                    g, _frozen(form(wb[c], kb[c], np.empty_like(wb[c]))), representation))
+        if sample is not None:
+            out = sample[rows]
+            np.multiply(wb, kb, out=out)
+            if not momentum:
+                np.fft.ifft(out, out=out)
         if j < n:
             np.multiply(wb, kin, out=wb)
             np.fft.ifft(wb, out=wb)
@@ -272,13 +230,10 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                 from concurrent.futures import ThreadPoolExecutor
                 workers = ThreadPoolExecutor(len(blocks) - 1, "susyoptics-rows")
                 owner = os.getpid()
-            sample = None if j % stride and j < n else (
-                np.empty_like(w) if reduce is None else np.empty(len(w)))
-            _run_blocks(workers, step, blocks, j, sample,  # pulled once the last is dropped
-                        None if sample is None or reduce is None else next(reduce))
+            sample = None if j % stride and j < n else np.empty_like(w)
+            _run_blocks(workers, step, blocks, j, sample)
             if sample is not None:
-                yield j, (_frozen(sample) if reduce is not None
-                          else WaveFunction(g, _frozen(sample), representation))
+                yield j, WaveFunction(g, _frozen(sample), representation)
                 del sample  # the caller's reference is the only one left
     finally:
         if workers is not None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -251,10 +250,10 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
     Two momentum-space streams, whose samples cost no transform, hold the
     paths: psi0 under V1 and B+ psi0 under every V_eta, one row each.  The
     first runs ahead in blocks of _REFERENCE_BLOCK samples, each raised by
-    B+ in position space as one stack; fidelities are taken in momentum
-    space (equal by Parseval), inside the family stream's row blocks, so its
-    samples are never formed whole.  The potentials are built before any
-    step is taken.
+    B+ in position space as one stack; each step's fidelities are taken in
+    momentum space (equal by Parseval) on the family's whole sample, which
+    is dropped before the next step, so one sample is alive at a time.  The
+    potentials are built before any step is taken.
     """
     run = setup(cfg)
     grid, W, plan = run.grid, run.W, _two_path_plan(cfg)
@@ -273,12 +272,12 @@ def run_eta_sweep(cfg: ExperimentConfig) -> ScenarioResult:
             yield from to_momentum(normalized(apply_B_dag(to_position(WaveFunction(
                 grid, _frozen(np.vstack(rows)), MOMENTUM)), W))).values
 
-    # map, unlike a generator expression, keeps no spent reference while raising the next
-    paths = trotter_states(to_momentum(run.psi_raised), family, plan, stride=1, reduce=map(
-        lambda row: partial(fidelity, WaveFunction(grid, row, MOMENTUM)), raised()))
+    references = raised()
+    paths = trotter_states(to_momentum(run.psi_raised), family, plan, stride=1)
     del family
-    for j, column in paths:
-        surface[:, j] = column
+    for j, sample in paths:  # zip would keep the last sample alive in its result tuple
+        surface[:, j] = fidelity(WaveFunction(grid, next(references), MOMENTUM), sample)
+        del sample  # freed before the next is formed
 
     final = surface[:, -1]
     step = float(etas[1] - etas[0])
@@ -423,13 +422,16 @@ def run_trotter_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     exactness of the time<->distance round trip, and that the compiled plate
     train reproduces the ladder's second-order state at the design step T/60.
     """
+    ladder = tuple(sorted(set(int(n) for n in cfg.convergence_steps) | {30, 60}))
+    if len(ladder) < 3:  # no run can fit a slope to it, whatever the physics
+        raise ConfigurationError(f"convergence_steps: with the forced 30 and 60 the ladder "
+                                 f"{ladder} holds {len(ladder)} step counts; a fit needs 3")
     run = setup(replace(cfg, omega=1.0))
     grid, v2, psi_raised, units = run.grid, run.v2, run.psi_raised, run.units
     t_half = math.pi  # half a period, dimensionless
     basis = eigenbasis(v2, [psi_raised], t_half)
     reference = exact_evolve(psi_raised, basis, t_half)
 
-    ladder = tuple(sorted(set(int(n) for n in cfg.convergence_steps) | {30, 60}))
     dts = {n: t_half / n for n in ladder}
     dt_ref = dts[30]  # the design step T/60, shared by the ladder, the train and z_ref
     orders = ("second", "first")  # one two-row stream per step count: (orders, ladder, n)

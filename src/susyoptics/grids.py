@@ -190,8 +190,9 @@ def norm(a: WaveFunction):
 def normalized(a: WaveFunction) -> WaveFunction:
     """Rescale to unit norm, per row of a stack.  A zero field cannot be normalized."""
     n = norm(a)
-    if np.any(np.equal(n, 0.0)) or not np.all(np.isfinite(n)):
-        raise DegenerateStateError(f"cannot normalize field with norm {n}")
+    if bad := np.count_nonzero(np.equal(n, 0.0) | ~np.isfinite(n)):
+        raise DegenerateStateError(f"cannot normalize: {bad} of {np.size(n)} rows "
+                                   "have a zero or non-finite norm")
     return a.with_values(_frozen(a.values / np.expand_dims(n, -1)))
 
 

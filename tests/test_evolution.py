@@ -5,8 +5,6 @@ import sys
 import threading
 import time
 import warnings
-from functools import partial
-from itertools import count, repeat
 
 import numpy as np
 import pytest
@@ -267,9 +265,6 @@ class TestPerRowOrders:
         plan = so.TrotterPlan(0.05, steps, self.ORDERS)
         alone = [dict(so.trotter_states(s, V, so.TrotterPlan(0.05, steps, order)))
                  for s, order in zip(starts, self.ORDERS)]
-        reference = so.gaussian_packet(grid, -4.0)
-        if momentum:
-            reference = so.to_momentum(reference)
         for stride in (1, 7):
             paired = dict(so.trotter_states(psi, V, plan, stride=stride))
             assert sorted(paired) == sorted({*range(0, steps + 1, stride), steps})
@@ -279,12 +274,6 @@ class TestPerRowOrders:
                 assert sample.representation == psi.representation
                 for row in range(2):
                     np.testing.assert_array_equal(sample.values[row], alone[row][j].values)
-            # a reduced stream forms each row with its own K_out, chunk by chunk
-            reduced = dict(so.trotter_states(psi, V, plan, stride=stride,
-                                             reduce=repeat(partial(so.fidelity, reference))))
-            assert reduced.pop(0).shape == (2,)
-            for j, values in reduced.items():
-                np.testing.assert_array_equal(values, so.fidelity(reference, paired[j]))
 
     def test_row_blocks_take_their_own_orders(self, W, monkeypatch):
         # 25 rows of alternating orders run as three blocks on three CPUs
@@ -490,113 +479,6 @@ class TestRowBlocks:
                 for row, pair in enumerate(pairs):
                     np.testing.assert_array_equal(sample.values[row], alone[pair][j].values)
 
-    # a budget of 160 KiB holds 5 rows at n = 2048 and 19 at n = 513; step 0 takes all 33
-    # rows as one chunk, a later step cuts each row block (any order): 33, 16 and 17, or
-    # 8, 8, 8 and 9
-    CHUNKS = {
-        (1, 2048): [4, 4, 5, 5, 5, 5, 5],
-        (2, 2048): [4, 4, 4, 4, 4, 4, 4, 5],
-        (4, 2048): [4, 4, 4, 4, 4, 4, 4, 5],
-        (1, 513): [16, 17],
-        (2, 513): [16, 17],
-        (4, 513): [8, 8, 8, 9],
-    }
-
-    @pytest.mark.parametrize("cpus,blocks", [(1, 1), (2, 2), (4, 4)])
-    @pytest.mark.parametrize("n", [2048, 513])
-    @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("momentum", [False, True])
-    def test_a_reduced_stream_equals_its_reduced_samples_bitwise(
-            self, W, monkeypatch, cpus, blocks, n, order, momentum):
-        rows = 33
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(evolution, "_CHUNK_BYTES", 160 << 10)
-        assert len(evolution._row_blocks(rows)) == blocks
-        grid, _, states, potentials = self._pairs(W, n, True)
-        pairs = [(i % len(states), i % len(potentials)) for i in range(rows)]
-        if momentum:
-            states = [so.to_momentum(s) for s in states]
-        stack = so.WaveFunction(grid, np.vstack([states[s].values for s, _ in pairs]),
-                                states[0].representation)
-        V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
-        reference, chunks = states[2], []
-
-        def reduce(chunk, sample=0):  # a read-only state of the stream's grid and representation
-            assert chunk.representation == stack.representation
-            assert not chunk.values.flags.writeable
-            chunks.append((sample, len(chunk.values)))
-            return so.fidelity(reference, chunk)
-
-        steps = 20
-        plan = so.TrotterPlan(0.05, steps, order=order)
-        plain = dict(so.trotter_states(stack, V, plan))
-        later = self.CHUNKS[cpus, n]
-        for stride in (1, 7, steps):
-            chunks.clear()
-            reduced = dict(so.trotter_states(stack, V, plan, stride=stride, reduce=(
-                partial(reduce, sample=i) for i in count())))
-            assert sorted(reduced) == sorted({*range(0, steps + 1, stride), steps})
-            # step 0 reduces the stack itself, whole, and the later steps in chunks
-            sizes = [[size for i, size in chunks if i == sample] for sample in range(len(reduced))]
-            assert sizes[0] == [rows]
-            assert all(sorted(taken) == later for taken in sizes[1:])
-            for j, values in reduced.items():
-                assert values.shape == (rows,) and not values.flags.writeable
-                assert values.dtype == np.float64
-                np.testing.assert_array_equal(values, so.fidelity(reference, plain[j]))
-        # a single state is one row: row 0 of the stack pairs states[0] with potentials[0]
-        alone = dict(so.trotter_states(states[0], potentials[0], plan, reduce=repeat(reduce)))
-        assert alone[0].shape == alone[steps].shape == (1,)
-        assert alone[0][0] == reduced[0][0] and alone[steps][0] == reduced[steps][0]
-        # one state under the potential stack is a row for each potential from step 0 on
-        spread = dict(so.trotter_states(states[0], V, plan, reduce=repeat(reduce)))
-        assert spread[0].shape == (rows,) and not spread[0].flags.writeable
-        np.testing.assert_array_equal(spread[0], alone[0][0])
-
-    def test_one_state_under_m_potentials_reduces_step_0_in_one_call(self, W, three_cpus):
-        grid, pairs, states, potentials = self._pairs(W, 512, True)
-        V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
-        calls = []
-
-        def reduce(chunk):
-            calls.append((chunk.values.shape, so.fidelity(states[0], chunk)))
-            return calls[-1][1]
-
-        stream = so.trotter_states(states[1], V, so.TrotterPlan(0.05, 3), reduce=repeat(reduce))
-        j, values = next(stream)
-        stream.close()
-        # psi is one (1, n) chunk, and its one value goes to each of the m rows
-        assert j == 0 and [shape for shape, _ in calls] == [(1, grid.n)]
-        assert values.shape == (self.ROWS,) and values.dtype == np.float64
-        assert not values.flags.writeable
-        np.testing.assert_array_equal(values, np.full(self.ROWS, calls[0][1][0]))
-
-    def test_each_sample_takes_the_next_function_pulled_on_this_thread(self, W, three_cpus):
-        grid, pairs, states, potentials = self._pairs(W, 512, True)
-        V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
-        pulled, taken = [], []
-
-        def functions():  # the i-th pulled function marks every row of its sample with i
-            for i in range(4):
-                pulled.append((len(taken), threading.current_thread()))
-                yield lambda chunk, i=i: np.full(len(chunk.values), float(i))
-
-        for j, values in so.trotter_states(states[1], V, so.TrotterPlan(0.05, 20), stride=7,
-                                           reduce=functions()):
-            taken.append(j)
-            np.testing.assert_array_equal(values, len(taken) - 1)
-        assert taken == [0, 7, 14, 20]
-        # each function is pulled on the calling thread, after the samples before its own
-        assert pulled == [(i, threading.main_thread()) for i in range(4)]
-        # a list serves too, and one that runs out ends the stream with an error
-        listed = [lambda chunk: np.zeros(len(chunk.values))] * 3
-        assert len(list(so.trotter_states(states[1], V, so.TrotterPlan(0.05, 2),
-                                          reduce=listed))) == 3
-        stream = so.trotter_states(states[1], V, so.TrotterPlan(0.05, 3), reduce=listed)
-        with pytest.raises(RuntimeError):
-            list(stream)
-        assert not self._row_threads()
-
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("momentum", [False, True])
     def test_one_state_under_a_potential_stack_equals_its_copies_bitwise(
@@ -728,27 +610,6 @@ class TestRowBlocks:
         assert not self._row_threads()
         np.testing.assert_array_equal(so.trotter_evolve(stack, v2, plan).values,
                                       serial.values)
-
-    def test_a_reduction_error_reaches_the_caller_with_its_type(self, v2, psi0, monkeypatch):
-        stack, plan, serial = self._serial_and_split(v2, psi0, monkeypatch)
-
-        class ReductionError(Exception):
-            pass
-
-        def reduce(chunk):
-            if threading.current_thread() is not threading.main_thread():
-                raise ReductionError(len(chunk.values))
-            return so.fidelity(psi0, chunk)
-
-        with pytest.raises(ReductionError):
-            for _ in so.trotter_states(stack, v2, plan, reduce=repeat(reduce)):
-                pass
-        assert not self._row_threads()
-        np.testing.assert_array_equal(so.trotter_evolve(stack, v2, plan).values,
-                                      serial.values)
-        squares = repeat(lambda chunk: np.vecdot(chunk.values, chunk.values).real)
-        last = list(so.trotter_states(stack, v2, plan, stride=plan.n_steps, reduce=squares))[-1]
-        np.testing.assert_array_equal(last[1], np.vecdot(serial.values, serial.values).real)
 
     def test_workers_run_in_the_callers_context(self, v2, psi0, monkeypatch):
         stack, plan, serial = self._serial_and_split(v2, psi0, monkeypatch)

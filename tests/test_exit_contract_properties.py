@@ -8,7 +8,11 @@ infinities, signed zeros, the smallest subnormal, magnitudes near the float
 limits, negatives) or ordinary ones, on a grid of 16 to 512 points, so no
 draw allocates much; spectrum and bdag-check together build every domain
 object a config sets.  trotter-convergence also draws its step ladder, at
-most six ascending counts of at most 240, so no draw steps for long.
+most six ascending counts of at most 240.  susy-check and eta-sweep draw
+their step counts, at most 12 steps a period over at most 2 periods, and
+eta-sweep its family of at most 9 etas; their draws set zero to four other
+keys on a grid of 30 to 512 points, so that some of them run.  No draw
+steps for long.  An exit 3 prints one error line, after any [WARN] lines.
 """
 
 import contextlib
@@ -44,13 +48,23 @@ LADDERS = st.lists(st.integers(-2, 240), min_size=1, max_size=6, unique=True).ma
     lambda ns: ", ".join(map(str, sorted(ns))))
 
 
+# the step counts of the two-path scenarios, drawn in range (the other keys bring the
+# edges); 3, 5 and 9 etas on [-2, 2] hold -1, 0 and +1, which the eta grid must
+STEPS = {"steps_per_period": st.integers(1, 12), "evolution_periods": st.integers(1, 2)}
+ETA_STEPS = {**STEPS, "eta_points": st.sampled_from((3, 5, 9)) | st.integers(1, 9)}
+
+
 @st.composite
-def configs(draw, ladder=False):
-    keys = draw(st.lists(st.sampled_from(CONFIG_KEYS), min_size=1, max_size=4, unique=True))
+def configs(draw, ladder=False, steps=None):
+    keys = draw(st.lists(st.sampled_from(CONFIG_KEYS), min_size=0 if steps else 1, max_size=4,
+                         unique=True))
     entries = {key: draw(VALUES[type(getattr(DEFAULTS, key))]) for key in keys}
-    entries["grid_points"] = str(draw(st.integers(16, 512)))  # bounds every allocation
+    # bounds every allocation; a stepped run gets a grid that holds x0 (30 points or more)
+    entries["grid_points"] = str(draw(st.integers(30 if steps else 16, 512)))
     if ladder:  # bounds every step count
         entries["convergence_steps"] = draw(LADDERS)
+    for key, counts in (steps or {}).items():  # so do these
+        entries[key] = str(draw(counts))
     return entries
 
 
@@ -80,8 +94,25 @@ def test_every_config_ends_in_a_documented_exit_code(workdir, scenario, entries)
 @given(entries=configs(ladder=True))
 @example(entries={"convergence_steps": "1, 2, 100, 200, 239, 240", "grid_points": "512"})
 @example(entries={"convergence_steps": "-2, 0", "grid_points": "512"})
+@example(entries={"convergence_steps": "30, 60", "grid_points": "512"})  # never fits: a 2
 def test_every_convergence_config_ends_in_a_documented_exit_code(workdir, entries):
     _assert_documented_exit(workdir, "trotter-convergence", entries)
+
+
+@BOUNDED  # a full run of at most 24 steps takes ~20 ms; a draw may also set no other key
+@given(entries=configs(steps=STEPS))
+@example(entries={"omega": "1e-300", "grid_points": "512", "steps_per_period": "12",
+                  "evolution_periods": "2"})  # every raised sample has a zero norm: a 3
+def test_every_susy_check_config_ends_in_a_documented_exit_code(workdir, entries):
+    _assert_documented_exit(workdir, "susy-check", entries)
+
+
+@BOUNDED
+@given(entries=configs(steps=ETA_STEPS))
+@example(entries={"sigma_over_x0": "0.3", "grid_points": "512", "steps_per_period": "12",
+                  "evolution_periods": "2", "eta_points": "9"})  # the family's own rule
+def test_every_eta_sweep_config_ends_in_a_documented_exit_code(workdir, entries):
+    _assert_documented_exit(workdir, "eta-sweep", entries)
 
 
 def _assert_documented_exit(workdir, scenario, entries):
@@ -95,3 +126,6 @@ def _assert_documented_exit(workdir, scenario, entries):
         text = err.getvalue()
         text = text[text.index("configuration error: "):].replace(str(config), "")
         assert any(key in text for key in CONFIG_KEYS), text
+    if code == 3:
+        lines = err.getvalue().splitlines()
+        assert len([line for line in lines if not line.startswith("[WARN] ")]) == 1, lines

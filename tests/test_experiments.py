@@ -5,8 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
-from itertools import groupby
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from susyoptics.experiments import (
     Table,
     run_all,
 )
-from susyoptics.grids import make_random_states
+from susyoptics.grids import MOMENTUM, make_random_states
 from susyoptics.susy import PotentialField
 
 
@@ -190,21 +191,45 @@ class TestRunnerStructure:
         blocks = sum(1 for r in rows if 1 < r <= block)
         assert blocks <= 4 * math.ceil((steps + 1) / block)
 
-    def test_eta_sweep_reduces_each_step_in_few_chunks(self, monkeypatch):
-        # each reduction call costs a fixed overhead, so the default sweep makes few:
-        # one for the start state at step 0, and blocks of 40 and 41 rows in 2 each later:
-        # 721 calls a run, where 8-row chunks made 1,991
+    def test_eta_sweep_takes_each_steps_fidelities_on_the_whole_sample(self, monkeypatch):
+        # one call a step, on this thread: step 0 on the start state, each later step on
+        # the whole (81, n) momentum stack that the family's row blocks formed together
         monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
-        fidelity, references = experiments.fidelity, []
+        fidelity, calls = experiments.fidelity, []
 
-        def counted(reference, chunk):  # one reference per step; append is atomic
-            references.append(reference)
-            return fidelity(reference, chunk)
+        def counted(reference, sample):
+            calls.append((reference.values.shape, sample.values.shape, sample.representation,
+                          threading.current_thread() is threading.main_thread()))
+            return fidelity(reference, sample)
 
         monkeypatch.setattr(experiments, "fidelity", counted)
         so.run_eta_sweep(so.parse_config(None))
-        calls = [len(list(group)) for _, group in groupby(references, key=id)]
-        assert calls == [1] + [4] * 180
+        assert calls == ([((2048,), (2048,), MOMENTUM, True)]
+                         + [((2048,), (81, 2048), MOMENTUM, True)] * 180)
+
+    def test_eta_sweep_frees_each_family_sample_before_the_next(self, small_cfg,
+                                                               monkeypatch):
+        # the family stream holds its carry and phases; the sweep must add one sample
+        # to them, not two: the last one is gone by the time the next is yielded
+        kernel, alive = experiments.trotter_states, []
+
+        def watched(psi, V, plan, stride=1):
+            stream = kernel(psi, V, plan, stride)
+            del psi  # the kernel's own reference to the start goes at its first step
+            if V.values.ndim == 1:  # the reference stream is not watched
+                yield from stream
+                return
+            last = None
+            for j, sample in stream:
+                alive.append(last is not None and last() is not None)
+                last = weakref.ref(sample.values)
+                yield j, sample
+                del sample
+
+        monkeypatch.setattr(experiments, "trotter_states", watched)
+        so.run_eta_sweep(small_cfg)
+        steps = small_cfg.steps_per_period * small_cfg.evolution_periods
+        assert alive == [False] * (steps + 1)
 
     def test_bdag(self, small_cfg):
         # the bench needs the full grid: its lens chirps are undersampled at 512
@@ -691,6 +716,29 @@ class TestCli:
         for name in names:
             assert (free / name).read_bytes() == (pinned / name).read_bytes()
 
+    def test_oracle_csvs_are_byte_identical_across_processes(self, tmp_path):
+        # the eigensolves change in their last bits with the BLAS thread count (these
+        # five CSVs differ between 1 and 2 threads), so identity holds at a fixed count
+        src = Path(so.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        child = ("import sys\nfrom susyoptics import cli\n"
+                 "sys.exit(max([cli.main([s, '--grid-points', '512', '--out', 'out'])\n"
+                 "              for s in ('spectrum', 'trotter-convergence')]))\n")
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path / run,
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        a, b = (tmp_path / run / "out" for run in ("a", "b"))
+        oracle = ["spectrum_levels.csv", "spectrum_summary.csv",
+                  "trotter-convergence_convergence_first.csv",
+                  "trotter-convergence_convergence_second.csv",
+                  "trotter-convergence_summary.csv"]
+        assert set(oracle) <= {p.name for p in a.iterdir()}
+        for name in oracle:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_exit_two_on_configuration_error_from_a_runner(self, tmp_path, capsys,
                                                            monkeypatch):
         def rejecting_runner(cfg):
@@ -990,6 +1038,28 @@ class TestCli:
                          "--out", str(tmp_path / "r")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_a_zero_norm_is_one_error_line(self, tmp_path, capsys):
+        # at omega = 1e-300 B+ zeroes every sample of path one; the line counts them
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("grid_points = 512\nomega = 1e-300\n")
+        code = cli.main(["susy-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert capsys.readouterr().err == ("DegenerateStateError: cannot normalize: 181 of 181 "
+                                           "rows have a zero or non-finite norm\n")
+
+    def test_a_ladder_of_two_step_counts_is_named_before_the_oracle(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # the runner adds 30 and 60, so "30, 60" can never hold the three points of a fit
+        monkeypatch.setattr(experiments, "eigenbasis", None)  # any solve would raise
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("convergence_steps = 30, 60\n")
+        code = cli.main(["trotter-convergence", "--config", str(cfg),
+                         "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: convergence_steps: with the forced 30 and 60 the ladder "
+            "(30, 60) holds 2 step counts; a fit needs 3\n")
 
     def test_strict_flips_warned_run(self, tmp_path, capsys, monkeypatch):
         result = ScenarioResult(

@@ -294,6 +294,11 @@ def test_fidelity_zero_state_rejected(small_grid):
         so.fidelity(zero, good)
     with pytest.raises(DegenerateStateError):
         so.normalized(zero)
+    # the message counts the rows at fault, one line however large the stack
+    stack = zero.with_values(np.vstack([good.values, zero.values, good.values]))
+    with pytest.raises(DegenerateStateError, match=r"^cannot normalize: 1 of 3 rows have a "
+                                                   r"zero or non-finite norm$"):
+        so.normalized(stack)
 
 
 def test_fourier_multiply_derivative_gaussian(grid):
