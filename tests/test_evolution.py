@@ -496,6 +496,39 @@ class TestRowBlocks:
                 assert sample.representation == psi.representation
                 np.testing.assert_array_equal(sample.values, stacked[j].values)
 
+    @pytest.mark.parametrize("cpus,blocks", [(1, 1), (2, 2), (4, 4)])
+    @pytest.mark.parametrize("n", [2048, 513])
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("momentum", [False, True])
+    def test_samples_are_the_same_bits_on_any_number_of_cpus(
+            self, W, monkeypatch, cpus, blocks, n, order, momentum):
+        # 33 rows run as one block, as 16 and 17, or as 8, 8, 8 and 9
+        rows = 33
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        assert len(evolution._row_blocks(rows)) == blocks
+        grid, _, states, potentials = self._pairs(W, n, True)
+        pairs = [(i % len(states), i % len(potentials)) for i in range(rows)]
+        if momentum:
+            states = [so.to_momentum(s) for s in states]
+        stack = so.WaveFunction(grid, np.vstack([states[s].values for s, _ in pairs]),
+                                states[0].representation)
+        V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
+        steps = 20
+        plan = so.TrotterPlan(0.05, steps, order=order)
+        alone = {pair: dict(so.trotter_states(states[pair[0]], potentials[pair[1]], plan))
+                 for pair in set(pairs)}
+        for stride in (1, 7, steps):
+            stacked = dict(so.trotter_states(stack, V, plan, stride=stride))
+            assert sorted(stacked) == sorted({*range(0, steps + 1, stride), steps})
+            assert stacked.pop(0) is stack
+            for j, sample in stacked.items():
+                # each later sample is a whole fresh read-only stack in psi's representation
+                assert sample.representation == stack.representation
+                assert sample.values.shape == (rows, n) and not sample.values.flags.writeable
+                assert not np.shares_memory(sample.values, stack.values)
+                for row, pair in enumerate(pairs):
+                    np.testing.assert_array_equal(sample.values[row], alone[pair][j].values)
+
     @staticmethod
     def _row_threads():
         return [t for t in threading.enumerate() if t.name.startswith("susyoptics-rows")]
