@@ -90,3 +90,7 @@ def main(argv=None) -> int:
     print(f"wrote {len(written)} files to {args.out}")
 
     return resolve_exit(all(r.passed for r in results), bool(caught), args.strict)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

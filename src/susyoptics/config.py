@@ -303,7 +303,7 @@ def parse_config(path=None, *, _grid_points=None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config_text(text, source=str(path), _grid_points=_grid_points)
 

@@ -1,8 +1,8 @@
 """Split-step propagation and the band-limited diagonalization oracle.
 
 The propagator factorizes into kinetic pieces (diagonal in momentum space)
-and potential pieces (diagonal in position space).  ORDERS describes each
-product order by the fractions (lead, trail) of dt that a kinetic piece
+and potential pieces (diagonal in position space).  ORDERS gives each
+product order as the fractions (lead, trail) of dt that a kinetic piece
 takes before the first potential kick and after the last, the two summing
 to one step; the kernel and the plate-train compiler both read it.  The
 symmetric second-order product K(dt/2) P(dt) K(dt/2) carries a state error

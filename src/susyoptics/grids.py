@@ -201,13 +201,9 @@ def fidelity(a: WaveFunction, b: WaveFunction):
 
     Insensitive to global phase and to the input norms.
     """
-    _check_compatible(a, b)
-    weight, a, b = a.grid.weight(a.representation), a.values, b.values
-    na = np.sqrt(np.vecdot(a, a).real * weight)
-    nb = np.sqrt(np.vecdot(b, b).real * weight)
-    if not (na.all() and nb.all()):  # a zero norm; the methods cost less than np.any
+    overlap, na, nb = inner(a, b), norm(a), norm(b)
+    if not (np.all(na) and np.all(nb)):
         raise DegenerateStateError("fidelity of a zero-norm field is undefined")
-    overlap = np.vecdot(a, b) * weight
     # hypot rounds as abs() of a Python complex does; np.abs differs in the last bit
     f = np.hypot(overlap.real, overlap.imag) / (na * nb)
     # clip the rounding overshoot so downstream 1 - F stays signed correctly

@@ -106,44 +106,40 @@ def spot_size(psi: WaveFunction) -> float:
 
 @dataclass(frozen=True)
 class FreeSpace:
-    """Paraxial free-space gap of z meters.
+    """Paraxial free-space gap of z = `length_m` meters; z = 0 is the identity.
 
     Acts as the free-particle Fourier multiplier for the mapped time
     z/(k x0^2), times the plane-wave phase e^{ikz}; a time that overflows is
     a ContractError.  Warns (ParaxialWarning) when the parabolic-wavefront
     condition looks strained for the current spot size: (rho/z)^2 > 1e-2.
-    z = 0 is the identity.
     """
 
-    z_m: float
+    length_m: float
     name = "free_space"
 
     def __post_init__(self):
-        if not (np.isfinite(self.z_m) and self.z_m >= 0):
-            raise ConfigurationError(f"free-space length must be >= 0, got {self.z_m}")
+        if not (np.isfinite(self.length_m) and self.length_m >= 0):
+            raise ConfigurationError(f"free-space length must be >= 0, got {self.length_m}")
 
     @property
-    def length_m(self) -> float:
-        return self.z_m
-
-    def describe(self) -> str:
-        return f"z_m={self.z_m!r}"
+    def text(self) -> str:
+        return f"z_m={self.length_m!r}"
 
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
-        if self.z_m == 0.0:
+        if self.length_m == 0.0:
             return field_
-        tau = map_distance_to_time(self.z_m, units)
+        tau = map_distance_to_time(self.length_m, units)
         if not math.isfinite(tau):
             raise ContractError(f"free-space gap maps to a non-finite time {tau}")
         out = fourier_multiply(field_, np.exp(-0.5j * field_.grid.p**2 * tau))
         rho_m = spot_size(field_) * units.x0_m
-        ratio = (rho_m / self.z_m) * (rho_m / self.z_m)  # overflows to inf, where ** raises
+        ratio = (rho_m / self.length_m) * (rho_m / self.length_m)  # * overflows to inf; ** raises
         if ratio > PARAXIAL_LIMIT:
             warnings.warn(
                 f"paraxial ratio rho^2/z^2 = {ratio:.3e} exceeds {PARAXIAL_LIMIT:.0e} "
-                f"(spot {rho_m:.3e} m over z = {self.z_m:.3e} m); treat results with care",
+                f"(spot {rho_m:.3e} m over z = {self.length_m:.3e} m); treat results with care",
                 ParaxialWarning, stacklevel=2)
-        return out.with_values(_frozen(out.values * np.exp(1j * units.k * self.z_m)))
+        return out.with_values(_frozen(out.values * np.exp(1j * units.k * self.length_m)))
 
 
 def _check_lens(f_m: float, aperture_m: float) -> None:
@@ -173,9 +169,6 @@ class ThinElement:
             raise ConfigurationError(f"{self.name} transmission reaches {np.max(np.abs(t)):.6f}; "
                                      "a passive element cannot exceed unit magnitude")
         object.__setattr__(self, "transmission", _frozen(t))
-
-    def describe(self) -> str:
-        return self.text
 
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
         if self.transmission.shape != (field_.grid.n,):
@@ -234,9 +227,7 @@ class ParityFlip:
 
     name = "parity_flip"
     length_m = 0.0
-
-    def describe(self) -> str:
-        return "-"
+    text = "-"
 
     def apply(self, field_: WaveFunction, units: PhysicalUnits) -> WaveFunction:
         n = field_.grid.n
@@ -249,7 +240,7 @@ class OpticalTrain:
     """Ordered thin elements separated by free space; the compiled bench layout.
 
     An element is any object with a layout `name`, a `length_m` along the
-    axis, a `describe()` of its SI parameters and an `apply(field_, units)`.
+    axis, a `text` of its SI parameters and an `apply(field_, units)`.
     """
 
     elements: tuple
@@ -258,7 +249,7 @@ class OpticalTrain:
     def __post_init__(self):
         elements = tuple(self.elements)
         for e in elements:
-            if not all(hasattr(e, a) for a in ("name", "length_m", "describe", "apply")):
+            if not all(hasattr(e, a) for a in ("name", "length_m", "text", "apply")):
                 raise ContractError(f"unknown optical element {e!r}")
         object.__setattr__(self, "elements", elements)
 
@@ -278,7 +269,7 @@ class OpticalTrain:
         ]
         z = 0.0
         for e in self.elements:
-            lines.append(f"{z!r}\t{e.name}\t{e.describe()}")
+            lines.append(f"{z!r}\t{e.name}\t{e.text}")
             z += e.length_m
         return "\n".join(lines) + "\n"
 
@@ -307,7 +298,7 @@ def compile_trotter_train(plan, V, units: PhysicalUnits) -> OpticalTrain:
                    for f in ORDERS[plan.order])
     gap = FreeSpace(map_time_to_distance(plan.dt, units))
     plate = phase_plate(V.values * plan.dt)
-    elements = ([lead] if lead.z_m else []) + [plate, gap] * (plan.n_steps - 1) + [plate, trail]
+    elements = ([lead] if lead.length_m else []) + [plate, gap] * (plan.n_steps - 1) + [plate, trail]
     return OpticalTrain(tuple(elements), units)
 
 

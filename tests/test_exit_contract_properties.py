@@ -13,11 +13,16 @@ their step counts, at most 12 steps a period over at most 2 periods, and
 eta-sweep its family of at most 9 etas; their draws set zero to four other
 keys on a grid of 30 to 512 points, so that some of them run.  No draw
 steps for long.  An exit 3 prints one error line, after any [WARN] lines.
+The --out path is drawn too: a fresh nested directory or an existing one
+takes the files, and an existing regular file or a path below one is an
+exit 2 that names --out in one line and leaves no file of the scenario.
 """
 
 import contextlib
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -113,6 +118,35 @@ def test_every_susy_check_config_ends_in_a_documented_exit_code(workdir, entries
                   "evolution_periods": "2", "eta_points": "9"})  # the family's own rule
 def test_every_eta_sweep_config_ends_in_a_documented_exit_code(workdir, entries):
     _assert_documented_exit(workdir, "eta-sweep", entries)
+
+
+OUT_PATHS = ("fresh directory", "existing directory", "existing file", "below a file")
+
+
+@settings(max_examples=16, deadline=None, database=None)  # ~30 ms a run at 256 points
+@given(scenario=st.sampled_from(("spectrum", "bdag-check", "trotter-convergence")),
+       where=st.sampled_from(OUT_PATHS), depth=st.integers(1, 3))
+@example(scenario="spectrum", where="existing file", depth=1)
+@example(scenario="spectrum", where="below a file", depth=2)
+def test_every_out_path_ends_in_a_documented_exit_code(workdir, scenario, where, depth):
+    base = Path(tempfile.mkdtemp(dir=workdir))
+    path = base.joinpath(*["d"] * depth)
+    if where == "existing directory":
+        path.mkdir(parents=True)
+    elif where in ("existing file", "below a file"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("not a directory\n")
+    out = path / "sub" if where == "below a file" else path
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([scenario, "--grid-points", "256", "--out", str(out)])
+    written = list(base.rglob(f"{scenario}_*"))
+    if where in ("existing file", "below a file"):
+        assert code == 2
+        assert err.getvalue().startswith(f"cannot write to --out {str(out)!r}: ")
+        assert err.getvalue().count("\n") == 1 and not written
+    else:  # bdag-check fails its gates on so coarse a grid, and still writes
+        assert code in (0, 1) and written and all(p.parent == out for p in written)
 
 
 def _assert_documented_exit(workdir, scenario, entries):

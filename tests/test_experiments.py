@@ -684,6 +684,30 @@ class TestCli:
         assert proc.stderr.startswith("configuration error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_exit_two_on_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        # a file that does not decode is refused like one that cannot be opened
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe=1\n")
+        out = tmp_path / "r"
+        assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read config {str(cfg)!r}: ")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_the_cli_module_runs_as_the_package_does(self, tmp_path):
+        src = Path(so.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        runs = {}
+        for module in ("susyoptics", "susyoptics.cli"):
+            out = tmp_path / module
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "spectrum", "--grid-points", "256",
+                 "--out", str(out)], capture_output=True, text=True, env=env)
+            runs[module] = proc.returncode, {p.name: p.read_bytes() for p in out.iterdir()}
+        assert runs["susyoptics.cli"] == runs["susyoptics"]
+        assert len(runs["susyoptics"][1]) == 3
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_eta_sweep_csvs_do_not_depend_on_the_core_count(self, small_cfg, tmp_path):
         # the 41-row family stack runs in row blocks on every usable CPU, and

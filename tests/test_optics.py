@@ -281,7 +281,7 @@ class TestCompiledTrain:
         train = so.compile_trotter_train(plan, v2, units)
         kinds = [e.name for e in train.elements]
         z_full = map_time_to_distance(dt, units)
-        gaps = [e.z_m for e in train.elements if e.name == "free_space"]
+        gaps = [e.length_m for e in train.elements if e.name == "free_space"]
         if order == "first":
             # plate, gap, ..., plate, gap: n plates, n full gaps, none of zero length
             assert len(kinds) == 60
