@@ -193,10 +193,10 @@ def _build(cfg: ExperimentConfig):
     # the trap's ground state, and the bench's calibration reference, are 1 x0 wide
     def unit_grid(c):
         grid = make_grid(c.grid_points, c.x_min_x0 * x0, c.x_max_x0 * x0)
-        length = c.x_max_x0 - c.x_min_x0
-        if not length / c.grid_points <= 1.0 <= length:
-            raise ConfigurationError(f"the grid spacing {length / c.grid_points!r} and the "
-                                     f"window length {length!r} must hold the unit width x0")
+        length = grid.x_max - grid.x_min  # compared as gaussian_packet compares a width
+        if not grid.dx <= x0 <= length:
+            raise ConfigurationError(f"the grid spacing {grid.dx / x0!r} and the window "
+                                     f"length {length / x0!r} must hold the unit width x0")
         return grid
 
     def packet_on_grid(c):  # the packet center and width are checked against the grid

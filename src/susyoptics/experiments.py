@@ -318,8 +318,9 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
     Uses the configured focal length, then a reduced one with f^2/rho^2 =
     2.5e3, whose lens chirp the grid samples only from n = 2,256 (at the
     default 2048 it measures that aliasing margin, not a paraxial one), then
-    a battery of random smooth states checking that the error level is a
-    property of the bench, not of the chosen state.
+    a battery of random smooth states at the aperture centre, where the arm
+    phase is calibrated, whose worst error is bounded by ten times the
+    reference's.
     All error measures fix the modulus overlap convention; they are error
     metrics, not reported fidelities.
     """

@@ -13,11 +13,12 @@ by free-space gaps.  The non-unitary ladder operator B+ is assembled from a
 two-arm interferometer: a derivative arm (two cascaded f-lens-f Fourier
 stages with a linear amplitude ramp in the shared focal plane, then a parity
 stage) and a multiplication arm (an amplitude mask shaped like the
-superpotential between two parity stages).  `calibrate_interferometer`
-fixes the gain alpha, builds both arm trains and trims their relative
-phase once per spec and grid; `interferometric_B_dag` then applies that
-calibrated object to any number of states, summing the arms and dividing
-the known gain sqrt(2)*alpha to yield B+ psi.
+superpotential between two parity stages), both modulators behind the
+lens's stops.  `calibrate_interferometer` fixes the gain alpha and the
+frame, builds both arm trains and trims their relative phase once per spec
+and grid; `interferometric_B_dag` then applies that calibrated object to
+any number of states, summing the arms and dividing the known gain
+sqrt(2)*alpha to yield B+ psi.
 
 All fields here are WaveFunction values on the dimensionless grid; `units`
 carries the physical scale.  Functions that take durations expect them
@@ -326,18 +327,20 @@ class InterferometerSpec:
                 f"parity_mode must be one of {PARITY_MODES}, got {self.parity_mode!r}")
 
 
-def alpha_passivity_bound(spec: InterferometerSpec, grid: Grid1D,
-                          units: PhysicalUnits) -> float:
-    """Largest common gain keeping both arm modulators passive (|profile| <= 1).
+def _arm_trains(spec: InterferometerSpec, grid: Grid1D, units: PhysicalUnits) -> tuple:
+    """(alpha, derivative_arm, multiplication_arm): the gain and both simulatable arms.
 
-    The derivative arm needs |alpha x / tau_f| <= 1 across the aperture
-    (tau_f = f/(k x0^2) is the mapped time of one focal length); the
-    multiplication arm needs |alpha W| <= 1 there.  A gain of 95% of the bound
-    must be a float whose rounding unit is normal, at least about 1e-292.
+    The lens transmits exactly inside its aperture, so its nonzero points are
+    the stops of both modulators.  alpha is 95% of the largest common gain
+    keeping them passive: the derivative arm needs |alpha x / tau_f| <= 1
+    there (tau_f = f/(k x0^2) is the mapped time of one focal length), the
+    multiplication arm |alpha W| <= 1.  alpha must be a float whose rounding
+    unit is normal, at least about 1e-292.
     """
-    a_grid = spec.aperture_m / units.x0_m
-    tau_f = map_distance_to_time(spec.focal_length_m, units)
-    inside = np.abs(grid.x) <= a_grid
+    f = spec.focal_length_m
+    tau_f = map_distance_to_time(f, units)
+    lens = thin_lens(f, spec.aperture_m, grid, units)
+    inside = lens.transmission != 0.0
     if not np.any(inside):
         raise ConfigurationError("aperture does not cover any grid point")
     w_max = float(np.max(np.abs(np.asarray(
@@ -353,56 +356,35 @@ def alpha_passivity_bound(spec: InterferometerSpec, grid: Grid1D,
     alpha = 0.95 * min(bounds)  # the arm fields scale with it: keep their rounding unit normal
     if not np.finfo(float).tiny <= alpha * np.finfo(float).eps < np.inf:
         raise ConfigurationError(f"interferometer gain {alpha!r} lies outside [1e-292, inf)")
-    return min(bounds)
-
-
-def _upper_frame_constant(spec: InterferometerSpec, units: PhysicalUnits) -> complex:
-    """Deterministic model constant of the multiplication arm.
-
-    Dividing it out quotes the output in the frame of a blocked-arm
-    calibration shot, the way a bench normalizes its transfer constant.
-    Ideal parity stages contribute nothing; each 4f relay contributes
-    exactly -i e^{4ikf} in the paraxial model.
-    """
-    if spec.parity_mode == "ideal":
-        return 1.0 + 0.0j
-    relay = -1j * np.exp(4j * units.k * spec.focal_length_m)
-    return complex(relay * relay)
-
-
-def _arm_trains(spec: InterferometerSpec, grid: Grid1D, units: PhysicalUnits,
-                alpha: float) -> tuple:
-    """(derivative_arm, multiplication_arm) as simulatable OpticalTrains."""
-    f = spec.focal_length_m
-    inside = np.abs(grid.x) <= spec.aperture_m / units.x0_m
-    lens = thin_lens(f, spec.aperture_m, grid, units)
     # front focal plane -> back focal plane: exact scaled Fourier transform
     fourier = (FreeSpace(f), lens, FreeSpace(f))
     # an exact inversion, or a two-lens 4f relay: unit magnification image
     # inversion with the constant -i e^{4ikf}
     parity = ((ParityFlip(),) if spec.parity_mode == "ideal"
               else (FreeSpace(f), lens, FreeSpace(2 * f), lens, FreeSpace(f)))
-    ramp = np.where(inside, alpha * grid.x / map_distance_to_time(f, units), 0.0)
+    ramp = np.where(inside, alpha * grid.x / tau_f, 0.0)
     lower = OpticalTrain((*fourier, amplitude_modulator(ramp), *fourier, *parity), units)
     # the mask sits between two inversions, so it is tabulated mirrored
     w_mirrored = np.asarray(spec.superpotential.value(-grid.x), dtype=float)
     mask = np.where(inside, alpha * w_mirrored, 0.0)
     upper = OpticalTrain((*parity, amplitude_modulator(mask), *parity), units)
-    return lower, upper
+    return alpha, lower, upper
 
 
-def _arm_outputs(psi: WaveFunction, spec: InterferometerSpec, arms: tuple) -> list:
+def _arm_outputs(psi: WaveFunction, arms: tuple, frame: complex) -> list:
     """Each arm's output for psi, in the frame of the multiplication arm."""
-    frame = _upper_frame_constant(spec, arms[0].units)
     return [simulate_train(psi, arm).values / frame for arm in arms]
 
 
 @dataclass(frozen=True)
 class CalibratedInterferometer:
-    """A spec on one grid with its gain, arm trains and relative arm phase fixed.
+    """A spec on one grid with its gain, arm trains, frame and arm phase fixed.
 
     Made by `calibrate_interferometer`; `interferometric_B_dag` applies it
-    to any number of states on that grid.
+    to any number of states on that grid.  `frame` is the multiplication
+    arm's model constant: dividing it out quotes both arms in the frame of a
+    blocked-arm calibration shot, the way a bench normalizes its transfer
+    constant.
     """
 
     spec: InterferometerSpec
@@ -410,25 +392,28 @@ class CalibratedInterferometer:
     alpha: float
     derivative_arm: OpticalTrain
     multiplication_arm: OpticalTrain
+    frame: complex
     phase: float
 
 
 def calibrate_interferometer(spec: InterferometerSpec, grid: Grid1D,
                              units: PhysicalUnits) -> CalibratedInterferometer:
-    """Pin the gain and the relative arm phase of spec on grid.
+    """Pin the gain, the frame and the relative arm phase of spec on grid.
 
-    The gain alpha is 95% of the passivity bound, and both arm trains are
-    built once with it.  The derivative arm emerges with a unit-modulus
-    constant attached (a real Fourier-plane ramp synthesizes the derivative
-    only up to a quadrature phase, and its relay adds path phase).  One
-    least-squares phase against the algebraic target on the centered unit
-    Gaussian pins it, mirroring the path-length trim of a physical
-    interferometer.
+    `_arm_trains` gives the gain and builds both arm trains once with it.
+    Ideal parity stages add nothing to the frame; each 4f relay adds exactly
+    -i e^{4ikf} in the paraxial model.  The derivative arm emerges with a
+    unit-modulus constant attached (a real Fourier-plane ramp synthesizes
+    the derivative only up to a quadrature phase, and its relay adds path
+    phase).  One least-squares phase against the algebraic target on the
+    centered unit Gaussian pins it, mirroring the path-length trim of a
+    physical interferometer.
     """
-    alpha = 0.95 * alpha_passivity_bound(spec, grid, units)
-    arms = _arm_trains(spec, grid, units, alpha)
+    alpha, *arms = _arm_trains(spec, grid, units)
+    relay = 1.0 if spec.parity_mode == "ideal" else -1j * np.exp(4j * units.k * spec.focal_length_m)
+    frame = complex(relay * relay)
     reference = gaussian_packet(grid)
-    lower, upper = _arm_outputs(reference, spec, arms)
+    lower, upper = _arm_outputs(reference, arms, frame)
     target = math.sqrt(2.0) * alpha * apply_B_dag(
         reference, spec.superpotential).values - upper
     overlap = np.vdot(lower, target)
@@ -437,7 +422,7 @@ def calibrate_interferometer(spec: InterferometerSpec, grid: Grid1D,
     if abs(overlap) <= grid.n * np.finfo(float).eps * scale:
         raise NumericalError(
             "calibration reference produces no derivative-arm signal")
-    return CalibratedInterferometer(spec, grid, alpha, *arms,
+    return CalibratedInterferometer(spec, grid, alpha, *arms, frame,
                                     float(np.angle(overlap)))
 
 
@@ -445,17 +430,17 @@ def interferometric_B_dag(psi: WaveFunction,
                           calibrated: CalibratedInterferometer) -> WaveFunction:
     """Assemble B+ psi from the two simulated arms of a calibrated interferometer.
 
-    Both arms are propagated element by element; the derivative arm gets
-    the calibration phase, the arms are summed, and the known gain
-    sqrt(2)*alpha is divided out.  The output approximates apply_B_dag(psi)
-    and is unnormalized like it.
+    Both arms are propagated element by element and divided by the frame;
+    the derivative arm gets the calibration phase, the arms are summed, and
+    the known gain sqrt(2)*alpha is divided out.  The output approximates
+    apply_B_dag(psi) and is unnormalized like it.
     """
     if psi.representation != POSITION:
         raise ContractError("interferometric_B_dag expects a position-space field")
     if psi.grid != calibrated.grid:
         raise ContractError("interferometer was calibrated on a different grid")
-    lower, upper = _arm_outputs(psi, calibrated.spec, (
-        calibrated.derivative_arm, calibrated.multiplication_arm))
+    lower, upper = _arm_outputs(psi, (calibrated.derivative_arm, calibrated.multiplication_arm),
+                                calibrated.frame)
     combined = (upper + np.exp(1j * calibrated.phase) * lower) \
         / (math.sqrt(2.0) * calibrated.alpha)
     return psi.with_values(combined)

@@ -98,6 +98,12 @@ def test_missing_file(tmp_path):
      "grid_points, x_min_x0, x_max_x0: the grid spacing 1.03"),
     (dict(grid_points=1, x_center_x0=40.0), "grid_points, x_min_x0, x_max_x0: "),
     (dict(eta_points=2), "eta_points: must be >= 3, got 2"),
+    # a spacing of exactly 1 x0 rounds one ulp past x0 on the built grid: the
+    # grid is at fault, not the unit-width packet
+    (dict(omega=5.0, grid_points=40, x_min_x0=-20.0, x_max_x0=20.0),
+     "grid_points, x_min_x0, x_max_x0: the grid spacing 1.0"),
+    (dict(omega=0.2, grid_points=30, x_min_x0=-15.0, x_max_x0=15.0),
+     "grid_points, x_min_x0, x_max_x0: the grid spacing 1.0"),
 ])
 def test_validate_rules(override, fragment):
     # each cause is reported once

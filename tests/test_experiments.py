@@ -243,7 +243,7 @@ class TestRunnerStructure:
         assert r.passed
 
     def test_bdag_calibrates_each_focal_length_once(self, small_cfg, monkeypatch):
-        calls = {"alpha_passivity_bound": 0, "_arm_trains": 0}
+        calls = {"_arm_trains": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(optics, name), **kwargs):
                 calls[_name] += 1
@@ -251,7 +251,7 @@ class TestRunnerStructure:
             monkeypatch.setattr(optics, name, counted)
         so.run_bdag_validation(small_cfg)
         # the reference and the reduced focal length, each calibrated once
-        assert calls == {"alpha_passivity_bound": 2, "_arm_trains": 2}
+        assert calls == {"_arm_trains": 2}
 
     def test_bench_run_keeps_the_callers_hash(self, small_cfg):
         # the bench frame is built at omega = 1, but provenance is the caller's
@@ -868,6 +868,17 @@ class TestCli:
         code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
         assert code == 3
         assert capsys.readouterr().err == f"{error.__name__}: probe\n"
+
+    def test_exit_three_when_the_eigensolver_fails(self, tmp_path, capsys, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        code = cli.main(["spectrum", "--grid-points", "256", "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: eigensolver failed on ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_exit_three_when_an_allocation_does_not_fit(self, tmp_path, capsys):
         # the first grid array would take 8 PB, so numpy fails before allocating

@@ -13,6 +13,7 @@ from susyoptics import (
     ParaxialWarning,
     optics,
 )
+from susyoptics.config import setup
 from susyoptics.evolution import ORDERS
 from susyoptics.optics import (
     FreeSpace,
@@ -21,7 +22,6 @@ from susyoptics.optics import (
     ParityFlip,
     PhysicalUnits,
     ThinElement,
-    alpha_passivity_bound,
     amplitude_modulator,
     calibrate_interferometer,
     interferometric_B_dag,
@@ -329,14 +329,14 @@ class TestInterferometer:
         tau_f = 0.8 / (units.k * units.x0_m**2)
         reach = np.max(np.abs(grid.x)[np.abs(grid.x) * units.x0_m <= 10e-3])
         expected = tau_f / reach
-        assert alpha_passivity_bound(spec, grid, units) == pytest.approx(
-            expected, rel=1e-12)
+        assert optics._arm_trains(spec, grid, units)[0] == pytest.approx(
+            0.95 * expected, rel=1e-12)
 
     def test_passivity_bound_limited_by_superpotential(self, grid, units):
         tall = so.Superpotential(1.0, 200.0)
         spec = InterferometerSpec(tall, 0.8, 10e-3)
-        assert alpha_passivity_bound(spec, grid, units) == pytest.approx(
-            1.0 / 200.0, rel=1e-12)
+        assert optics._arm_trains(spec, grid, units)[0] == pytest.approx(
+            0.95 / 200.0, rel=1e-12)
 
     @pytest.mark.parametrize("amplitude,lo,hi,aperture_m,message", [
         (5.0, 5.0, 10.0, 1e-3, "does not cover any grid point"),  # every x lies past 1 x0
@@ -347,13 +347,13 @@ class TestInterferometer:
             self, units, amplitude, lo, hi, aperture_m, message):
         spec = InterferometerSpec(so.Superpotential(1.0, amplitude), 0.8, aperture_m)
         with pytest.raises(ConfigurationError, match=message):
-            alpha_passivity_bound(spec, so.make_grid(64, lo, hi), units)
+            optics._arm_trains(spec, so.make_grid(64, lo, hi), units)
 
     def test_a_gain_without_full_precision_is_a_configuration_error(self, W, grid, units):
         # 95% of the bound must keep the arm fields' rounding unit normal: >= ~1e-292
-        assert alpha_passivity_bound(InterferometerSpec(W, 1e-160, 10e-3), grid, units) > 0
+        assert optics._arm_trains(InterferometerSpec(W, 1e-160, 10e-3), grid, units)[0] > 0
         with pytest.raises(ConfigurationError, match="interferometer gain"):
-            alpha_passivity_bound(InterferometerSpec(W, 1e-300, 10e-3), grid, units)
+            optics._arm_trains(InterferometerSpec(W, 1e-300, 10e-3), grid, units)
 
     @pytest.mark.parametrize("scale", [1e-300, 0.0])
     def test_the_signal_floor_is_relative_to_the_arms(self, W, grid, units, monkeypatch,
@@ -378,12 +378,32 @@ class TestInterferometer:
         spec = InterferometerSpec(W, 0.8, 10e-3)
         tuned = calibrate_interferometer(spec, grid, units)
         assert tuned.spec == spec and tuned.grid == grid
-        assert tuned.alpha == 0.95 * alpha_passivity_bound(spec, grid, units)
+        assert tuned.alpha == optics._arm_trains(spec, grid, units)[0]
         assert math.isfinite(tuned.phase)
         again = calibrate_interferometer(spec, grid, units)
         assert again.phase == tuned.phase
         with pytest.raises(dataclasses.FrozenInstanceError):
             tuned.phase = 0.0
+
+    def test_the_modulators_stop_where_the_lens_does(self):
+        # x = 12.5 x0 meets the aperture 12.5 x0 exactly in meters, where the
+        # lens tests it, though 12.5 x0_m / x0_m rounds below 12.5
+        cfg = dataclasses.replace(so.parse_config(None), x_min_x0=-16.0, x_max_x0=16.0,
+                                  aperture_x0=12.5, x0_mm=0.7)
+        run = setup(cfg)
+        tuned = calibrate_interferometer(run.spec, run.grid, run.units)
+        lens, ramp = (next(e.transmission for e in tuned.derivative_arm.elements if e.name == n)
+                      for n in ("thin_lens", "amplitude_modulator"))
+        mask = tuned.multiplication_arm.elements[1].transmission
+        inside = lens != 0
+        edge = np.abs(run.grid.x) == 12.5
+        assert np.count_nonzero(edge) == 2 and np.all(inside[edge])
+        np.testing.assert_array_equal(ramp[~inside], 0.0)
+        np.testing.assert_array_equal(mask[~inside], 0.0)
+        np.testing.assert_allclose(ramp[edge], [-0.95, 0.95], rtol=1e-12)
+        tau_f = map_distance_to_time(run.spec.focal_length_m, run.units)
+        w_max = np.max(np.abs(run.W.value(run.grid.x[inside])))
+        assert tuned.alpha == pytest.approx(0.95 * min(tau_f / 12.5, 1.0 / w_max), rel=1e-12)
 
     @pytest.mark.parametrize("parity_mode", ["ideal", "fresnel"])
     def test_synthesizes_raising_operator(self, W, grid, psi0, units, parity_mode):

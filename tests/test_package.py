@@ -1,6 +1,7 @@
 """The package surface: the names it exports and the modules it loads."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -8,6 +9,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import susyoptics as so
 from susyoptics import errors
@@ -82,6 +85,20 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     namespace = {"__name__": "readme"}
     for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)):
         exec(compile(block, f"README.md, python block {i}", "exec"), namespace)
+
+
+def test_the_console_script_runs(tmp_path, monkeypatch, capsys):
+    """The susy-optics entry of [project.scripts] resolves and runs as installed."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
+    module, function = project["scripts"]["susy-optics"].split(":")
+    out = tmp_path / "smoke"
+    # an installed console script calls the function with no arguments
+    monkeypatch.setattr(sys, "argv", ["susy-optics", "spectrum", "--grid-points", "256",
+                                      "--out", str(out)])
+    assert getattr(importlib.import_module(module), function)() == 0
+    assert len(list(out.iterdir())) == 3
+    assert capsys.readouterr().out.endswith(f"wrote 3 files to {out}\n")
 
 
 # Runs in a fresh interpreter and prints whether numpy.random is loaded after

@@ -163,6 +163,15 @@ class TestBoundSpectrum:
         with pytest.raises(NumericalError):
             so.bound_spectrum(v1, 4)
 
+    def test_an_eigensolver_failure_is_a_numerical_error(self, W, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        v1 = so.partner_potential(W, 1, so.make_grid(256, -15.0, 15.0))
+        with pytest.raises(NumericalError, match="eigensolver failed on 'V1'"):
+            so.bound_spectrum(v1, 4)
+
     def test_an_overflowing_hamiltonian_is_a_numerical_error(self):
         # V is finite at A = 1e150 but H v is not: the residual check, not a
         # numpy RuntimeWarning, reports it
