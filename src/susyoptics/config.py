@@ -272,14 +272,14 @@ def parse_config_text(text: str, source: str = "<config>", *,
         if key not in CONFIG_KEYS:
             problems.append(f"{source}:{lineno}: unknown key {key!r}")
             continue
-        if key in seen:
+        if key in first_line:  # set before, whether or not its value parsed
             problems.append(
                 f"{source}:{lineno}: duplicate key {key!r} "
                 f"(first set on line {first_line[key]})")
             continue
+        first_line[key] = lineno
         try:
             seen[key] = _convert(key, value)
-            first_line[key] = lineno
         except ValueError as exc:
             problems.append(
                 f"{source}:{lineno}: invalid value for {key!r}: {value!r} ({exc})")

@@ -94,25 +94,6 @@ def _row_blocks(rows: int) -> list:
     return [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-def _run_blocks(workers, fn, blocks, *args):
-    """fn(block, *args) for every block of rows, the first on this thread.
-
-    The rest run on `workers` (None for a single block, which submits
-    nothing), each in a copy of this thread's context, so numpy's error state
-    (a context variable) holds there too.  Returns once every block is done,
-    and then raises the first block's error, if any.
-    """
-    futures = [workers.submit(contextvars.copy_context().run, fn, block, *args)
-               for block in blocks[1:]]
-    try:
-        fn(blocks[0], *args)
-    finally:
-        for future in futures:
-            future.exception()
-    for future in futures:
-        future.result()
-
-
 def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                    stride: int = 1):
     """Yield (step_index, state) at step 0 and every `stride` steps (plus the last).
@@ -231,7 +212,18 @@ def trotter_states(psi: WaveFunction, V: PotentialField, plan: TrotterPlan,
                 workers = ThreadPoolExecutor(len(blocks) - 1, "susyoptics-rows")
                 owner = os.getpid()
             sample = None if j % stride and j < n else np.empty_like(w)
-            _run_blocks(workers, step, blocks, j, sample)
+            # blocks after the first run on the workers, each in a copy of this
+            # thread's context (numpy's error state is a context variable); the
+            # first block's error, if any, is raised once every block is done
+            futures = [workers.submit(contextvars.copy_context().run, step, block, j, sample)
+                       for block in blocks[1:]]
+            try:
+                step(blocks[0], j, sample)
+            finally:
+                for future in futures:
+                    future.exception()
+            for future in futures:
+                future.result()
             if sample is not None:
                 yield j, WaveFunction(g, _frozen(sample), representation)
                 del sample  # the caller's reference is the only one left

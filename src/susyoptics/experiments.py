@@ -335,10 +335,11 @@ def run_bdag_validation(cfg: ExperimentConfig) -> ScenarioResult:
 
     benches = []
     for key, spec in (("focal_length_m", run.spec), ("reduced_focal_length_m", run.reduced_spec)):
-        try:  # the focal length bounds the gain, and a huge one zeroes the arm field
+        try:  # tau_f = f/(k x0^2) bounds the gain, and a huge one zeroes the arm field
             benches.append(calibrate_interferometer(spec, grid, units))
         except (ConfigurationError, DegenerateStateError) as exc:
-            raise ConfigurationError(f"{key} = {spec.focal_length_m!r}: {exc}") from exc
+            raise ConfigurationError(
+                f"{key}, wavelength_nm, x0_mm: {key} = {spec.focal_length_m!r}: {exc}") from exc
     # the battery sits at the aperture center: the bench is specified for
     # fields inside the aperture, and a displaced Hermite stack would spill
     # past the stops and measure its own clipping instead of the optics

@@ -61,12 +61,14 @@ def test_unknown_key_is_error_with_location(tmp_path):
 
 def test_all_problems_reported_at_once(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("x0_mm = fast\nomega = 1.0\nomega = 2.0\nbad line\nmystery = 3\n")
+    path.write_text("x0_mm = fast\nomega = 1.0\nomega = 2.0\nbad line\nmystery = 3\n"
+                    "x0_mm = 2.0\n")
     with pytest.raises(ConfigurationError) as err:
         so.parse_config(path)
     msg = str(err.value)
     assert "x0_mm" in msg          # unparseable float
     assert "duplicate" in msg      # repeated key
+    assert f"{path}:6: duplicate key 'x0_mm' (first set on line 1)" in msg  # after a bad value
     assert "bad line" in msg       # missing separator
     assert "mystery" in msg        # unknown key
 

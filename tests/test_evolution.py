@@ -133,82 +133,12 @@ class TestTrotterStates:
 
 
 class TestStackedKernel:
-    """A stack of m states is one stream that reproduces m separate runs."""
+    """A stack of m states is one stream; its rows must pair with the potentials'."""
 
     @pytest.fixture(scope="class")
     def states(self, W, psi0):
         moving = so.gaussian_packet(psi0.grid, -3.0, momentum=1.5)
         return [psi0, moving, so.normalized(so.apply_B_dag(psi0, W))]
-
-    @pytest.mark.parametrize("order", ["first", "second"])
-    @pytest.mark.parametrize("stacked_potential", [False, True])
-    def test_stack_equals_separate_runs_bitwise(self, W, v1, v2, states, order,
-                                                stacked_potential):
-        grid = v2.grid
-        if stacked_potential:
-            potentials = [v1, v2, so.eta_potential(W, 0.5, grid)]
-            V = PotentialField(grid, np.vstack([v.values for v in potentials]))
-        else:
-            potentials = [v2] * len(states)
-            V = v2
-        stack = so.WaveFunction(grid, np.vstack([s.values for s in states]))
-        self._assert_rows_run_alone(stack, V, states, potentials, order)
-
-    @staticmethod
-    def _assert_rows_run_alone(stack, V, states, potentials, order):
-        n = 40
-        plan = so.TrotterPlan(0.05, n, order=order)
-        for stride in (1, 7, n):
-            stacked = dict(so.trotter_states(stack, V, plan, stride=stride))
-            assert sorted(stacked) == sorted({*range(0, n + 1, stride), n})
-            for row, (state, v) in enumerate(zip(states, potentials)):
-                alone = dict(so.trotter_states(state, v, plan, stride=stride))
-                assert sorted(alone) == sorted(stacked)
-                for j, sample in alone.items():
-                    assert stacked[j].representation == sample.representation
-                    np.testing.assert_array_equal(stacked[j].values[row],
-                                                  sample.values)
-
-    @pytest.mark.parametrize("order", ["first", "second"])
-    @pytest.mark.parametrize("stacked_potential", [False, True])
-    def test_momentum_stack_equals_separate_runs_bitwise(self, W, v1, v2, states,
-                                                         order, stacked_potential):
-        grid = v2.grid
-        if stacked_potential:
-            potentials = [v1, v2, so.eta_potential(W, 0.5, grid)]
-            V = PotentialField(grid, np.vstack([v.values for v in potentials]))
-        else:
-            potentials = [v2] * len(states)
-            V = v2
-        momenta = [so.to_momentum(s) for s in states]
-        stack = so.WaveFunction(grid, np.vstack([s.values for s in momenta]),
-                                MOMENTUM)
-        self._assert_rows_run_alone(stack, V, momenta, potentials, order)
-
-    def test_samples_are_fresh_and_read_only(self, v2, states):
-        stack = so.WaveFunction(v2.grid, np.vstack([s.values for s in states]))
-        samples = list(so.trotter_states(stack, v2, so.TrotterPlan(0.05, 3)))
-        assert samples[0][1] is stack
-        arrays = [state.values for _, state in samples]
-        for a in arrays:
-            assert a.shape == stack.values.shape
-            assert not a.flags.writeable
-        for a, b in zip(arrays, arrays[1:]):
-            assert not np.shares_memory(a, b)
-
-    def test_momentum_samples_are_fresh_and_read_only(self, v2, states):
-        stack = so.to_momentum(
-            so.WaveFunction(v2.grid, np.vstack([s.values for s in states])))
-        for order in ("first", "second"):
-            plan = so.TrotterPlan(0.05, 3, order=order)
-            samples = list(so.trotter_states(stack, v2, plan))
-            assert samples[0][1] is stack
-            arrays = [state.values for _, state in samples]
-            for _, state in samples:
-                assert state.representation == MOMENTUM
-                assert not state.values.flags.writeable
-            for a, b in zip(arrays, arrays[1:]):
-                assert not np.shares_memory(a, b)
 
     def test_potential_rows_must_match_states(self, v1, v2, states):
         # k states under m potentials pair no rows when k != m, either way round
@@ -441,7 +371,7 @@ class TestRowBlocks:
         assert len(evolution._row_blocks(self.ROWS)) == 3
 
     @staticmethod
-    def _pairs(W, n, stacked_potential):
+    def _pairs(W, n, stacked_potential, rows):
         grid = so.make_grid(n, -12.0, 12.0)
         states = [so.gaussian_packet(grid, -5.0), so.gaussian_packet(grid, -3.0, momentum=1.5),
                   so.gaussian_packet(grid, 2.0, width=0.7, momentum=-1.0)]
@@ -451,15 +381,20 @@ class TestRowBlocks:
             potentials = potentials[1:2]
         # rows a block away from each other hold different pairs
         return grid, [(i % len(states), i % len(potentials))
-                      for i in range(TestRowBlocks.ROWS)], states, potentials
+                      for i in range(rows)], states, potentials
 
+    @pytest.mark.parametrize("cpus,rows,blocks,stacked_potential", [
+        (4, 3, 1, False), (4, 3, 1, True), (1, 33, 1, True), (2, 33, 2, True),
+        (3, 25, 3, False), (3, 25, 3, True), (4, 33, 4, True)])
     @pytest.mark.parametrize("n", [2048, 513])
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("momentum", [False, True])
-    @pytest.mark.parametrize("stacked_potential", [False, True])
-    def test_rows_equal_their_solo_runs_bitwise(self, W, three_cpus, n, order, momentum,
-                                                stacked_potential):
-        grid, pairs, states, potentials = self._pairs(W, n, stacked_potential)
+    def test_rows_equal_their_solo_runs_bitwise(self, W, monkeypatch, cpus, rows, blocks,
+                                                stacked_potential, n, order, momentum):
+        # one block, or 16 and 17 rows, 8, 8 and 9, or 8, 8, 8 and 9
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        assert len(evolution._row_blocks(rows)) == blocks
+        grid, pairs, states, potentials = self._pairs(W, n, stacked_potential, rows)
         if momentum:
             states = [so.to_momentum(s) for s in states]
         stack = so.WaveFunction(grid, np.vstack([states[s].values for s, _ in pairs]),
@@ -472,18 +407,23 @@ class TestRowBlocks:
         alone = {pair: dict(so.trotter_states(states[pair[0]], potentials[pair[1]], plan))
                  for pair in set(pairs)}
         for stride in (1, 7, steps):
-            stacked = dict(so.trotter_states(stack, V, plan, stride=stride))
-            assert sorted(stacked) == sorted({*range(0, steps + 1, stride), steps})
-            for j, sample in stacked.items():
+            samples = list(so.trotter_states(stack, V, plan, stride=stride))
+            assert [j for j, _ in samples] == sorted({*range(0, steps + 1, stride), steps})
+            assert samples[0][1] is stack
+            for (_, previous), (j, sample) in zip(samples, samples[1:]):
+                # each later sample is a whole fresh read-only stack in psi's representation
                 assert sample.representation == stack.representation
-                for row, pair in enumerate(pairs):
-                    np.testing.assert_array_equal(sample.values[row], alone[pair][j].values)
+                assert sample.values.shape == (rows, n) and not sample.values.flags.writeable
+                assert not np.shares_memory(sample.values, stack.values)
+                assert not np.shares_memory(sample.values, previous.values)
+                np.testing.assert_array_equal(sample.values,
+                                              [alone[pair][j].values for pair in pairs])
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("momentum", [False, True])
     def test_one_state_under_a_potential_stack_equals_its_copies_bitwise(
             self, W, three_cpus, order, momentum):
-        grid, pairs, states, potentials = self._pairs(W, 2048, True)
+        grid, pairs, states, potentials = self._pairs(W, 2048, True, self.ROWS)
         psi = so.to_momentum(states[1]) if momentum else states[1]
         V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
         copies = psi.with_values(np.vstack([psi.values] * self.ROWS))
@@ -495,39 +435,6 @@ class TestRowBlocks:
             for j, sample in alone.items():
                 assert sample.representation == psi.representation
                 np.testing.assert_array_equal(sample.values, stacked[j].values)
-
-    @pytest.mark.parametrize("cpus,blocks", [(1, 1), (2, 2), (4, 4)])
-    @pytest.mark.parametrize("n", [2048, 513])
-    @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("momentum", [False, True])
-    def test_samples_are_the_same_bits_on_any_number_of_cpus(
-            self, W, monkeypatch, cpus, blocks, n, order, momentum):
-        # 33 rows run as one block, as 16 and 17, or as 8, 8, 8 and 9
-        rows = 33
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
-        assert len(evolution._row_blocks(rows)) == blocks
-        grid, _, states, potentials = self._pairs(W, n, True)
-        pairs = [(i % len(states), i % len(potentials)) for i in range(rows)]
-        if momentum:
-            states = [so.to_momentum(s) for s in states]
-        stack = so.WaveFunction(grid, np.vstack([states[s].values for s, _ in pairs]),
-                                states[0].representation)
-        V = PotentialField(grid, np.vstack([potentials[v].values for _, v in pairs]))
-        steps = 20
-        plan = so.TrotterPlan(0.05, steps, order=order)
-        alone = {pair: dict(so.trotter_states(states[pair[0]], potentials[pair[1]], plan))
-                 for pair in set(pairs)}
-        for stride in (1, 7, steps):
-            stacked = dict(so.trotter_states(stack, V, plan, stride=stride))
-            assert sorted(stacked) == sorted({*range(0, steps + 1, stride), steps})
-            assert stacked.pop(0) is stack
-            for j, sample in stacked.items():
-                # each later sample is a whole fresh read-only stack in psi's representation
-                assert sample.representation == stack.representation
-                assert sample.values.shape == (rows, n) and not sample.values.flags.writeable
-                assert not np.shares_memory(sample.values, stack.values)
-                for row, pair in enumerate(pairs):
-                    np.testing.assert_array_equal(sample.values[row], alone[pair][j].values)
 
     @staticmethod
     def _row_threads():

@@ -942,7 +942,8 @@ class TestCli:
                          "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"configuration error: {key} = 1e-300: interferometer gain ")
+        assert err.startswith(f"configuration error: {key}, wavelength_nm, x0_mm: "
+                              f"{key} = 1e-300: interferometer gain ")
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
@@ -956,8 +957,25 @@ class TestCli:
         code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == (f"configuration error: {key} = 1e+200: "
+        assert err == (f"configuration error: {key}, wavelength_nm, x0_mm: {key} = 1e+200: "
                        "spot size of a zero field is undefined\n")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("line,fault", [
+        ("x0_mm = 1e150", "interferometer gain "),
+        ("wavelength_nm = 1e300", "spot size of a zero field is undefined\n"),
+    ])
+    def test_a_unit_that_breaks_the_bench_is_named_with_the_focal_length(
+            self, tmp_path, capsys, line, fault):
+        # tau_f = f/(k x0^2): the wavelength and x0 set it as much as f does
+        cfg = tmp_path / "units.cfg"
+        cfg.write_text(f"grid_points = 512\n{line}\n")
+        code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: focal_length_m, wavelength_nm, x0_mm: "
+                              "focal_length_m = 0.8: " + fault)
+        assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("error,code,line", [

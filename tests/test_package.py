@@ -101,6 +101,17 @@ def test_the_console_script_runs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.endswith(f"wrote 3 files to {out}\n")
 
 
+def test_the_version_has_one_source():
+    """pyproject.toml reads the version from the module every CSV's tool_version line reads."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((_ROOT / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    module, _, name = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    assert (module, name) == ("susyoptics._version", "__version__")
+    assert getattr(importlib.import_module(module), name) == so.__version__
+
+
 # Runs in a fresh interpreter and prints whether numpy.random is loaded after
 # parsing the config, after two scenarios that draw nothing, and after bdag-check.
 _RANDOM_PROBE = """\
