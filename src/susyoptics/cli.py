@@ -51,10 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_exit(all_passed: bool, warned: bool, strict: bool) -> int:
-    return int(not all_passed or (warned and strict))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     caught, failure = [], None
@@ -89,7 +85,7 @@ def main(argv=None) -> int:
                   f"  ({s.gate})")
     print(f"wrote {len(written)} files to {args.out}")
 
-    return resolve_exit(all(r.passed for r in results), bool(caught), args.strict)
+    return int(not all(r.passed for r in results) or (bool(caught) and args.strict))
 
 
 if __name__ == "__main__":

@@ -301,7 +301,7 @@ def parse_config(path=None, *, _grid_points=None) -> ExperimentConfig:
     if path is None:
         return parse_config_text("", source="<defaults>", _grid_points=_grid_points)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc

@@ -43,6 +43,17 @@ def test_parse_file_tracks_defaulted_keys(tmp_path):
     assert "x0_mm" in cfg.defaulted_keys
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_key(tmp_path):
+    # editors on Windows save UTF-8 with a leading byte-order mark
+    text = "grid_points = 512\nomega = 2.0\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    cfg, expected = so.parse_config(marked), so.parse_config(plain)
+    # defaulted_keys is left out of the config's equality
+    assert cfg == expected and cfg.defaulted_keys == expected.defaulted_keys
+
+
 def test_parse_tuple_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("convergence_steps = 10, 20, 40\n")

@@ -617,35 +617,185 @@ class TestEmitCsv:
             assert len(lines) - 1 == len(table.rows)
 
 
+def _child_env(**extra):
+    """This environment, plus the package's source on PYTHONPATH, for a child interpreter."""
+    path = (str(Path(so.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+def _raising(error):
+    """A stand-in for a function the run must not reach, or that must fail."""
+    def stand_in(*args, **kwargs):
+        raise error
+    return stand_in
+
+
+_CFG = "configuration error: {cfg}: "
+_ETA_RANGE = _CFG + "eta_min, eta_max: eta range [%s] must be finite with eta_max > eta_min\n"
+_STATE_WIDTH = (_CFG + "grid_points, x_min_x0, x_max_x0, state_width_x0, x_center_x0: width "
+                "must lie between the grid spacing 0.0146484375 and the window length 30.0, "
+                "got %s\n")
+_K_X0 = _CFG + "wavelength_nm, x0_mm: k x0^2 must be a finite positive float, got %s m\n"
+_UNITS = "configuration error: {0}, wavelength_nm, x0_mm: {0} = {1}: "
+_GAIN = "interferometer gain %r lies outside [1e-292, inf)\n"
+_NO_SPOT = "spot size of a zero field is undefined\n"
+_UNREACHED = _raising(AssertionError("the run reached a step its config should have stopped"))
+
+# One documented failure a row: the scenario and its arguments, the config (text, bytes
+# or none), a (target, name, replacement) patch, the exit code and stderr, {cfg} for
+# the config's path.  A stderr ending in a newline is all of it; any other is the prefix
+# of one line whose tail varies with the numpy, Python or BLAS installed.
+ERROR_EXITS = {
+    "bad_config": ("spectrum", "gridpoints = 2048\n", None, 2,
+                   "configuration error: {cfg}:1: unknown key 'gridpoints'\n"),
+    # the value is named where it came from, the command line
+    "bad_override": ("spectrum --grid-points 1", None, None, 2, "configuration error: "
+                     "<defaults> with grid_points = 1: grid_points, x_min_x0, x_max_x0: n must "
+                     "be at least 2, got 1\n"),
+    # the scenario and the output directory come from the command line only
+    **{f"run_choice_in_the_config-{key}": (
+        "all", f"omega = 1.0\n{key} = {value}\n", None, 2,
+        f"configuration error: {{cfg}}:2: unknown key {key!r}\n")
+       for key, value in [("scenario", "spectrum"), ("out_dir", "elsewhere")]},
+    # a file that does not decode is refused like one that cannot be opened
+    "not_utf8": ("spectrum", b"\xff\xfe=1\n", None, 2,
+                 "configuration error: cannot read config {cfg!r}: "),
+    "eta_range_beyond_its_lattice": ("eta-sweep", "eta_max = 1e300\n", None, 2, _CFG +
+                                     "eta_min, eta_max, eta_points: eta grid [-2.0, 1e+300] "
+                                     "with 81 points must contain -1, 0 and +1 exactly\n"),
+    "eta_sweep_names_sigma_before_any_step": (
+        "eta-sweep", "sigma_over_x0 = 0.3\n", (experiments, "trotter_states", _UNREACHED), 2,
+        "configuration error: sigma_over_x0: eta family requires sigma = x0/2; got sigma = "
+        "0.3 with x0/2 = 0.5\n"),
+    **{f"names_each_bad_key-{name}": ("eta-sweep", text, None, 2, err)
+       for name, text, err in [
+           ("eta_min", "eta_min = -inf\n", _ETA_RANGE % "-inf, 2.0"),
+           ("eta_max", "eta_max = inf\n", _ETA_RANGE % "-2.0, inf"),
+           ("wide_state", "state_width_x0 = 1e300\n", _STATE_WIDTH % "1e+300"),
+           ("narrow_state", "state_width_x0 = 1e-300\n", _STATE_WIDTH % "1e-300"),
+           ("battery_seed", "battery_seed = -1\n", _CFG + "battery_size, battery_seed: "
+            "battery seed must be non-negative, got -1\n"),
+           # every problem, one line each
+           ("five_keys", "grid_points = 1\nomega = -1.0\nx0_mm = 0.0\nparity_mode = mirror\n"
+            "battery_size = 0\n", _CFG + "omega: omega must be positive, got -1.0\n"
+            "{cfg}: grid_points, x_min_x0, x_max_x0: n must be at least 2, got 1\n"
+            "{cfg}: battery_size, battery_seed: battery needs at least one state, got 0\n"
+            "{cfg}: wavelength_nm, x0_mm: characteristic length must be positive, got 0.0\n"
+            "{cfg}: focal_length_m, aperture_x0, parity_mode: parity_mode must be one of "
+            "('ideal', 'fresnel'), got 'mirror'\n"),
+           # k x0^2 overflows, or underflows to zero
+           ("k_x0_overflows", "x0_mm = 1e300\n", _K_X0 % "inf"),
+           ("k_x0_underflows", "x0_mm = 1e-300\n", _K_X0 % "0.0")]},
+    # the first grid array would take 8 PB, so numpy fails before allocating
+    "allocation_does_not_fit": ("spectrum --grid-points 1000000000000000", None, None, 3,
+                                "out of memory: "),
+    # the passivity bound puts alpha near 8e-303, below 1e-292, before any arm runs;
+    # at 1e200 the derivative arm's ramp alpha x / tau_f is near 1e-199, so the field
+    # after it squares to zero and the next gap has no spot size
+    **{f"focal_length_of_{name}-{key}": ("bdag-check", f"grid_points = 512\n{key} = {f!r}\n",
+                                         None, 2, _UNITS.format(key, repr(f)) + fault)
+       for key in ("focal_length_m", "reduced_focal_length_m")
+       for name, f, fault in [("1e_300_leaves_no_gain", 1e-300, _GAIN % 8.075234709448173e-303),
+                              ("1e200_zeroes_the_arm_field", 1e200, _NO_SPOT)]},
+    # tau_f = f/(k x0^2): the wavelength and x0 set it as much as f does
+    **{f"unit_that_breaks_the_bench-{key}": (
+        "bdag-check", f"grid_points = 512\n{key} = {value}\n", None, 2,
+        _UNITS.format("focal_length_m", 0.8) + fault)
+       for key, value, fault in [("x0_mm", 1e150, _GAIN % 6.460187767558538e-303),
+                                 ("wavelength_nm", 1e300, _NO_SPOT)]},
+    **{f"superpotential_with_non_finite_partners-{scenario}-{line.replace(' ', '')}": (
+        scenario, f"{line}\n", None, 2, _CFG + "omega, barrier_amplitude, sigma_over_x0: "
+        "partner potentials are not finite on the grid\n")
+       for scenario in ("spectrum", "bdag-check")
+       for line in ["barrier_amplitude = 1e300",  # W^2 overflows
+                    "sigma_over_x0 = 1e-300",  # sigma^2 underflows: W(0) is NaN
+                    "sigma_over_x0 = 1e300",  # sigma^2 overflows
+                    "omega = 1e307"]},  # the trap's W^2 overflows at any barrier
+    # bdag-check calibrates on a unit-width Gaussian; the grid keys are at fault
+    **{f"grid_that_cannot_hold_the_unit_width-{scenario}-{name}": (
+        scenario, text, None, 2, _CFG + f"grid_points, x_min_x0, x_max_x0: the grid spacing "
+        f"{spacing!r} and the window length {length!r} must hold the unit width x0\n")
+       for scenario in ("spectrum", "bdag-check")
+       for name, text, spacing, length in [
+           ("wide_spacing", "grid_points = 16\nstate_width_x0 = 2\n", 1.875, 30.0),
+           # shorter than 1 x0, though it holds the packet and the aperture
+           ("short_window", "x_min_x0 = -0.4\nx_max_x0 = 0.4\nx_center_x0 = 0\n"
+            "state_width_x0 = 0.2\naperture_x0 = 0.3\n", 0.000390625, 0.8)]},
+    # V is finite at A = 1e150 but H v overflows; no numpy warning precedes the error
+    **{f"overflowing_hamiltonian-{scenario}": (
+        scenario, "grid_points = 512\nbarrier_amplitude = 1e150\n", None, 3, "numerical failure: ")
+       for scenario in ("spectrum", "trotter-convergence")},
+    "ideal_parity_on_a_lattice_without_a_mirror": (
+        "bdag-check", "x_min_x0 = -14\nx_max_x0 = 16\n", None, 2, "configuration error: "
+        "parity_mode, grid_points, x_min_x0, x_max_x0: ideal parity needs a lattice that "
+        "mirrors about x = 0; this grid mirrors at index 1911.4666666666667 of 2048\n"),
+    "numerical_failure": ("trotter-convergence", "grid_points = 128\nconvergence_steps = "
+                          "1,2,4\n", None, 3, "numerical failure: "),
+    # at omega = 1e-300 B+ zeroes every sample of path one; the line counts them
+    "zero_norm": ("susy-check", "grid_points = 512\nomega = 1e-300\n", None, 3,
+                  "DegenerateStateError: cannot normalize: 181 of 181 rows have a zero or "
+                  "non-finite norm\n"),
+    # the runner adds 30 and 60, so "30, 60" can never hold the three points of a fit
+    "ladder_of_two_step_counts_before_the_oracle": (
+        "trotter-convergence", "convergence_steps = 30, 60\n",
+        (experiments, "eigenbasis", _UNREACHED), 2, "configuration error: convergence_steps: "
+        "with the forced 30 and 60 the ladder (30, 60) holds 2 step counts; a fit needs 3\n"),
+    "eigensolver_fails": ("spectrum --grid-points 256", None, (np.linalg, "eigh", _raising(
+        np.linalg.LinAlgError("Eigenvalues did not converge"))), 3,
+        "numerical failure: eigensolver failed on 'V1': Eigenvalues did not converge\n"),
+}
+
+
+def _probe_runner(passed=True, warns=False, error=None, unsafe=False):
+    """A spectrum runner that warns, raises or returns one gate, as asked."""
+    def runner(cfg):
+        if warns:
+            warnings.warn("strained", so.ParaxialWarning)
+        if error:
+            raise error("probe")
+        # an unsafe table is refused inside the runner, where it is built
+        rows = np.rec.fromarrays([np.array(["a,b" if unsafe else "a"])], names=["label"])
+        return ScenarioResult("spectrum", "0" * 12, so.__version__, (),
+                              (GatedScalar("probe", 1.0, "value <= 2.0", passed),),
+                              (Table("odd", rows),))
+    return runner
+
+
+_WARN = "[WARN] ParaxialWarning: strained\n"
+
+# One probe runner a row, with or without --strict: the exit code and the whole stderr.
+# Warnings fail a run only under --strict; a failing run prints them before its error.
+PROBE_EXITS = {
+    **{f"resolve_exit-{name}": (dict(passed=passed, warns=warns), strict, code, _WARN * warns)
+       for name, passed, warns, strict, code in [
+           ("passed", True, False, False, 0), ("passed-strict", True, False, True, 0),
+           ("passed-warned", True, True, False, 0), ("failed", False, False, False, 1),
+           ("failed-strict", False, False, True, 1), ("failed-warned", False, True, False, 1),
+           ("failed-warned-strict", False, True, True, 1)]},
+    "strict_flips_warned_run": (dict(passed=True, warns=True), True, 1, _WARN),
+    "configuration_error_from_a_runner": (dict(error=ConfigurationError), False, 2,
+                                          "configuration error: probe\n"),
+    "unsafe_cell": (dict(unsafe=True), False, 2,
+                    "configuration error: cell value 'a,b' is not CSV-safe\n"),
+    **{f"other_simulation_errors-{error.__name__}": (dict(error=error), False, 3,
+                                                     f"{error.__name__}: probe\n")
+       for error in (so.ContractError, so.DegenerateStateError, so.SimulationError)},
+    **{f"warns_then_fails-{error.__name__}": (dict(warns=True, error=error), False, code,
+                                              f"{_WARN}{line}: probe\n")
+       for error, code, line in [(so.NumericalError, 3, "numerical failure"),
+                                 (ConfigurationError, 2, "configuration error")]},
+}
+
+
 class TestCli:
     def test_exit_zero_and_outputs(self, tmp_path, capsys):
-        code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "[PASS] spectrum/max_paired_gap" in out
+        assert cli.main(["spectrum", "--out", str(tmp_path / "r")]) == 0
+        assert "[PASS] spectrum/max_paired_gap" in capsys.readouterr().out
         assert (tmp_path / "r" / "spectrum_summary.csv").exists()
 
     def test_exit_one_on_gate_failure(self, tmp_path, capsys):
-        code = cli.main(["spectrum", "--grid-points", "64",
-                         "--out", str(tmp_path / "r")])
-        assert code == 1
+        assert cli.main(["spectrum", "--grid-points", "64", "--out", str(tmp_path / "r")]) == 1
         assert "[FAIL]" in capsys.readouterr().out
-
-    def test_exit_two_on_bad_config(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("gridpoints = 2048\n")
-        code = cli.main(["spectrum", "--config", str(cfg),
-                         "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert "configuration error" in capsys.readouterr().err
-
-    def test_exit_two_on_bad_override(self, tmp_path, capsys):
-        code = cli.main(["spectrum", "--grid-points", "1",
-                         "--out", str(tmp_path / "r")])
-        assert code == 2
-        # the value is named where it came from, the command line
-        assert capsys.readouterr().err.startswith(
-            "configuration error: <defaults> with grid_points = 1: grid_points, ")
 
     def test_an_override_is_checked_in_place_of_the_file_value(self, tmp_path, capsys):
         # 29 points cannot hold the unit width x0, but --grid-points replaces them first
@@ -660,50 +810,23 @@ class TestCli:
         with pytest.raises(ConfigurationError, match="grid_points"):
             so.parse_config(cfg)  # the file alone is still refused
 
-    @pytest.mark.parametrize("line", ["scenario = spectrum", "out_dir = elsewhere"])
-    def test_exit_two_on_a_run_choice_in_the_config(self, tmp_path, capsys, line):
-        # the scenario and the output directory come from the command line only
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"omega = 1.0\n{line}\n")
-        code = cli.main(["all", "--config", str(cfg), "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"configuration error: {cfg}:2: unknown key {line.split()[0]!r}\n")
-
-    def test_exit_two_when_a_runner_rejects_the_config(self, tmp_path):
+    def test_a_coarse_grid_exits_two_without_a_traceback_in_a_child_process(self, tmp_path):
         # 8 points space the grid wider than the packet, which setup rejects
         # before any runner starts
-        src = Path(so.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "susyoptics", "spectrum", "--grid-points", "8",
-             "--out", str(tmp_path / "r")],
-            capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-m", "susyoptics", "spectrum", "--grid-points",
+                               "8", "--out", str(tmp_path / "r")],
+                              capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 2
         assert proc.stderr.startswith("configuration error: ")
         assert "Traceback" not in proc.stderr
 
-    def test_exit_two_on_a_config_that_is_not_utf8(self, tmp_path, capsys):
-        # a file that does not decode is refused like one that cannot be opened
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"\xff\xfe=1\n")
-        out = tmp_path / "r"
-        assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: cannot read config {str(cfg)!r}: ")
-        assert err.count("\n") == 1 and not out.exists()
-
     def test_the_cli_module_runs_as_the_package_does(self, tmp_path):
-        src = Path(so.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
         runs = {}
         for module in ("susyoptics", "susyoptics.cli"):
             out = tmp_path / module
             proc = subprocess.run(
                 [sys.executable, "-m", module, "spectrum", "--grid-points", "256",
-                 "--out", str(out)], capture_output=True, text=True, env=env)
+                 "--out", str(out)], capture_output=True, text=True, env=_child_env())
             runs[module] = proc.returncode, {p.name: p.read_bytes() for p in out.iterdir()}
         assert runs["susyoptics.cli"] == runs["susyoptics"]
         assert len(runs["susyoptics"][1]) == 3
@@ -714,9 +837,6 @@ class TestCli:
         # on one thread in a child pinned to one CPU
         cfg = tmp_path / "small.cfg"
         cfg.write_text(serialize_config(small_cfg))
-        src = Path(so.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
         child = ("import os, sys\n"
                  "if sys.argv[1] == 'pinned':\n"
                  "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
@@ -729,7 +849,7 @@ class TestCli:
             (tmp_path / mode).mkdir()
             proc = subprocess.run([sys.executable, "-c", child, mode, str(cfg)],
                                   cwd=tmp_path / mode, capture_output=True, text=True,
-                                  env=env)
+                                  env=_child_env())
             codes.add(proc.returncode)  # 1: the small grid fails the peak gate
             blocks[mode] = int(proc.stderr.split()[-1])
         assert codes in ({0}, {1})
@@ -743,16 +863,14 @@ class TestCli:
     def test_oracle_csvs_are_byte_identical_across_processes(self, tmp_path):
         # the eigensolves change in their last bits with the BLAS thread count (these
         # five CSVs differ between 1 and 2 threads), so identity holds at a fixed count
-        src = Path(so.__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
         child = ("import sys\nfrom susyoptics import cli\n"
                  "sys.exit(max([cli.main([s, '--grid-points', '512', '--out', 'out'])\n"
                  "              for s in ('spectrum', 'trotter-convergence')]))\n")
         for run in ("a", "b"):
             (tmp_path / run).mkdir()
             proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path / run,
-                                  capture_output=True, text=True, env=env)
+                                  capture_output=True, text=True,
+                                  env=_child_env(OPENBLAS_NUM_THREADS="1"))
             assert proc.returncode == 0, proc.stderr
         a, b = (tmp_path / run / "out" for run in ("a", "b"))
         oracle = ["spectrum_levels.csv", "spectrum_summary.csv",
@@ -763,34 +881,6 @@ class TestCli:
         for name in oracle:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_exit_two_on_configuration_error_from_a_runner(self, tmp_path, capsys,
-                                                           monkeypatch):
-        def rejecting_runner(cfg):
-            raise ConfigurationError("probe")
-
-        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", rejecting_runner)
-        code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert capsys.readouterr().err == "configuration error: probe\n"
-
-    def test_exit_two_and_no_file_on_an_unsafe_cell(self, tmp_path, capsys,
-                                                     monkeypatch):
-        def unsafe_runner(cfg):  # the unsafe table is refused inside the runner
-            rows = np.rec.fromarrays([np.array(["a,b"])], names=["label"])
-            return ScenarioResult(
-                scenario="spectrum", config_hash="0" * 12,
-                tool_version=so.__version__, defaulted_keys=(),
-                scalars=(GatedScalar("probe", 1.0, "value <= 2.0", True),),
-                tables=(Table("odd", rows),))
-
-        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", unsafe_runner)
-        code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == "configuration error: cell value 'a,b' is not CSV-safe\n"
-        assert captured.out == ""
-        assert not (tmp_path / "r").exists()
-
     def test_all_writes_nothing_when_a_later_result_is_unsafe(
             self, small_cfg, tmp_path, capsys, monkeypatch):
         # trotter-convergence runs last, after every other scenario succeeded
@@ -800,97 +890,15 @@ class TestCli:
                                        scenario="trotter-convergence",
                                        tables=(Table("odd", rows),))
 
-        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "trotter-convergence",
-                            unsafe_runner)
+        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "trotter-convergence", unsafe_runner)
         cfg_file = tmp_path / "small.cfg"
         cfg_file.write_text(serialize_config(small_cfg))
         out = tmp_path / "r"
-        code = cli.main(["all", "--config", str(cfg_file), "--out", str(out)])
-        assert code == 2
+        assert cli.main(["all", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert "not CSV-safe" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
-    def test_exit_two_on_an_eta_range_beyond_its_lattice(self, tmp_path, capsys):
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text("eta_max = 1e300\n")
-        code = cli.main(["eta-sweep", "--config", str(cfg),
-                         "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert "eta_min, eta_max, eta_points: " in capsys.readouterr().err
-
-    def test_eta_sweep_names_sigma_before_any_step(self, tmp_path, capsys,
-                                                   monkeypatch):
-        def no_stepping(*args, **kwargs):
-            raise AssertionError("split-step kernel started")
-
-        monkeypatch.setattr(experiments, "trotter_states", no_stepping)
-        cfg = tmp_path / "sigma.cfg"
-        cfg.write_text("sigma_over_x0 = 0.3\n")
-        code = cli.main(["eta-sweep", "--config", str(cfg),
-                         "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(
-            "configuration error: sigma_over_x0: eta family requires sigma = x0/2")
-
-    @pytest.mark.parametrize("text,keys", [
-        ("eta_min = -inf\n", ["eta_min"]),
-        ("eta_max = inf\n", ["eta_max"]),
-        ("state_width_x0 = 1e300\n", ["state_width_x0"]),
-        ("state_width_x0 = 1e-300\n", ["state_width_x0"]),
-        ("battery_seed = -1\n", ["battery_seed"]),
-        ("grid_points = 1\nomega = -1.0\nx0_mm = 0.0\nparity_mode = mirror\n"
-         "battery_size = 0\n",
-         ["grid_points", "omega", "x0_mm", "parity_mode", "battery_size"]),
-        # k x0^2 overflows, or underflows to zero
-        ("x0_mm = 1e300\n", ["wavelength_nm", "x0_mm"]),
-        ("x0_mm = 1e-300\n", ["wavelength_nm", "x0_mm"]),
-    ])
-    def test_exit_two_names_each_bad_key(self, tmp_path, capsys, text, keys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
-        code = cli.main(["eta-sweep", "--config", str(cfg),
-                         "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("configuration error: ")
-        named = err.replace(str(cfg), "")
-        for key in keys:
-            assert key in named
-
-    @pytest.mark.parametrize("error", [so.ContractError, so.DegenerateStateError,
-                                       so.SimulationError])
-    def test_exit_three_on_other_simulation_errors(self, tmp_path, capsys,
-                                                   monkeypatch, error):
-        def failing_runner(cfg):
-            raise error("probe")
-
-        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", failing_runner)
-        code = cli.main(["spectrum", "--out", str(tmp_path / "r")])
-        assert code == 3
-        assert capsys.readouterr().err == f"{error.__name__}: probe\n"
-
-    def test_exit_three_when_the_eigensolver_fails(self, tmp_path, capsys, monkeypatch):
-        def failing(matrix):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", failing)
-        code = cli.main(["spectrum", "--grid-points", "256", "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith("numerical failure: eigensolver failed on ")
-        assert err.count("\n") == 1 and "Traceback" not in err
-
-    def test_exit_three_when_an_allocation_does_not_fit(self, tmp_path, capsys):
-        # the first grid array would take 8 PB, so numpy fails before allocating
-        code = cli.main(["spectrum", "--grid-points", "1000000000000000",
-                         "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith("out of memory: ") and err.count("\n") == 1
-        assert not (tmp_path / "r").exists()
-
-    def test_same_physics_writes_the_same_bytes_anywhere(self, small_cfg, tmp_path,
-                                                         capsys):
+    def test_same_physics_writes_the_same_bytes_anywhere(self, small_cfg, tmp_path, capsys):
         # every file of `all --out A` equals that of its own scenario's run into B/<name>
         cfg_file = tmp_path / "small.cfg"
         cfg_file.write_text(serialize_config(small_cfg))
@@ -906,13 +914,10 @@ class TestCli:
         for name, path in together.items():
             assert path.read_bytes() == singles[name].read_bytes(), name
 
-    def test_all_prints_scenarios_in_run_all_order(self, small_cfg, tmp_path,
-                                                   capsys):
+    def test_all_prints_scenarios_in_run_all_order(self, small_cfg, tmp_path, capsys):
         cfg_file = tmp_path / "small.cfg"
         cfg_file.write_text(serialize_config(small_cfg))
-        code = cli.main(["all", "--config", str(cfg_file),
-                         "--out", str(tmp_path / "r")])
-        assert code in (0, 1)
+        assert cli.main(["all", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) in (0, 1)
         printed = [line.split("] ", 1)[1].split("/", 1)[0]
                    for line in capsys.readouterr().out.splitlines()
                    if line.startswith("[")]
@@ -924,8 +929,7 @@ class TestCli:
         ("bdag-check", "focal_length_m = 1e-160"),
         ("bdag-check", "reduced_focal_length_m = 1e-160"),
     ])
-    def test_a_vanishing_gap_warns_and_the_gates_decide(self, tmp_path, capsys,
-                                                         scenario, line):
+    def test_a_vanishing_gap_warns_and_the_gates_decide(self, tmp_path, capsys, scenario, line):
         # each gap is so short against the spot that (spot/z)^2 overflows a float
         cfg = tmp_path / "gap.cfg"
         cfg.write_text(f"grid_points = 512\n{line}\n")
@@ -933,142 +937,21 @@ class TestCli:
         assert code in (0, 1)
         assert "[WARN] ParaxialWarning: paraxial ratio" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["focal_length_m", "reduced_focal_length_m"])
-    def test_a_focal_length_of_1e_300_leaves_no_gain(self, tmp_path, capsys, key):
-        # the passivity bound puts alpha near 8e-303, below 1e-292, before any arm runs
-        cfg = tmp_path / "gap.cfg"
-        cfg.write_text(f"grid_points = 512\n{key} = 1e-300\n")
-        code = cli.main(["bdag-check", "--config", str(cfg),
-                         "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"configuration error: {key}, wavelength_nm, x0_mm: "
-                              f"{key} = 1e-300: interferometer gain ")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "r").exists()
-
-    @pytest.mark.parametrize("key", ["focal_length_m", "reduced_focal_length_m"])
-    def test_a_focal_length_of_1e200_that_zeroes_the_arm_field_is_named(
-            self, tmp_path, capsys, key):
-        # the derivative arm's ramp alpha x / tau_f is near 1e-199, so the field
-        # after it squares to zero and the next gap has no spot size
-        cfg = tmp_path / "far.cfg"
-        cfg.write_text(f"grid_points = 512\n{key} = 1e200\n")
-        code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == (f"configuration error: {key}, wavelength_nm, x0_mm: {key} = 1e+200: "
-                       "spot size of a zero field is undefined\n")
-        assert not (tmp_path / "r").exists()
-
-    @pytest.mark.parametrize("line,fault", [
-        ("x0_mm = 1e150", "interferometer gain "),
-        ("wavelength_nm = 1e300", "spot size of a zero field is undefined\n"),
-    ])
-    def test_a_unit_that_breaks_the_bench_is_named_with_the_focal_length(
-            self, tmp_path, capsys, line, fault):
-        # tau_f = f/(k x0^2): the wavelength and x0 set it as much as f does
-        cfg = tmp_path / "units.cfg"
-        cfg.write_text(f"grid_points = 512\n{line}\n")
-        code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("configuration error: focal_length_m, wavelength_nm, x0_mm: "
-                              "focal_length_m = 0.8: " + fault)
-        assert err.count("\n") == 1
-        assert not (tmp_path / "r").exists()
-
-    @pytest.mark.parametrize("error,code,line", [
-        (so.NumericalError, 3, "numerical failure: probe"),
-        (ConfigurationError, 2, "configuration error: probe"),
-    ])
-    def test_a_run_that_warns_then_fails_prints_its_warnings_first(
-            self, tmp_path, capsys, monkeypatch, error, code, line):
-        def warning_runner(cfg):
-            warnings.warn("strained", so.ParaxialWarning)
-            raise error("probe")
-
-        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", warning_runner)
-        assert cli.main(["spectrum", "--out", str(tmp_path / "r")]) == code
-        assert capsys.readouterr().err == f"[WARN] ParaxialWarning: strained\n{line}\n"
-
     def test_exit_two_when_out_cannot_be_created(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / "r"
-        code = cli.main(["bdag-check", "--out", str(out)])
+        assert cli.main(["bdag-check", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"cannot write to --out {str(out)!r}: ")
-        assert err.count("\n") == 1
+        assert err.startswith(f"cannot write to --out {str(out)!r}: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
-
-    @pytest.mark.parametrize("scenario", ["spectrum", "bdag-check"])
-    @pytest.mark.parametrize("line,key", [
-        ("barrier_amplitude = 1e300", "barrier_amplitude"),  # W^2 overflows
-        ("sigma_over_x0 = 1e-300", "sigma_over_x0"),  # sigma^2 underflows: W(0) is NaN
-        ("sigma_over_x0 = 1e300", "sigma_over_x0"),  # sigma^2 overflows
-        ("omega = 1e307", "omega"),  # the trap's W^2 overflows at any barrier
-    ])
-    def test_a_superpotential_with_non_finite_partners_is_named(
-            self, tmp_path, capsys, scenario, line, key):
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text(f"{line}\n")
-        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == (f"configuration error: {cfg}: omega, barrier_amplitude, sigma_over_x0: "
-                       "partner potentials are not finite on the grid\n")
-        assert key in err and not (tmp_path / "r").exists()
-
-    @pytest.mark.parametrize("scenario", ["spectrum", "bdag-check"])
-    @pytest.mark.parametrize("text,spacing,length", [
-        ("grid_points = 16\nstate_width_x0 = 2\n", 1.875, 30.0),  # spacing over 1 x0
-        # a window shorter than 1 x0, though it holds the packet and the aperture
-        ("x_min_x0 = -0.4\nx_max_x0 = 0.4\nx_center_x0 = 0\nstate_width_x0 = 0.2\n"
-         "aperture_x0 = 0.3\n", 0.000390625, 0.8),
-    ])
-    def test_a_grid_that_cannot_hold_the_unit_width_is_named(
-            self, tmp_path, capsys, scenario, text, spacing, length):
-        # bdag-check calibrates on a unit-width Gaussian; the grid keys are at fault
-        cfg = tmp_path / "g.cfg"
-        cfg.write_text(text)
-        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"configuration error: {cfg}: grid_points, x_min_x0, x_max_x0: the grid spacing "
-            f"{spacing!r} and the window length {length!r} must hold the unit width x0\n")
-        assert not (tmp_path / "r").exists()
-
-    @pytest.mark.parametrize("scenario", ["spectrum", "trotter-convergence"])
-    def test_an_overflowing_hamiltonian_ends_in_one_line(self, tmp_path, capsys, scenario):
-        # V is finite at A = 1e150 but H v overflows; no numpy warning precedes the error
-        cfg = tmp_path / "big.cfg"
-        cfg.write_text("grid_points = 512\nbarrier_amplitude = 1e150\n")
-        code = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_ideal_parity_on_a_window_that_mirrors_about_the_axis(self, tmp_path, capsys):
         # [-14, 16) is not centred on x = 0, but at 2040 points its lattice mirrors there
         cfg = tmp_path / "offset.cfg"
         cfg.write_text("x_min_x0 = -14\nx_max_x0 = 16\ngrid_points = 2040\n")
-        code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.count("[PASS]") == 7
-
-    def test_ideal_parity_on_a_lattice_without_a_mirror_stops(self, tmp_path, capsys):
-        cfg = tmp_path / "offset.cfg"
-        cfg.write_text("x_min_x0 = -14\nx_max_x0 = 16\n")
-        code = cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.count("\n") == 1 and "mirrors about x = 0" in captured.err
-        assert captured.err.startswith(
-            "configuration error: parity_mode, grid_points, x_min_x0, x_max_x0: ")
-        assert captured.out == "" and not (tmp_path / "r").exists()
+        assert cli.main(["bdag-check", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 7
 
     @pytest.mark.parametrize("aperture,codes", [(0.01, (2,)), (0.02, (0, 1))])
     def test_an_aperture_under_one_grid_spacing_is_named(self, tmp_path, capsys,
@@ -1084,64 +967,34 @@ class TestCli:
                            "the grid spacing 0.0146484375 set by x_min_x0, x_max_x0 and "
                            "grid_points\n")
 
-    def test_exit_three_on_numerical_failure(self, tmp_path, capsys):
-        cfg = tmp_path / "sat.cfg"
-        cfg.write_text("grid_points = 128\nconvergence_steps = 1,2,4\n")
-        code = cli.main(["trotter-convergence", "--config", str(cfg),
-                         "--out", str(tmp_path / "r")])
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,config,patch,code,expected", ERROR_EXITS.values(),
+                             ids=ERROR_EXITS)
+    def test_an_error_exit_prints_its_line_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, argv, config, patch, code, expected):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "r"
+        argv = [*argv.split(), "--out", str(out)]
+        if config is not None:
+            (cfg.write_bytes if isinstance(config, bytes) else cfg.write_text)(config)
+            argv += ["--config", str(cfg)]
+        if patch:
+            monkeypatch.setattr(*patch)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        expected = expected.format(cfg=str(cfg))
+        if expected.endswith("\n"):
+            assert captured.err == expected
+        else:  # a prefix of the one line
+            assert captured.err.startswith(expected) and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
 
-    def test_a_zero_norm_is_one_error_line(self, tmp_path, capsys):
-        # at omega = 1e-300 B+ zeroes every sample of path one; the line counts them
-        cfg = tmp_path / "flat.cfg"
-        cfg.write_text("grid_points = 512\nomega = 1e-300\n")
-        code = cli.main(["susy-check", "--config", str(cfg), "--out", str(tmp_path / "r")])
-        assert code == 3
-        assert capsys.readouterr().err == ("DegenerateStateError: cannot normalize: 181 of 181 "
-                                           "rows have a zero or non-finite norm\n")
-
-    def test_a_ladder_of_two_step_counts_is_named_before_the_oracle(self, tmp_path, capsys,
-                                                                   monkeypatch):
-        # the runner adds 30 and 60, so "30, 60" can never hold the three points of a fit
-        monkeypatch.setattr(experiments, "eigenbasis", None)  # any solve would raise
-        cfg = tmp_path / "short.cfg"
-        cfg.write_text("convergence_steps = 30, 60\n")
-        code = cli.main(["trotter-convergence", "--config", str(cfg),
-                         "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "configuration error: convergence_steps: with the forced 30 and 60 the ladder "
-            "(30, 60) holds 2 step counts; a fit needs 3\n")
-
-    def test_strict_flips_warned_run(self, tmp_path, capsys, monkeypatch):
-        result = ScenarioResult(
-            scenario="spectrum", config_hash="0" * 12,
-            tool_version=so.__version__, defaulted_keys=(),
-            scalars=(GatedScalar("probe", 1.0, "value <= 2.0", True),),
-            tables=())
-
-        def warning_runner(cfg):
-            warnings.warn("ray bundle leaves the paraxial cone",
-                          so.ParaxialWarning)
-            return result
-
-        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", warning_runner)
-        relaxed = cli.main(["spectrum", "--out", str(tmp_path / "a")])
-        strict = cli.main(["spectrum", "--strict", "--out", str(tmp_path / "b")])
-        capsys.readouterr()
-        assert relaxed == 0
-        assert strict == 1
-
-    @pytest.mark.parametrize("passed,warned,strict,expected", [
-        (True, False, False, 0),
-        (True, False, True, 0),
-        (True, True, False, 0),
-        (True, True, True, 1),
-        (False, False, False, 1),
-        (False, False, True, 1),
-        (False, True, False, 1),
-        (False, True, True, 1),
-    ])
-    def test_resolve_exit(self, passed, warned, strict, expected):
-        assert cli.resolve_exit(passed, warned, strict) == expected
+    @pytest.mark.parametrize("probe,strict,code,expected", PROBE_EXITS.values(),
+                             ids=PROBE_EXITS)
+    def test_a_probe_runner_exits_as_documented(self, tmp_path, capsys, monkeypatch,
+                                                probe, strict, code, expected):
+        monkeypatch.setitem(cli.SCENARIO_RUNNERS, "spectrum", _probe_runner(**probe))
+        out = tmp_path / "r"
+        assert cli.main(["spectrum", *["--strict"] * strict, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        # a run that completes prints its gates and writes its files; a failed one neither
+        assert (captured.out == "" and not out.exists()) == (code >= 2)

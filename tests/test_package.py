@@ -112,6 +112,16 @@ def test_the_version_has_one_source():
     assert getattr(importlib.import_module(module), name) == so.__version__
 
 
+def test_ci_tests_the_declared_numpy_floor():
+    """One CI job pins numpy to the floor that pyproject.toml declares."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((_ROOT / "pyproject.toml").read_text())
+    floors = [d.removeprefix("numpy>=") for d in pyproject["project"]["dependencies"]
+              if d.startswith("numpy>=")]
+    workflow = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert floors and re.findall(r'"numpy==([\d.]+)\.\*"', workflow) == floors
+
+
 # Runs in a fresh interpreter and prints whether numpy.random is loaded after
 # parsing the config, after two scenarios that draw nothing, and after bdag-check.
 _RANDOM_PROBE = """\
